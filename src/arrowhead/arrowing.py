@@ -6,23 +6,21 @@ walks a binary tree over edge colors and prunes a branch as soon as the edges
 colored so far already complete a monochromatic copy, so the reported
 coloring count is the number of leaves reached, not 2^|E(f)|.
 
-The classical (non-induced, complete host) variant lives here too, since it
-shares the copy-mask machinery.
+The classical (non-induced, complete host) variant lives here too: it is
+the same search with ordinary instead of induced containment. Both build
+their copy masks with one builder, _copy_masks, which compares each host
+k-subset's adjacency code with the pattern's precomputed labelled codes
+instead of embedding the pattern subset by subset.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations
 
 from .coloring import BLUE, RED, EdgeColoring, verify_witness
 from .errors import PreconditionError
-from .graphs import (
-    Graph,
-    complete,
-    find_induced_embedding,
-    find_subgraph_embedding,
-    induced_subgraph,
-)
+from .graphs import Graph, complete, find_induced_embedding
 
 
 @dataclass(frozen=True)
@@ -52,40 +50,55 @@ def _edge_order(f: Graph) -> list[tuple[int, int]]:
     return sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1])))
 
 
-def _induced_copy_masks(f: Graph, pattern: Graph, edge_index: dict[tuple[int, int], int]) -> list[int]:
-    """Bitmask over f's edges for the interior of each induced copy of pattern."""
-    masks = set()
-    for verts in combinations(range(f.n), pattern.n):
-        sub = induced_subgraph(f, list(verts))
-        if sub.edge_count() != pattern.edge_count():
-            continue
-        if find_induced_embedding(sub, pattern) is None:
-            continue
-        m = 0
-        for a, b in combinations(verts, 2):
-            if f.has_edge(a, b):
-                m |= 1 << edge_index[(a, b)]
-        masks.add(m)
-    return sorted(masks)
+# Cached because a catalog sweep builds masks for the same patterns on every host.
+@lru_cache(maxsize=128)
+def _pattern_codes(pattern: Graph) -> dict[int, tuple[int, ...]]:
+    """Labelled adjacency codes of pattern, each mapped to its set bit positions.
+
+    Bit t of a code is the t-th vertex pair of combinations(range(k), 2). The
+    codes are the orbit of pattern's own code under relabelling, at most k!
+    of them; closing it under adjacent transpositions costs orbit size, not
+    k!, so a clique pattern has one code found in k - 1 steps.
+    """
+    k = pattern.n
+    pairs = list(combinations(range(k), 2))
+    slot = {pair: t for t, pair in enumerate(pairs)}
+    swaps = []
+    for a in range(k - 1):
+        tau = list(range(k))
+        tau[a], tau[a + 1] = a + 1, a
+        swaps.append([slot[min(tau[i], tau[j]), max(tau[i], tau[j])] for i, j in pairs])
+    codes: dict[int, tuple[int, ...]] = {}
+    todo = [tuple(slot[e] for e in pattern.edges())]
+    while todo:
+        on = todo.pop()
+        code = sum(1 << t for t in on)
+        if code not in codes:
+            codes[code] = on
+            todo.extend(tuple(move[t] for t in on) for move in swaps)
+    return codes
 
 
-def _subgraph_copy_masks(f: Graph, pattern: Graph, edge_index: dict[tuple[int, int], int]) -> list[int]:
-    """Edge masks of non-induced copies: images of pattern's edges only."""
+def _copy_masks(f: Graph, pattern: Graph, edge_index: dict[tuple[int, int], int], induced: bool) -> list[int]:
+    """Bitmask over f's edges for each copy of pattern in f.
+
+    A k-subset of f holds an induced copy when its code is one of pattern's
+    codes, and the mask is the subset's interior. It holds a non-induced copy
+    for every pattern code that fits inside its code, and the mask is that
+    code's edges only.
+    """
+    codes = _pattern_codes(pattern)
+    edge_bit = {e: 1 << i for e, i in edge_index.items()}
     masks = set()
     for verts in combinations(range(f.n), pattern.n):
-        for perm in permutations(verts):
-            ok = True
-            for u, v in pattern.edges():
-                if not f.has_edge(perm[u], perm[v]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            m = 0
-            for u, v in pattern.edges():
-                a, b = min(perm[u], perm[v]), max(perm[u], perm[v])
-                m |= 1 << edge_index[(a, b)]
-            masks.add(m)
+        bits = [edge_bit.get(pair, 0) for pair in combinations(verts, 2)]
+        code = sum(1 << t for t, bit in enumerate(bits) if bit)
+        if induced:
+            fits = [code] if code in codes else []
+        else:
+            fits = [p for p in codes if p & ~code == 0]
+        for p in fits:
+            masks.add(sum(bits[t] for t in codes[p]))
     return sorted(masks)
 
 
@@ -132,13 +145,8 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
         raise PreconditionError("patterns must have at least one edge")
     edges = _edge_order(f)
     edge_index = {e: i for i, e in enumerate(edges)}
-    if induced:
-        red_masks = _induced_copy_masks(f, g, edge_index)
-        blue_masks = _induced_copy_masks(f, h, edge_index)
-    else:
-        red_masks = _subgraph_copy_masks(f, g, edge_index)
-        blue_masks = _subgraph_copy_masks(f, h, edge_index)
-
+    red_masks = _copy_masks(f, g, edge_index, induced)
+    blue_masks = _copy_masks(f, h, edge_index, induced)
     witness_sets, leaves, prunes = _search(len(edges), red_masks, blue_masks)
     if witness_sets is None:
         return ArrowingResult(True, None, leaves, prunes)
@@ -152,8 +160,8 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
             raise AssertionError(f"search returned a non-witness coloring: {bad}")
     else:
         if (
-            find_subgraph_embedding(witness.red_graph(), g) is not None
-            or find_subgraph_embedding(witness.blue_graph(), h) is not None
+            find_induced_embedding(witness.red_graph(), g, induced=False) is not None
+            or find_induced_embedding(witness.blue_graph(), h, induced=False) is not None
         ):
             raise AssertionError("search returned a non-witness coloring")
     return ArrowingResult(False, witness, leaves, prunes)

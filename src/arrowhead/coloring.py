@@ -229,11 +229,3 @@ def red_isolatefree_independence_ok(host: Graph, c: EdgeColoring, alpha: int) ->
         if independence_number(induced_subgraph(host, verts)) >= alpha:
             return False
     return True
-
-
-def coloring_to_json(c: EdgeColoring) -> dict:
-    return c.to_json_dict()
-
-
-def coloring_from_json(data: dict) -> EdgeColoring:
-    return EdgeColoring.from_json_dict(data)

@@ -312,14 +312,18 @@ def find_induced_embedding(
     host: Graph,
     pattern: Graph,
     edge_predicate: Callable[[int, int], bool] | None = None,
+    induced: bool = True,
 ) -> Embedding | None:
-    """First induced embedding of pattern in host, or None.
+    """First embedding of pattern in host, or None.
 
-    Pattern vertices are assigned in index order and host candidates are tried
-    ascending, so the embedding found first is the lexicographically smallest
-    one; a fixed input always reproduces the same witness. When an
-    edge_predicate is given, every host edge inside the image must satisfy it
-    (the induced condition makes those exactly the images of pattern edges).
+    This one backtracker serves both kinds of containment: an induced
+    embedding maps edges to edges and non-edges to non-edges; with
+    induced=False only pattern edges must land on host edges. Pattern vertices
+    are assigned in index order and host candidates are tried ascending, so
+    the embedding found first is the lexicographically smallest one; a fixed
+    input always reproduces the same witness. When an edge_predicate is
+    given, the image of every pattern edge must satisfy it (for an induced
+    embedding those are exactly the host edges inside the image).
     """
     p = pattern.n
     if p > host.n:
@@ -340,7 +344,7 @@ def find_induced_embedding(
             for j in range(i):
                 want = (prow >> j) & 1
                 have = (host.adj[image[j]] >> w) & 1
-                if want != have:
+                if want != have and (induced or want):
                     ok = False
                     break
                 if want and edge_predicate is not None and not edge_predicate(image[j], w):
@@ -361,31 +365,7 @@ def find_induced_embedding(
 
 def find_subgraph_embedding(host: Graph, pattern: Graph) -> Embedding | None:
     """First not-necessarily-induced embedding: pattern edges must map to host edges."""
-    p = pattern.n
-    if p > host.n:
-        return None
-    image: list[int] = []
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == p:
-            return True
-        prow = pattern.adj[i]
-        for w in range(host.n):
-            bit = 1 << w
-            if used & bit:
-                continue
-            if all(not ((prow >> j) & 1) or host.has_edge(image[j], w) for j in range(i)):
-                image.append(w)
-                used |= bit
-                if place(i + 1):
-                    return True
-                image.pop()
-                used &= ~bit
-        return False
-
-    return Embedding(p, tuple(image)) if place(0) else None
+    return find_induced_embedding(host, pattern, induced=False)
 
 
 def check_embedding(

@@ -1,11 +1,13 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
+    _copy_masks,
+    _edge_order,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
@@ -21,10 +23,11 @@ from arrowhead.graphs import (
     matching,
     path,
     relabel,
+    star,
 )
 
 from .conftest import random_graph
-from .oracles import brute_is_iso, naive_strongly_arrows
+from .oracles import brute_induced_copies, brute_is_iso, brute_subgraph_copies, naive_strongly_arrows
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,32 @@ def test_ramsey_number_values():
 def test_ramsey_asymmetric_pair():
     # R(P_3, K_3) = 5: the 4-vertex red perfect matching kills both sides
     assert ramsey_number_exact(path(3), complete(3), 6) == 5
+
+
+# ---------------------------------------------------------------------------
+# copy masks
+
+def test_copy_masks_match_oracles(catalog):
+    # induced masks are the interiors of induced vertex sets; non-induced
+    # masks are the edge images of pattern copies
+    panel = [complete(2), path(3), complete(3), path(4), cycle(4), star(3), matching(2), complete(4)]
+    hosts = [g for order in range(1, 7) for g in catalog.graphs(order)]
+    hosts += [complete(n) for n in range(2, 9)]
+    for host in hosts:
+        edge_index = {e: i for i, e in enumerate(_edge_order(host))}
+
+        def edge_sets(masks):
+            assert masks == sorted(set(masks))
+            return {frozenset(e for e, i in edge_index.items() if (m >> i) & 1) for m in masks}
+
+        for pat in panel:
+            interiors = {
+                frozenset(e for e in combinations(verts, 2) if host.has_edge(*e))
+                for verts in brute_induced_copies(host, pat)
+            }
+            assert edge_sets(_copy_masks(host, pat, edge_index, True)) == interiors, (host, pat)
+            images = set(brute_subgraph_copies(host, pat))
+            assert edge_sets(_copy_masks(host, pat, edge_index, False)) == images, (host, pat)
 
 
 # ---------------------------------------------------------------------------

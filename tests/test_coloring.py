@@ -9,8 +9,6 @@ from arrowhead.coloring import (
     EdgeColoring,
     Violation,
     blue_clique_free,
-    coloring_from_json,
-    coloring_to_json,
     find_mono_induced,
     red_component_independence_ok,
     red_isolatefree_independence_ok,
@@ -94,9 +92,9 @@ def test_red_blue_graphs():
 
 def test_json_round_trip():
     c = EdgeColoring.of(5, [(0, 4), (1, 2)], [(3, 4)])
-    data = coloring_to_json(c)
+    data = c.to_json_dict()
     assert data == {"n": 5, "red": [[0, 4], [1, 2]], "blue": [[3, 4]]}
-    assert coloring_from_json(data) == c
+    assert EdgeColoring.from_json_dict(data) == c
 
 
 @pytest.mark.parametrize(
@@ -116,7 +114,7 @@ def test_json_round_trip():
 )
 def test_json_schema_violations(data):
     with pytest.raises(ColoringMismatchError):
-        coloring_from_json(data)
+        EdgeColoring.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .oracles import (
     brute_independence,
     brute_induced_copies,
     brute_is_iso,
+    brute_subgraph_copies,
 )
 
 
@@ -257,6 +258,15 @@ def test_find_induced_embedding_matches_oracle(catalog):
                 assert emb is not None
                 assert check_embedding(host, pat, emb)
                 assert tuple(sorted(emb.map)) in copies
+            else:
+                assert emb is None
+            emb = find_induced_embedding(host, pat, induced=False)
+            images = brute_subgraph_copies(host, pat)
+            if images:
+                assert emb is not None
+                assert check_embedding(host, pat, emb, induced=False)
+                m = emb.map
+                assert frozenset((min(m[u], m[v]), max(m[u], m[v])) for u, v in pat.edges()) in images
             else:
                 assert emb is None
 
