@@ -4,13 +4,13 @@ A catalog is a directory of files n1.g6, n2.g6, ... holding one graph6 line
 per isomorphism class of each order. ir_exact walks orders from 1 upward and
 inside an order walks graphs by ascending edge count, so sparse hosts fail
 fast and the answer never depends on file line order. Verdicts are memoized
-in a JSON cache keyed by the literal g6 triple; keys are not canonicalized,
-so an isomorphic-but-relabeled query is simply a miss.
+in an append-only cache file, one JSON object per line, keyed by the literal
+g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
+is simply a miss.
 """
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,11 +78,13 @@ def _flock(handle) -> None:
 
 
 class ResultCache:
-    """Write-through JSON memo of arrowing verdicts.
+    """Write-through memo of arrowing verdicts, kept as an append-only log.
 
-    A corrupt or unreadable file is dropped with a warning rather than half
-    trusted. Writes go through a lock file and an atomic replace, so parallel
-    sweeps sharing one cache do not tear it.
+    Each put appends one line, a JSON object {key: verdict}, under an flock
+    on the cache file, so parallel sweeps sharing one cache lose no entries.
+    Loading folds the lines in order, so the last line for a key wins; an
+    older single-object cache is a one-line log. A corrupt or unreadable
+    file is dropped whole with a warning rather than half trusted.
     """
 
     def __init__(self, path):
@@ -98,13 +100,15 @@ class ResultCache:
         if not self.path.exists():
             return
         try:
-            raw = json.loads(self.path.read_text())
-            if not isinstance(raw, dict):
-                raise ValueError("cache root must be a JSON object")
-            for key, entry in raw.items():
-                if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
-                    raise ValueError(f"malformed cache entry for {key!r}")
-            self._data = raw
+            lines = [line for line in self.path.read_text().splitlines() if line.strip()]
+            # one parse for the whole log: per-line json.loads is markedly slower
+            for raw in json.loads("[" + ",".join(lines) + "]"):
+                if not isinstance(raw, dict):
+                    raise ValueError("cache line must be a JSON object")
+                for key, entry in raw.items():
+                    if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
+                        raise ValueError(f"malformed cache entry for {key!r}")
+                self._data.update(raw)
         except (ValueError, OSError) as exc:
             warnings.warn(f"ignoring unreadable result cache {self.path}: {exc}")
             self._data = {}
@@ -114,16 +118,10 @@ class ResultCache:
 
     def put(self, key: str, verdict: dict) -> None:
         self._data[key] = verdict
-        self._persist()
-
-    def _persist(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path = self.path.with_name(self.path.name + ".lock")
-        tmp_path = self.path.with_name(self.path.name + ".tmp")
-        with open(lock_path, "w") as lock:
-            _flock(lock)
-            tmp_path.write_text(json.dumps(self._data, sort_keys=True) + "\n")
-            os.replace(tmp_path, self.path)
+        with open(self.path, "a") as log:
+            _flock(log)
+            log.write(json.dumps({key: verdict}, sort_keys=True) + "\n")
 
 
 def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None) -> bool:

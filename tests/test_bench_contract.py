@@ -3,6 +3,7 @@ import runpy
 from pathlib import Path
 
 import arrowhead
+from arrowhead.search import ResultCache
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -19,3 +20,11 @@ def test_every_traced_name_resolves():
                 assert attr in vars(getattr(home, cls_name)), f"{layer}.{name}"
             else:
                 assert callable(getattr(home, fn, None)), f"{layer}.{name}"
+
+
+def test_cache_path_is_the_file_put_writes(tmp_path):
+    # the tracer sizes the cache by os.path.getsize(cache.path) after each put
+    cache = ResultCache(tmp_path / "cache.json")
+    cache.put("A_|A_|A_", {"arrows": True, "witness": None})
+    assert list(tmp_path.iterdir()) == [cache.path]
+    assert cache.path.stat().st_size > 0

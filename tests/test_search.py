@@ -19,6 +19,15 @@ from arrowhead.search import (
 CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
+def read_cache_log(path) -> dict:
+    """Fold a cache log's lines into one dict, the last line for a key winning."""
+    folded = {}
+    for line in path.read_text().splitlines():
+        if line.strip():
+            folded.update(json.loads(line))
+    return folded
+
+
 # ---------------------------------------------------------------------------
 # catalogs
 
@@ -96,6 +105,50 @@ def test_corrupt_cache_is_dropped_with_warning(tmp_path):
     assert cache.get("k") is None
 
 
+def test_parallel_writers_keep_every_key(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    first, second = ResultCache(cache_file), ResultCache(cache_file)
+    first.put("A_|A_|A_", {"arrows": True, "witness": None})
+    second.put("Bw|A_|A_", {"arrows": True, "witness": None})
+    merged = ResultCache(cache_file)
+    assert merged.get("A_|A_|A_") == {"arrows": True, "witness": None}
+    assert merged.get("Bw|A_|A_") == {"arrows": True, "witness": None}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
+
+def test_single_object_cache_still_loads(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(
+        '{"A_|A_|A_": {"arrows": true, "witness": null}, '
+        '"Bw|A_|A_": {"arrows": true, "witness": null}}\n'
+    )
+    cache = ResultCache(cache_file)
+    assert cache.get("A_|A_|A_") == {"arrows": True, "witness": None}
+    assert cache.get("Bw|A_|A_") == {"arrows": True, "witness": None}
+
+
+def test_torn_last_line_drops_the_cache(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}\n{"k": {"arr')
+    with pytest.warns(UserWarning, match="ignoring unreadable result cache"):
+        cache = ResultCache(cache_file)
+    assert cache.get("A_|A_|A_") is None
+
+
+def test_each_put_appends_one_line(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    cache = ResultCache(cache_file)
+    keys = [f"{g6}|A_|A_" for g6 in ("@", "A_", "Bw", "C~")]
+    for i, key in enumerate(keys):
+        cache.put(key, {"arrows": i % 2 == 0, "witness": None})
+    cache.put(keys[0], {"arrows": False, "witness": None})
+    lines = cache_file.read_text().splitlines()
+    assert len(lines) == len(keys) + 1
+    assert json.loads(lines[0]) == {keys[0]: {"arrows": True, "witness": None}}
+    # the last line for a key wins on reload
+    assert ResultCache(cache_file).get(keys[0]) == {"arrows": False, "witness": None}
+
+
 def test_cached_verdicts_replay(tmp_path, catalog):
     cache_file = tmp_path / "cache.json"
     first = ir_exact(matching(2), complete(2), catalog, n_max=4, cache=ResultCache(cache_file))
@@ -109,7 +162,7 @@ def test_tampered_notarrows_witness_is_recomputed(tmp_path, catalog):
     cache = ResultCache(cache_file)
     ir_exact(matching(2), complete(2), catalog, n_max=4, cache=cache)
 
-    raw = json.loads(cache_file.read_text())
+    raw = read_cache_log(cache_file)
     # break every stored witness; verdicts must still come out identical
     # because suspect entries are recomputed, not trusted
     for entry in raw.values():
@@ -126,7 +179,7 @@ def test_persisted_witnesses_all_verify(tmp_path, catalog):
     cache_file = tmp_path / "cache.json"
     ir_exact(matching(2), complete(2), catalog, n_max=4, cache=ResultCache(cache_file))
     g, h = matching(2), complete(2)
-    raw = json.loads(cache_file.read_text())
+    raw = read_cache_log(cache_file)
     checked = 0
     for key, entry in raw.items():
         host_g6 = key.split("|")[0]
