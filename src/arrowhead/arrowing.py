@@ -2,9 +2,11 @@
 
 strongly_arrows(f, g, h) answers whether every red/blue coloring of the edges
 of f contains a red induced copy of g or a blue induced copy of h. The search
-walks a binary tree over edge colors and prunes a branch as soon as the edges
-colored so far already complete a monochromatic copy, so the reported
-coloring count is the number of leaves reached, not 2^|E(f)|.
+walks a binary tree over edge colors with unit propagation: a copy with all
+but one edge in one color forces its last edge to the other color, and a
+branch closes as soon as the edges colored so far complete a monochromatic
+copy. So a proof reaches no complete coloring at all; its effort is the
+number of branches closed, not 2^|E(f)|.
 
 The classical (non-induced, complete host) variant lives here too: it is
 the same search with ordinary instead of induced containment. Both build
@@ -20,16 +22,18 @@ from itertools import combinations
 
 from .coloring import BLUE, RED, EdgeColoring, verify_witness
 from .errors import PreconditionError
-from .graphs import Graph, complete, find_induced_embedding
+from .graphs import Graph, _bits, complete, find_induced_embedding
 
 
 @dataclass(frozen=True)
 class ArrowingResult:
     """Verdict plus search effort.
 
-    colorings_explored counts complete colorings the search reached; prunes
-    counts branches cut before all edges were colored. Both depend on the
-    branching order, so treat them as diagnostics, not invariants.
+    colorings_explored counts complete colorings the search reached: 0 on a
+    proof, 1 on a refutation (the witness). prunes counts branches closed by
+    a conflict, including conflicts found while propagating forced colors.
+    Both depend on the branching order, so treat them as diagnostics, not
+    invariants.
     """
 
     arrows: bool
@@ -103,41 +107,61 @@ def _copy_masks(f: Graph, pattern: Graph, edge_index: dict[tuple[int, int], int]
 
 
 def _search(n_edges, red_masks, blue_masks):
-    """DFS over total colorings. Returns (witness_masks or None, leaves, prunes).
+    """DFS with unit propagation. Returns (witness_masks or None, leaves, prunes).
 
-    A copy mask contained in one side's colored set kills that branch; only
-    masks through the edge colored last need checking, since the parent node
-    already survived. leaves counts complete colorings reached, prunes counts
-    branches cut short.
+    Branches on the lowest-index uncolored edge, red first. After an edge
+    gets a color, that side's copy masks through it are scanned: a mask
+    wholly inside the side is a conflict and closes the branch, and a mask
+    with one uncolored edge left forces that edge to the other color, which
+    is then scanned the same way. A forced move only removes subtrees in
+    which every coloring completes a monochromatic copy, so the first
+    complete coloring reached is the lexicographically least refuting one,
+    the same a DFS without forced moves finds. leaves counts complete
+    colorings reached (0 on a proof, 1 on a refutation); prunes counts
+    branches closed by a conflict, including conflicts met while propagating.
     """
-    red_by_edge = [[m for m in red_masks if (m >> i) & 1] for i in range(n_edges)]
-    blue_by_edge = [[m for m in blue_masks if (m >> i) & 1] for i in range(n_edges)]
-    leaves = 0
+    if not n_edges:
+        return (0, 0), 1, 0
+    # by_edge[side][i]: that side's copy masks through edge i
+    by_edge = ([[] for _ in range(n_edges)], [[] for _ in range(n_edges)])
+    for lists, masks in zip(by_edge, (red_masks, blue_masks)):
+        for m in masks:
+            for i in _bits(m):
+                lists[i].append(m)
+    full = (1 << n_edges) - 1
     prunes = 0
-    # stack entries: (depth, red_set, blue_set, side of the edge at depth-1)
-    stack = [(0, 0, 0, None)]
+    # stack entries: (red_set, blue_set, edge just colored, its side); LIFO,
+    # so the red child is pushed last and explored first
+    stack = [(0, 1, 0, 1), (1, 0, 0, 0)]
     while stack:
-        depth, red_set, blue_set, side = stack.pop()
-        if side is not None:
-            i = depth - 1
-            if side == 0:
-                dead = any(m & red_set == m for m in red_by_edge[i])
+        red_set, blue_set, i, side = stack.pop()
+        todo = [(i, side)]
+        while todo:
+            i, side = todo.pop()
+            own, other = (blue_set, red_set) if side else (red_set, blue_set)
+            free = ~own
+            # the uncolored edges of each copy through edge i that can still complete
+            rests = [m & free for m in by_edge[side][i] if not m & other]
+            if 0 in rests:
+                prunes += 1
+                break
+            for rest in rests:
+                if not rest & (rest - 1) and not rest & other:
+                    other |= rest
+                    todo.append((rest.bit_length() - 1, 1 - side))
+            if side:
+                red_set = other
             else:
-                dead = any(m & blue_set == m for m in blue_by_edge[i])
-            if dead:
-                if depth == n_edges:
-                    leaves += 1
-                else:
-                    prunes += 1
-                continue
-        if depth == n_edges:
-            leaves += 1
-            return (red_set, blue_set), leaves, prunes
-        bit = 1 << depth
-        # LIFO: push blue first so the red branch is explored first.
-        stack.append((depth + 1, red_set, blue_set | bit, 1))
-        stack.append((depth + 1, red_set | bit, blue_set, 0))
-    return None, leaves, prunes
+                blue_set = other
+        else:  # propagation ended without a conflict
+            colored = red_set | blue_set
+            if colored == full:
+                return (red_set, blue_set), 1, prunes
+            bit = ~colored & (colored + 1)  # the lowest uncolored edge
+            j = bit.bit_length() - 1
+            stack.append((red_set, blue_set | bit, j, 1))
+            stack.append((red_set | bit, blue_set, j, 0))
+    return None, 0, prunes
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:

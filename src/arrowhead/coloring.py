@@ -9,6 +9,7 @@ host).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ColoringMismatchError, PreconditionError
@@ -29,12 +30,23 @@ BLUE = "blue"
 ORACLE_ORDER_LIMIT = 16
 
 
+# Bounded above the 1,891 vertex pairs of a graph of order MAX_ORDER.
+@lru_cache(maxsize=2048)
+def _pair(u: int, v: int) -> tuple[int, int]:
+    """The one tuple for vertex pair (u, v), u < v, shared by every coloring.
+
+    A stored coloring then costs its two frozensets but no tuple per edge,
+    so a caller holding many colorings grows by less.
+    """
+    return (u, v)
+
+
 def _norm_pairs(pairs) -> frozenset[tuple[int, int]]:
     out = set()
     for u, v in pairs:
         if u == v:
             raise ColoringMismatchError(f"loop pair ({u},{v}) in coloring")
-        out.add((min(u, v), max(u, v)))
+        out.add(_pair(u, v) if u < v else _pair(v, u))
     return frozenset(out)
 
 

@@ -2,7 +2,9 @@
 
 Everything here recomputes from first principles: subsets and permutations,
 no bitset tricks, no pruning, no reuse of the library's search code. Slow on
-purpose; keep inputs small.
+purpose; keep inputs small. The one exception is plain_dfs_search, the
+library's earlier arrowing DFS, kept as the differential reference for the
+search that replaced it.
 """
 from itertools import combinations, permutations, product
 
@@ -131,3 +133,45 @@ def brute_certified_coloring(f: Graph, alpha: int, omega: int):
             continue
         return red
     return None
+
+
+def plain_dfs_search(n_edges, red_masks, blue_masks):
+    """DFS over total colorings. Returns (witness_masks or None, leaves, prunes).
+
+    Takes the same mask arguments as arrowing._search and must find the same
+    lexicographically least refuting coloring (red before blue, edges in
+    index order), but makes no forced moves.
+
+    A copy mask contained in one side's colored set kills that branch; only
+    masks through the edge colored last need checking, since the parent node
+    already survived. leaves counts complete colorings reached, prunes counts
+    branches cut short.
+    """
+    red_by_edge = [[m for m in red_masks if (m >> i) & 1] for i in range(n_edges)]
+    blue_by_edge = [[m for m in blue_masks if (m >> i) & 1] for i in range(n_edges)]
+    leaves = 0
+    prunes = 0
+    # stack entries: (depth, red_set, blue_set, side of the edge at depth-1)
+    stack = [(0, 0, 0, None)]
+    while stack:
+        depth, red_set, blue_set, side = stack.pop()
+        if side is not None:
+            i = depth - 1
+            if side == 0:
+                dead = any(m & red_set == m for m in red_by_edge[i])
+            else:
+                dead = any(m & blue_set == m for m in blue_by_edge[i])
+            if dead:
+                if depth == n_edges:
+                    leaves += 1
+                else:
+                    prunes += 1
+                continue
+        if depth == n_edges:
+            leaves += 1
+            return (red_set, blue_set), leaves, prunes
+        bit = 1 << depth
+        # LIFO: push blue first so the red branch is explored first.
+        stack.append((depth + 1, red_set, blue_set | bit, 1))
+        stack.append((depth + 1, red_set | bit, blue_set, 0))
+    return None, leaves, prunes

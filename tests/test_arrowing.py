@@ -2,17 +2,20 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
     _copy_masks,
     _edge_order,
+    _search,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
 )
-from arrowhead.coloring import verify_witness
+from arrowhead.coloring import EdgeColoring, verify_witness
 from arrowhead.errors import PreconditionError
 from arrowhead.graphs import (
     Graph,
@@ -27,7 +30,13 @@ from arrowhead.graphs import (
 )
 
 from .conftest import random_graph
-from .oracles import brute_induced_copies, brute_is_iso, brute_subgraph_copies, naive_strongly_arrows
+from .oracles import (
+    brute_induced_copies,
+    brute_is_iso,
+    brute_subgraph_copies,
+    naive_strongly_arrows,
+    plain_dfs_search,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +219,66 @@ def test_every_witness_reverifies(catalog):
             if not res.arrows:
                 res.witness.check_against(host)
                 assert verify_witness(host, res.witness, g, h) is None
+
+
+# ---------------------------------------------------------------------------
+# the propagating search against the plain DFS it replaced
+
+@st.composite
+def mask_families(draw):
+    n = draw(st.integers(1, 14))
+    mask = st.lists(st.integers(0, n - 1), min_size=1, max_size=6).map(
+        lambda idx: sum(1 << i for i in set(idx))
+    )
+    return n, draw(st.lists(mask, max_size=30)), draw(st.lists(mask, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_families())
+def test_search_matches_plain_dfs(family):
+    # forced moves prune only subtrees without a refuting coloring, so the
+    # first one found is the plain DFS's lexicographically least one
+    n, red_masks, blue_masks = family
+    witness, leaves, prunes = _search(n, red_masks, blue_masks)
+    expected = plain_dfs_search(n, red_masks, blue_masks)[0]
+    assert witness == expected
+    assert leaves == (witness is not None) and prunes >= 0
+
+
+def _oracle_result(host, g, h, induced):
+    edges = _edge_order(host)
+    edge_index = {e: i for i, e in enumerate(edges)}
+    found = plain_dfs_search(
+        len(edges), _copy_masks(host, g, edge_index, induced), _copy_masks(host, h, edge_index, induced)
+    )[0]
+    if found is None:
+        return None
+    red_set, blue_set = found
+    return EdgeColoring.of(
+        host.n,
+        [e for e, i in edge_index.items() if (red_set >> i) & 1],
+        [e for e, i in edge_index.items() if (blue_set >> i) & 1],
+    )
+
+
+def test_verdicts_and_witnesses_match_plain_dfs(catalog):
+    panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
+    for host in [g for order in range(1, 7) for g in catalog.graphs(order)]:
+        for g, h in product(panel, repeat=2):
+            res = strongly_arrows(host, g, h)
+            assert res.witness == _oracle_result(host, g, h, True), (host, g, h)
+            assert res.arrows == (res.witness is None)
+    for n in range(2, 9):
+        for g, h in product(panel, repeat=2):
+            res = arrows_complete_non_induced(n, g, h)
+            assert res.witness == _oracle_result(complete(n), g, h, False), (n, g, h)
+            assert res.arrows == (res.witness is None)
+
+
+def test_k9_arrows_k3_k4_within_counted_work():
+    # R(3, 4) = 9. The bound counts closed branches, not seconds: the plain
+    # DFS needs 1,270,376 leaves plus prunes here, propagation about 101,000.
+    res = arrows_complete_non_induced(9, complete(3), complete(4))
+    assert res.arrows
+    assert res.colorings_explored == 0
+    assert res.colorings_explored + res.prunes <= 250_000

@@ -53,6 +53,14 @@ def test_of_normalizes_pair_order():
     assert c.color_of(0, 2) is None
 
 
+def test_colorings_share_pair_tuples():
+    # a stored coloring holds no tuple of its own per edge
+    a = EdgeColoring.of(3, [(1, 0)], [[2, 1]])
+    b = EdgeColoring.of(4, [(0, 1)], [(1, 2)])
+    assert next(iter(a.red)) is next(iter(b.red))
+    assert next(iter(a.blue)) is next(iter(b.blue))
+
+
 def test_of_rejects_overlap_and_loops():
     with pytest.raises(ColoringMismatchError):
         EdgeColoring.of(3, [(0, 1)], [(1, 0)])
