@@ -8,6 +8,7 @@ host).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -60,12 +61,19 @@ class EdgeColoring:
 
     @staticmethod
     def of(host_order: int, red, blue) -> "EdgeColoring":
+        """The coloring with these red and blue pairs, each pair taken
+        unordered. Equal colorings alive at once are one object, so a caller
+        that keeps the same answer many times holds it once."""
         r = _norm_pairs(red)
         b = _norm_pairs(blue)
         overlap = r & b
         if overlap:
             raise ColoringMismatchError(f"edges colored twice: {sorted(overlap)}")
-        return EdgeColoring(host_order, r, b)
+        key = (host_order, r, b)
+        c = _INTERNED.get(key)
+        if c is None:
+            c = _INTERNED[key] = EdgeColoring(host_order, r, b)
+        return c
 
     @staticmethod
     def monochrome(host: Graph, color: str) -> "EdgeColoring":
@@ -143,6 +151,11 @@ class EdgeColoring:
                 raise ColoringMismatchError(f'duplicate pairs in "{key}"')
             sides[key] = seen
         return EdgeColoring.of(n, sides[RED], sides[BLUE])
+
+
+# (host_order, red, blue) -> the live EdgeColoring with those fields; an
+# entry goes when its coloring is no longer referenced.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,16 @@ def test_colorings_share_pair_tuples():
     assert next(iter(a.blue)) is next(iter(b.blue))
 
 
+def test_equal_colorings_are_one_object():
+    # a caller keeping the same answer many times holds it once
+    a = EdgeColoring.of(4, [(1, 0), (2, 3)], [(1, 2)])
+    b = EdgeColoring.of(4, [[3, 2], (0, 1)], [(2, 1)])
+    assert a is b
+    assert EdgeColoring.of(5, a.red, a.blue) is not a
+    assert EdgeColoring.of(4, a.blue, a.red) is not a
+    assert EdgeColoring.of(4, a.blue, a.red) == a.swapped()
+
+
 def test_of_rejects_overlap_and_loops():
     with pytest.raises(ColoringMismatchError):
         EdgeColoring.of(3, [(0, 1)], [(1, 0)])
