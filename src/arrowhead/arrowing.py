@@ -12,7 +12,9 @@ The classical (non-induced, complete host) variant lives here too: it is
 the same search with ordinary instead of induced containment. Both build
 their copy masks with one builder, _copy_masks, which compares each host
 k-subset's adjacency code with the pattern's precomputed labelled codes
-instead of embedding the pattern subset by subset.
+instead of embedding the pattern subset by subset. The subsets' codes and
+interiors depend only on the host and k, so they are built once per (host,
+k) and cached; a sweep over many pattern pairs then only filters them.
 """
 from __future__ import annotations
 
@@ -49,9 +51,16 @@ class NotFoundBelow:
     n_max: int
 
 
-def _edge_order(f: Graph) -> list[tuple[int, int]]:
+# A catalog sweep to order 6 visits at most 1 + 2 + 4 + 11 + 34 + 156 = 208
+# hosts. The per-host caches below hold all of them, so a sweep over many
+# pattern pairs builds each host's tables once.
+_SWEEP_HOSTS = 208
+
+
+@lru_cache(maxsize=_SWEEP_HOSTS)
+def _edge_order(f: Graph) -> tuple[tuple[int, int], ...]:
     # Branch on busiest edges first: their color constrains the most copies.
-    return sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1])))
+    return tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
 
 
 # Cached because a catalog sweep builds masks for the same patterns on every host.
@@ -83,8 +92,30 @@ def _pattern_codes(pattern: Graph) -> dict[int, tuple[int, ...]]:
     return codes
 
 
-def _copy_masks(f: Graph, pattern: Graph, edge_index: dict[tuple[int, int], int], induced: bool) -> list[int]:
-    """Bitmask over f's edges for each copy of pattern in f.
+# Three tables per host: a sweep over the small patterns needs k = 2, 3 and 4.
+@lru_cache(maxsize=3 * _SWEEP_HOSTS)
+def _subset_table(f: Graph, k: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """f's k-subsets grouped by adjacency code: code -> (interiors, edge bits).
+
+    Bit t of a subset's code says whether its t-th vertex pair of
+    combinations(verts, 2) is an edge of f, and that pair's edge bit is
+    1 << (its index in _edge_order(f)), or 0 for a non-edge. The interior
+    is the sum of the edge bits. None of it depends on the pattern.
+    """
+    edge_bit = {e: 1 << i for i, e in enumerate(_edge_order(f))}
+    groups: dict[int, tuple[list, list]] = {}
+    for verts in combinations(range(f.n), k):
+        bits = tuple([edge_bit.get(pair, 0) for pair in combinations(verts, 2)])
+        code = sum(1 << t for t, bit in enumerate(bits) if bit)
+        interiors, members = groups.setdefault(code, ([], []))
+        interiors.append(sum(bits))
+        members.append(bits)
+    return {code: (tuple(i), tuple(m)) for code, (i, m) in groups.items()}
+
+
+def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> list[int]:
+    """Bitmask over f's edges, in _edge_order(f) order, for each copy of
+    pattern in f.
 
     A k-subset of f holds an induced copy when its code is one of pattern's
     codes, and the mask is the subset's interior. It holds a non-induced copy
@@ -92,17 +123,17 @@ def _copy_masks(f: Graph, pattern: Graph, edge_index: dict[tuple[int, int], int]
     code's edges only.
     """
     codes = _pattern_codes(pattern)
-    edge_bit = {e: 1 << i for e, i in edge_index.items()}
-    masks = set()
-    for verts in combinations(range(f.n), pattern.n):
-        bits = [edge_bit.get(pair, 0) for pair in combinations(verts, 2)]
-        code = sum(1 << t for t, bit in enumerate(bits) if bit)
-        if induced:
-            fits = [code] if code in codes else []
-        else:
-            fits = [p for p in codes if p & ~code == 0]
-        for p in fits:
-            masks.add(sum(bits[t] for t in codes[p]))
+    table = _subset_table(f, pattern.n)
+    if induced:
+        masks = {m for code in codes if code in table for m in table[code][0]}
+    else:
+        masks = {
+            sum(bits[t] for t in codes[p])
+            for code, (_, members) in table.items()
+            for p in codes
+            if p & ~code == 0
+            for bits in members
+        }
     return sorted(masks)
 
 
@@ -168,9 +199,8 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
     if g.edge_count() == 0 or h.edge_count() == 0:
         raise PreconditionError("patterns must have at least one edge")
     edges = _edge_order(f)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    red_masks = _copy_masks(f, g, edge_index, induced)
-    blue_masks = _copy_masks(f, h, edge_index, induced)
+    red_masks = _copy_masks(f, g, induced)
+    blue_masks = _copy_masks(f, h, induced)
     witness_sets, leaves, prunes = _search(len(edges), red_masks, blue_masks)
     if witness_sets is None:
         return ArrowingResult(True, None, leaves, prunes)

@@ -69,11 +69,7 @@ class EdgeColoring:
         overlap = r & b
         if overlap:
             raise ColoringMismatchError(f"edges colored twice: {sorted(overlap)}")
-        key = (host_order, r, b)
-        c = _INTERNED.get(key)
-        if c is None:
-            c = _INTERNED[key] = EdgeColoring(host_order, r, b)
-        return c
+        return _intern(host_order, r, b)
 
     @staticmethod
     def monochrome(host: Graph, color: str) -> "EdgeColoring":
@@ -93,7 +89,7 @@ class EdgeColoring:
         return None
 
     def swapped(self) -> "EdgeColoring":
-        return EdgeColoring(self.host_order, self.blue, self.red)
+        return _intern(self.host_order, self.blue, self.red)
 
     def check_against(self, host: Graph) -> None:
         """Raise unless this coloring covers exactly the edges of host."""
@@ -158,12 +154,37 @@ class EdgeColoring:
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+def _intern(host_order: int, red: frozenset, blue: frozenset) -> EdgeColoring:
+    """The live coloring with these normalized, disjoint sides, made if none is."""
+    key = (host_order, red, blue)
+    c = _INTERNED.get(key)
+    if c is None:
+        c = _INTERNED[key] = EdgeColoring(host_order, red, blue)
+    return c
+
+
 @dataclass(frozen=True)
 class Violation:
     """A monochromatic induced copy that defeats a claimed witness coloring."""
 
     color: str
     embedding: Embedding
+
+
+def _rows(host_order: int, pairs) -> tuple[int, ...]:
+    """Neighbour bitmask per vertex of the graph on these (checked) pairs."""
+    rows = [0] * host_order
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def _find_mono(host: Graph, c: EdgeColoring, pattern: Graph, color: str) -> Violation | None:
+    """find_mono_induced on a coloring already checked against host."""
+    side = c.red if color == RED else c.blue
+    emb = find_induced_embedding(host, pattern, _rows(host.n, side))
+    return Violation(color, emb) if emb is not None else None
 
 
 def find_mono_induced(host: Graph, c: EdgeColoring, pattern: Graph, color: str) -> Violation | None:
@@ -175,9 +196,7 @@ def find_mono_induced(host: Graph, c: EdgeColoring, pattern: Graph, color: str) 
     c.check_against(host)
     if color not in (RED, BLUE):
         raise ValueError(f"unknown color {color!r}")
-    side = c.red if color == RED else c.blue
-    emb = find_induced_embedding(host, pattern, lambda u, v: (min(u, v), max(u, v)) in side)
-    return Violation(color, emb) if emb is not None else None
+    return _find_mono(host, c, pattern, color)
 
 
 def verify_witness(host: Graph, c: EdgeColoring, g: Graph, h: Graph) -> Violation | None:
@@ -185,7 +204,8 @@ def verify_witness(host: Graph, c: EdgeColoring, g: Graph, h: Graph) -> Violatio
 
     Checks the red side first, so a doubly bad coloring reports red.
     """
-    return find_mono_induced(host, c, g, RED) or find_mono_induced(host, c, h, BLUE)
+    c.check_against(host)
+    return _find_mono(host, c, g, RED) or _find_mono(host, c, h, BLUE)
 
 
 def validate_violation(host: Graph, c: EdgeColoring, pattern: Graph, violation: Violation) -> bool:

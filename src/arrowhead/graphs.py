@@ -11,6 +11,7 @@ vertices (so K_1 has one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -67,7 +68,7 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for v in range(self.n) for u in range(v) if self.has_edge(u, v)]
+        return [(u, v) for v in range(self.n) for u in _bits(self.adj[v] & ((1 << v) - 1))]
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -311,7 +312,7 @@ class Embedding:
 def find_induced_embedding(
     host: Graph,
     pattern: Graph,
-    edge_predicate: Callable[[int, int], bool] | None = None,
+    allowed: tuple[int, ...] | None = None,
     induced: bool = True,
 ) -> Embedding | None:
     """First embedding of pattern in host, or None.
@@ -319,48 +320,63 @@ def find_induced_embedding(
     This one backtracker serves both kinds of containment: an induced
     embedding maps edges to edges and non-edges to non-edges; with
     induced=False only pattern edges must land on host edges. Pattern vertices
-    are assigned in index order and host candidates are tried ascending, so
-    the embedding found first is the lexicographically smallest one; a fixed
-    input always reproduces the same witness. When an edge_predicate is
-    given, the image of every pattern edge must satisfy it (for an induced
+    are assigned in index order and each one's candidates are taken lowest
+    vertex first, so the embedding found first is the lexicographically
+    smallest one; a fixed input always reproduces the same witness. allowed,
+    when given, is one neighbour bitmask per host vertex, and every pattern
+    edge must then land on a host edge that its row allows (for an induced
     embedding those are exactly the host edges inside the image).
+
+    The candidates for pattern vertex i form one bitmask: the unused host
+    vertices, intersected with the edge row of the image of each earlier
+    neighbour of i and, when induced, with the complement of the host row of
+    the image of each earlier non-neighbour.
     """
     p = pattern.n
     if p > host.n:
         return None
-    image: list[int] = []
+    if p == 0:
+        return Embedding(0, ())
+    adj = host.adj
+    rows = adj if allowed is None else tuple(map(int.__and__, adj, allowed))
+    joined, apart = _placement_plan(pattern, induced)
+    full = (1 << host.n) - 1
+    image = [0] * p
+    untried = [0] * p  # candidates of each placed vertex not tried yet
     used = 0
+    i = 0
+    cand = full
+    while True:
+        if cand:
+            low = cand & -cand
+            image[i] = low.bit_length() - 1
+            if i + 1 == p:
+                return Embedding(p, tuple(image))
+            untried[i] = cand ^ low
+            used |= low
+            i += 1
+            cand = full ^ used
+            for j in joined[i]:
+                cand &= rows[image[j]]
+            for j in apart[i]:
+                cand &= ~adj[image[j]]
+        else:
+            i -= 1
+            if i < 0:
+                return None
+            used ^= 1 << image[i]
+            cand = untried[i]
 
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == p:
-            return True
-        prow = pattern.adj[i]
-        for w in range(host.n):
-            bit = 1 << w
-            if used & bit:
-                continue
-            ok = True
-            for j in range(i):
-                want = (prow >> j) & 1
-                have = (host.adj[image[j]] >> w) & 1
-                if want != have and (induced or want):
-                    ok = False
-                    break
-                if want and edge_predicate is not None and not edge_predicate(image[j], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image.append(w)
-            used |= bit
-            if place(i + 1):
-                return True
-            image.pop()
-            used &= ~bit
-        return False
 
-    return Embedding(p, tuple(image)) if place(0) else None
+# Cached because a sweep embeds the same few patterns in every host.
+@lru_cache(maxsize=128)
+def _placement_plan(pattern: Graph, induced: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(joined, apart): for each pattern vertex i, its neighbours among
+    0..i-1 and, when induced, its non-neighbours among them."""
+    earlier = [(1 << i) - 1 for i in range(pattern.n)]
+    joined = tuple(tuple(_bits(row & low)) for row, low in zip(pattern.adj, earlier))
+    apart = tuple(tuple(_bits(~row & low)) if induced else () for row, low in zip(pattern.adj, earlier))
+    return joined, apart
 
 
 def find_subgraph_embedding(host: Graph, pattern: Graph) -> Embedding | None:

@@ -1,9 +1,14 @@
 """Exact minimum-order sweeps over graph6 catalogs, with a persistent cache.
 
 A catalog is a directory of files n1.g6, n2.g6, ... holding one graph6 line
-per isomorphism class of each order. ir_exact walks orders from 1 upward and
-inside an order walks graphs by ascending edge count, so sparse hosts fail
-fast and the answer never depends on file line order. Verdicts are memoized
+per isomorphism class of each order. A Catalog parses each file once and
+keeps its scan order, and bundled_catalog() hands out one shared instance,
+so repeated sweeps pay neither again. ir_exact walks orders from 1 upward and
+inside an order walks graphs by ascending (edge count, graph6), so sparse
+hosts fail fast and the answer never depends on file line order. Each
+non-arrowing verdict rests on a refuting coloring that is re-verified:
+arrowing checks every one it returns, and a cached one is checked again
+before it is believed. Verdicts are memoized
 in an append-only cache file, one JSON object per line, keyed by the literal
 g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
 is simply a miss.
@@ -13,6 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .arrowing import NotFoundBelow, strongly_arrows
@@ -24,10 +30,16 @@ DEFAULT_ORDER_CAP = 7
 
 
 class Catalog:
-    """Directory of per-order graph6 files named n<order>.g6."""
+    """Directory of per-order graph6 files named n<order>.g6.
+
+    Each file is read, parsed and checked once per instance, when first
+    asked for; a file changed on disk after that is not read again.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
+        self._graphs: dict[int, tuple[Graph, ...]] = {}
+        self._scans: dict[int, tuple[Graph, ...]] = {}
 
     def path_for(self, order: int) -> Path:
         return self.directory / f"n{order}.g6"
@@ -43,6 +55,19 @@ class Catalog:
             )
 
     def graphs(self, order: int) -> list[Graph]:
+        """The order's graphs in file order, as a fresh list."""
+        if order not in self._graphs:
+            self._graphs[order] = self._parse(order)
+        return list(self._graphs[order])
+
+    def scan_order(self, order: int) -> tuple[Graph, ...]:
+        """The order's graphs by ascending (edge count, graph6 line)."""
+        if order not in self._scans:
+            by_edges = sorted(self.graphs(order), key=lambda g: (g.edge_count(), emit_graph6(g)))
+            self._scans[order] = tuple(by_edges)
+        return self._scans[order]
+
+    def _parse(self, order: int) -> tuple[Graph, ...]:
         path = self.path_for(order)
         if not path.is_file():
             raise CatalogError(f"catalog gap: {path} does not exist")
@@ -60,10 +85,12 @@ class Catalog:
                     f"{path.name} line {lineno}: graph of order {g.n} in the order-{order} file"
                 )
             out.append(g)
-        return out
+        return tuple(out)
 
 
+@lru_cache(maxsize=1)
 def bundled_catalog() -> Catalog:
+    """The catalog shipped with the package, one instance per process."""
     from importlib.resources import files
 
     return Catalog(Path(str(files("arrowhead").joinpath("data/catalog"))))
@@ -156,9 +183,8 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None) -> bool:
 
 def _scan_order(g, h, catalog, order, cache):
     """(first arrowing graph or None, count confirmed non-arrowing)."""
-    graphs = sorted(catalog.graphs(order), key=lambda gr: (gr.edge_count(), emit_graph6(gr)))
     nonarrows = 0
-    for f in graphs:
+    for f in catalog.scan_order(order):
         if _decide(f, g, h, cache):
             return f, nonarrows
         nonarrows += 1

@@ -175,3 +175,26 @@ def plain_dfs_search(n_edges, red_masks, blue_masks):
         stack.append((depth + 1, red_set, blue_set | bit, 1))
         stack.append((depth + 1, red_set | bit, blue_set, 0))
     return None, leaves, prunes
+
+
+def brute_first_embedding(host: Graph, pattern: Graph, allowed=None, induced=True):
+    """The first map in permutations(range(host.n), pattern.n) order that
+    embeds pattern in host, as a tuple, or None.
+
+    A pattern edge a < b must land on a host edge (u, v) = (image[a],
+    image[b]), and when allowed rows are given, allowed[u] must have bit v.
+    With induced, pattern non-edges must land on host non-edges.
+    """
+    for image in permutations(range(host.n), pattern.n):
+        ok = True
+        for a, b in combinations(range(pattern.n), 2):
+            u, v = image[a], image[b]
+            if pattern.has_edge(a, b):
+                ok = host.has_edge(u, v) and (allowed is None or (allowed[u] >> v) & 1)
+            elif induced:
+                ok = not host.has_edge(u, v)
+            if not ok:
+                break
+        if ok:
+            return image
+    return None

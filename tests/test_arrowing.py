@@ -144,9 +144,9 @@ def test_copy_masks_match_oracles(catalog):
                 frozenset(e for e in combinations(verts, 2) if host.has_edge(*e))
                 for verts in brute_induced_copies(host, pat)
             }
-            assert edge_sets(_copy_masks(host, pat, edge_index, True)) == interiors, (host, pat)
+            assert edge_sets(_copy_masks(host, pat, True)) == interiors, (host, pat)
             images = set(brute_subgraph_copies(host, pat))
-            assert edge_sets(_copy_masks(host, pat, edge_index, False)) == images, (host, pat)
+            assert edge_sets(_copy_masks(host, pat, False)) == images, (host, pat)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def _oracle_result(host, g, h, induced):
     edges = _edge_order(host)
     edge_index = {e: i for i, e in enumerate(edges)}
     found = plain_dfs_search(
-        len(edges), _copy_masks(host, g, edge_index, induced), _copy_masks(host, h, edge_index, induced)
+        len(edges), _copy_masks(host, g, induced), _copy_masks(host, h, induced)
     )[0]
     if found is None:
         return None

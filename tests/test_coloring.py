@@ -69,6 +69,7 @@ def test_equal_colorings_are_one_object():
     assert EdgeColoring.of(5, a.red, a.blue) is not a
     assert EdgeColoring.of(4, a.blue, a.red) is not a
     assert EdgeColoring.of(4, a.blue, a.red) == a.swapped()
+    assert EdgeColoring.of(3, [(0, 1)], [(1, 2)]).swapped() is EdgeColoring.of(3, [(1, 2)], [(0, 1)])
 
 
 def test_of_rejects_overlap_and_loops():

@@ -36,6 +36,7 @@ from .conftest import random_graph
 from .oracles import (
     brute_chromatic,
     brute_clique,
+    brute_first_embedding,
     brute_independence,
     brute_induced_copies,
     brute_is_iso,
@@ -250,7 +251,13 @@ def test_graph6_round_trip_random():
 
 def test_find_induced_embedding_matches_oracle(catalog):
     patterns = [path(3), complete(3), matching(2), path(4)]
+    rng = random.Random(3)
     for host in catalog.graphs(5):
+        rows = [0] * host.n  # allowed rows over random pairs, host edges or not
+        for u, v in combinations(range(host.n), 2):
+            if rng.random() < 0.5:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
         for pat in patterns:
             emb = find_induced_embedding(host, pat)
             copies = brute_induced_copies(host, pat)
@@ -269,6 +276,12 @@ def test_find_induced_embedding_matches_oracle(catalog):
                 assert frozenset((min(m[u], m[v]), max(m[u], m[v])) for u, v in pat.edges()) in images
             else:
                 assert emb is None
+            # the first embedding found is the first in permutations order
+            for allowed in (None, tuple(rows)):
+                for induced in (True, False):
+                    emb = find_induced_embedding(host, pat, allowed, induced)
+                    first = brute_first_embedding(host, pat, allowed, induced)
+                    assert (emb.map if emb else None) == first, (host, pat, allowed, induced)
 
 
 def test_find_induced_embedding_is_deterministic():
@@ -289,13 +302,10 @@ def test_find_subgraph_embedding_not_induced():
 
 def test_edge_predicate_restricts_embeddings():
     host = complete(3)
-    allowed = {(0, 1), (1, 2)}
+    allowed = (0b010, 0b101, 0b010)  # the edges (0, 1) and (1, 2)
 
-    def pred(u, v):
-        return (min(u, v), max(u, v)) in allowed
-
-    assert find_induced_embedding(host, complete(3), edge_predicate=pred) is None
-    emb = find_induced_embedding(host, complete(2), edge_predicate=pred)
+    assert find_induced_embedding(host, complete(3), allowed) is None
+    emb = find_induced_embedding(host, complete(2), allowed)
     assert emb is not None
     assert set(emb.map) in ({0, 1}, {1, 2})
 

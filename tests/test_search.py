@@ -12,6 +12,7 @@ from arrowhead.search import (
     Catalog,
     IRResult,
     ResultCache,
+    bundled_catalog,
     ir_exact,
     ir_verify_value,
 )
@@ -68,6 +69,18 @@ def test_catalog_reports_parse_failures_with_context(tmp_path):
 def test_catalog_skips_blank_lines(tmp_path):
     (tmp_path / "n2.g6").write_text("A_\n\nA?\n")
     assert len(Catalog(tmp_path).graphs(2)) == 2
+
+
+def test_catalog_files_parse_once_into_fresh_lists(tmp_path):
+    assert bundled_catalog() is bundled_catalog()
+    (tmp_path / "n2.g6").write_text("A_\nA?\n")
+    cat = Catalog(tmp_path)
+    first = cat.graphs(2)
+    (tmp_path / "n2.g6").write_text("A_\n")  # not read again
+    first.clear()
+    assert len(cat.graphs(2)) == 2
+    assert cat.graphs(2) is not cat.graphs(2)
+    assert [g.edge_count() for g in cat.scan_order(2)] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
