@@ -28,8 +28,6 @@ from .graphs import (
 RED = "red"
 BLUE = "blue"
 
-ORACLE_ORDER_LIMIT = 16
-
 
 # Bounded above the 1,891 vertex pairs of a graph of order MAX_ORDER.
 @lru_cache(maxsize=2048)
@@ -244,33 +242,48 @@ def blue_clique_free(host: Graph, c: EdgeColoring, omega: int) -> bool:
 
 
 def red_isolatefree_independence_ok(host: Graph, c: EdgeColoring, alpha: int) -> bool:
-    """Exhaustive red-side check: no all-red vertex set induces an isolate-free
-    subgraph of independence >= alpha.
+    """No vertex set free of blue edges induces an isolate-free subgraph of
+    independence >= alpha, so every isolate-free pattern of independence
+    alpha is defeated at once.
 
-    This defeats every isolate-free pattern with independence alpha at once,
-    which is why it costs 2^n; hosts above ORACLE_ORDER_LIMIT vertices are
-    refused. Meant as a test oracle and for certifying small constructions,
-    not as a production check.
+    A violation exists exactly when some independent alpha-set I of the host
+    can give each of its vertices one host neighbour so that I plus those
+    neighbours, at most 2*alpha vertices, spans no blue edge. The check
+    backtracks over that witness, in n^O(alpha) time at every host order.
     """
     if alpha < 1:
         raise PreconditionError("alpha must be at least 1")
-    if host.n > ORACLE_ORDER_LIMIT:
-        raise PreconditionError(
-            f"exhaustive red-side check refused above {ORACLE_ORDER_LIMIT} vertices (got {host.n})"
-        )
     c.check_against(host)
-    blue_rows = [0] * host.n
-    for u, v in c.blue:
-        blue_rows[u] |= 1 << v
-        blue_rows[v] |= 1 << u
-    for mask in range(1 << host.n):
-        if mask.bit_count() < alpha:
-            continue
-        verts = [v for v in range(host.n) if (mask >> v) & 1]
-        if any(blue_rows[v] & mask for v in verts):
-            continue  # a blue edge inside, not all red
-        if any(host.adj[v] & mask == 0 for v in verts):
-            continue  # isolated inside the set
-        if independence_number(induced_subgraph(host, verts)) >= alpha:
-            return False
-    return True
+    adj = host.adj
+    blue = _rows(host.n, c.blue)
+
+    def cover(ind: list[int], i: int, members: int, blocked: int) -> bool:
+        # members is the set so far, blocked the vertices with a blue edge into it
+        while i < alpha and adj[ind[i]] & members:
+            i += 1
+        if i == alpha:
+            return True
+        cand = adj[ind[i]] & ~blocked
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if cover(ind, i + 1, members | bit, blocked | blue[bit.bit_length() - 1]):
+                return True
+        return False
+
+    def grow(ind: list[int], cand: int, members: int, blocked: int) -> bool:
+        if len(ind) == alpha:
+            return cover(ind, 0, members, blocked)
+        while cand.bit_count() >= alpha - len(ind):
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            ind.append(v)
+            now = blocked | blue[v]
+            # each vertex of I still needs a neighbour outside the blocked set
+            if all(adj[x] & ~now for x in ind) and grow(ind, cand & ~adj[v], members | bit, now):
+                return True
+            ind.pop()
+        return False
+
+    return not grow([], (1 << host.n) - 1, 0, 0)

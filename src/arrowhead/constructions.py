@@ -19,16 +19,14 @@ ConstructionError from it means no certifiable coloring exists at all.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 
 from .arrowing import NotFoundBelow, ramsey_number_exact
 from .coloring import (
-    ORACLE_ORDER_LIMIT,
-    RED,
     EdgeColoring,
     blue_clique_free,
-    find_mono_induced,
     red_component_independence_ok,
     red_isolatefree_independence_ok,
 )
@@ -400,10 +398,10 @@ def theorem3_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
     along the way red. When the peeling ends in a ConstructionError on a host
     whose independence number is below alpha, the all-red coloring is
     returned instead (note independence-short-all-red): no red vertex set can
-    reach independence alpha, and no edge is blue. The blue side is certified
-    by predicate; the red side has no component-local certificate, so it is
-    checked against the exhaustive subset oracle (small hosts) or a sweep of
-    concrete isolate-free patterns (large ones).
+    reach independence alpha, and no edge is blue. Both sides are certified
+    by predicate at every host order: the red side has no component-local
+    certificate, so it is checked by red_isolatefree_independence_ok, which
+    defeats every isolate-free pattern of independence alpha at once.
 
     At (alpha, omega) = (3, 2) this certifies 23 of the 34 order-5 hosts. At
     omega = 2 any blue edge is a blue clique, so all-red is the only
@@ -472,31 +470,10 @@ def _paint_isolatefree(f: Graph, alpha: int, omega: int, avail: list[int], red, 
 
 
 def _certify_red_side(f: Graph, c: EdgeColoring, alpha: int) -> None:
-    if f.n <= ORACLE_ORDER_LIMIT:
-        if not red_isolatefree_independence_ok(f, c, alpha):
-            raise ConstructionError(
-                "red side induces an isolate-free subgraph at the independence target"
-            )
-        return
-    for g in _small_isolatefree_patterns(alpha):
-        if find_mono_induced(f, c, g, RED) is not None:
-            raise ConstructionError(
-                f"red side contains an induced copy of a {g.n}-vertex isolate-free pattern"
-            )
-
-
-def _small_isolatefree_patterns(alpha: int, max_order: int = 5) -> list[Graph]:
-    from .search import bundled_catalog
-
-    catalog = bundled_catalog()
-    out = []
-    for order in range(1, max_order + 1):
-        for g in catalog.graphs(order):
-            if g.edge_count() == 0 or has_isolated_vertex(g):
-                continue
-            if independence_number(g) == alpha:
-                out.append(g)
-    return out
+    if not red_isolatefree_independence_ok(f, c, alpha):
+        raise ConstructionError(
+            "red side induces an isolate-free subgraph at the independence target"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +546,14 @@ class BoundReport:
         }
 
 
+# (pair, ramsey_budget) -> the live report; an entry goes with its last reference.
+_REPORTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def bound_report(g: Graph, h: Graph, ramsey_budget: int = 6) -> BoundReport:
     """Every lower bound on the induced value this library knows, with the
-    reasons the inapplicable ones do not fire."""
+    reasons the inapplicable ones do not fire. Equal reports alive at once
+    are one object, so a caller keeping many holds each once."""
     if g.edge_count() == 0 or h.edge_count() == 0:
         raise PreconditionError("patterns must have at least one edge")
     alpha = independence_number(g)
@@ -622,4 +604,8 @@ def bound_report(g: Graph, h: Graph, ramsey_budget: int = 6) -> BoundReport:
         reason = "first pattern has an isolated vertex" if not isolatefree else "independence below 2"
         bounds.append(Bound("T3", None, False, reason))
     best = max(b.value for b in bounds if b.applicable)
-    return BoundReport((emit_graph6(g), emit_graph6(h)), tuple(bounds), best)
+    key = ((emit_graph6(g), emit_graph6(h)), ramsey_budget)
+    report = _REPORTS.get(key)
+    if report is None:
+        report = _REPORTS[key] = BoundReport(key[0], tuple(bounds), best)
+    return report

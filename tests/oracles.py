@@ -135,6 +135,24 @@ def brute_certified_coloring(f: Graph, alpha: int, omega: int):
     return None
 
 
+def brute_red_isolatefree_ok(f: Graph, blue, alpha: int) -> bool:
+    """True when no vertex set spanning no blue pair induces in f an
+    isolate-free subgraph of independence >= alpha, by trying every vertex
+    set. blue holds the blue edges as (u, v) pairs with u < v; every other
+    edge of f is red.
+    """
+    for r in range(alpha, f.n + 1):
+        for verts in combinations(range(f.n), r):
+            inside = [(i, j) for i, j in combinations(range(r), 2) if f.has_edge(verts[i], verts[j])]
+            if any((verts[i], verts[j]) in blue for i, j in inside):
+                continue
+            sub = Graph.from_edges(r, inside)
+            if all(any(sub.has_edge(i, j) for j in range(r) if j != i) for i in range(r)):
+                if brute_independence(sub) >= alpha:
+                    return False
+    return True
+
+
 def plain_dfs_search(n_edges, red_masks, blue_masks):
     """DFS over total colorings. Returns (witness_masks or None, leaves, prunes).
 

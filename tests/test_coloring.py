@@ -4,7 +4,6 @@ import pytest
 
 from arrowhead.coloring import (
     BLUE,
-    ORACLE_ORDER_LIMIT,
     RED,
     EdgeColoring,
     Violation,
@@ -15,7 +14,8 @@ from arrowhead.coloring import (
     validate_violation,
     verify_witness,
 )
-from arrowhead.errors import ColoringMismatchError, PreconditionError
+from arrowhead.constructions import _certify_red_side
+from arrowhead.errors import ColoringMismatchError, ConstructionError, PreconditionError
 from arrowhead.graphs import (
     Embedding,
     Graph,
@@ -31,6 +31,7 @@ from arrowhead.graphs import (
 )
 
 from .conftest import random_graph
+from .oracles import brute_red_isolatefree_ok
 
 
 def _split_random(host: Graph, rng: random.Random) -> EdgeColoring:
@@ -257,12 +258,15 @@ def test_red_oracle_examples():
     assert not red_isolatefree_independence_ok(p3, EdgeColoring.monochrome(p3, RED), alpha=2)
 
 
-def test_red_oracle_order_refusal():
+def test_red_side_exact_above_order_sixteen():
+    """An all-red matching at alpha 3 holds an induced red 3K2, a violation
+    that needs six vertices; the check catches it on an 18-vertex host, and
+    so does the T3 certificate."""
     big = matching(9)
-    assert big.n == ORACLE_ORDER_LIMIT + 2
     c = EdgeColoring.monochrome(big, RED)
-    with pytest.raises(PreconditionError):
-        red_isolatefree_independence_ok(big, c, alpha=2)
+    assert not red_isolatefree_independence_ok(big, c, alpha=3)
+    with pytest.raises(ConstructionError):
+        _certify_red_side(big, c, 3)
     with pytest.raises(PreconditionError):
         red_isolatefree_independence_ok(matching(2), EdgeColoring.monochrome(matching(2), RED), alpha=0)
 
@@ -288,6 +292,27 @@ def test_color_swap_duality():
             assert (red_only is None) == (swapped_blue is None)
             if red_only is not None:
                 assert red_only.embedding == swapped_blue.embedding
+
+
+def test_red_isolatefree_matches_brute_oracle(catalog):
+    """The witness search agrees with the all-subsets oracle on every catalog
+    host of order <= 6, all red and under seeded random colorings, at
+    alpha 1 to 4."""
+    rng = random.Random(41)
+    verdicts = set()
+    for order in range(1, 7):
+        for host in catalog.graphs(order):
+            edges = host.edges()
+            colorings = [EdgeColoring.monochrome(host, RED)]
+            for p in (0.5, 0.8, 0.95):
+                red = [e for e in edges if rng.random() < p]
+                colorings.append(EdgeColoring.of(host.n, red, set(edges) - set(red)))
+            for c in colorings:
+                for alpha in (1, 2, 3, 4):
+                    got = red_isolatefree_independence_ok(host, c, alpha)
+                    assert got == brute_red_isolatefree_ok(host, c.blue, alpha), (host, c, alpha)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_predicates_imply_no_mono_copies(catalog):

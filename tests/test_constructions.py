@@ -442,6 +442,14 @@ def test_bound_report_single_edge(named):
     assert by_name["order"].value == 2
 
 
+def test_equal_bound_reports_are_one_object(named):
+    # a caller keeping the same answer many times holds it once
+    rep = bound_report(named["P4"], named["K3"])
+    assert bound_report(path(4), complete(3)) is rep
+    assert bound_report(named["P4"], named["K3"], ramsey_budget=5) is not rep
+    assert bound_report(named["K3"], named["P4"]) is not rep
+
+
 def test_bound_report_json_shape(named):
     rep = bound_report(named["P3"], named["K3"])
     data = rep.to_json_dict()
