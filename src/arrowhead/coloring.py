@@ -95,8 +95,18 @@ class EdgeColoring:
             raise ColoringMismatchError(
                 f"coloring is for order {self.host_order}, host has order {host.n}"
             )
+        # compare neighbour rows; the tuple sets are built only to word the error
+        colored = self.red | self.blue
+        rows = [0] * host.n
+        for u, v in colored:
+            if not 0 <= u < v < host.n:
+                break  # not a pair of host vertices; the sets below name it
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            if tuple(rows) == host.adj:
+                return
         host_edges = set(host.edges())
-        colored = set(self.red) | set(self.blue)
         missing = host_edges - colored
         if missing:
             raise ColoringMismatchError(f"host edges left uncolored: {sorted(missing)}")

@@ -4,8 +4,8 @@ Four recipes, identified by the method codes used in trace JSON:
 
   CH        clique blocks inside a complete host; classical (non-induced)
             semantics, so it bounds the ordinary Ramsey number.
-  T1        recursive clique extraction for connected patterns, descending
-            on the blue-side clique budget.
+  T1        clique extraction for connected patterns, descending on the
+            blue-side clique budget.
   L2        the two-clique case split for independence 2, isolate-free.
   T3        clique peeling for isolate-free patterns, descending on the
             red-side independence budget; delegates to L2 at the bottom.
@@ -33,6 +33,7 @@ from .coloring import (
 from .errors import ConstructionError, PreconditionError
 from .graphs import (
     Graph,
+    _bits,
     chromatic_number,
     clique_number,
     cliques_of_size,
@@ -132,6 +133,18 @@ def _with_rest_blue(f: Graph, red_pairs) -> EdgeColoring:
     return EdgeColoring.of(f.n, sorted(red), blue)
 
 
+def _edges_within(f: Graph, mask: int) -> list[tuple[int, int]]:
+    """Host edges with both ends in the vertex bitmask."""
+    return [(u, v) for v in _bits(mask) for u in _bits(f.adj[v] & mask & ((1 << v) - 1))]
+
+
+def _require_order(f: Graph, most: int) -> None:
+    if f.n > most:
+        raise PreconditionError(
+            f"host on {f.n} vertices is too large; this recipe handles at most {most}"
+        )
+
+
 def _certifies(f: Graph, c: EdgeColoring, alpha: int, omega: int) -> bool:
     return red_component_independence_ok(f, c, alpha) and blue_clique_free(f, c, omega)
 
@@ -143,17 +156,12 @@ def chvatal_harary_coloring(g: Graph, h: Graph) -> tuple[Graph, EdgeColoring, Co
     proper coloring with one color per block, one short of its chromatic
     number. Classical containment, so the check is non-induced.
     """
-    if g.edge_count() == 0 or h.edge_count() == 0:
-        raise PreconditionError("patterns must have at least one edge")
-    if not is_connected(g):
-        raise PreconditionError("first pattern must be connected")
-    blocks = chromatic_number(h) - 1
+    n = chvatal_harary_bound(g, h) - 1
     size = g.n - 1
-    n = blocks * size
     host = complete(n)
     steps = []
     red: list[tuple[int, int]] = []
-    for i in range(blocks):
+    for i in range(n // size):
         verts = tuple(range(i * size, (i + 1) * size))
         steps.append(TraceStep(f"red-block-{i}", verts, KIND_DISJOINT_CLIQUE))
         red.extend(combinations(verts, 2))
@@ -168,68 +176,49 @@ def chvatal_harary_coloring(g: Graph, h: Graph) -> tuple[Graph, EdgeColoring, Co
 
 
 def theorem1_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, ConstructionTrace]:
-    """Recursive clique extraction for connected red patterns.
+    """Clique extraction for connected red patterns, one level per clique
+    budget.
 
-    Pulls out one clique of size omega plus alpha-2 of size omega-1, colors
-    everything among them red, recurses on the rest with the clique budget
-    lowered, and colors the leftovers blue. Red components then contain at
-    most alpha-1 of the extracted cliques each, and a blue clique would need
-    omega-1 vertices from a level that has none to give.
+    Each level pulls out one clique of size omega plus alpha-2 of size
+    omega-1, colors everything among them red, and hands the rest to the
+    next level with the clique budget lowered; at budget 2 the rest goes red
+    and all other edges blue. Red components then contain at most alpha-1 of
+    the extracted cliques each, and a blue clique would need omega-1
+    vertices from a level that has none to give.
     """
-    bound = lower_bound_connected(alpha, omega)
-    if f.n > bound - 1:
-        raise PreconditionError(
-            f"host on {f.n} vertices is too large; this recipe handles at most {bound - 1}"
-        )
+    _require_order(f, lower_bound_connected(alpha, omega) - 1)
     steps: list[TraceStep] = []
-    red: set[tuple[int, int]] = set()
-    _paint_connected(f, alpha, omega, list(range(f.n)), red, steps)
+    red: list[tuple[int, int]] = []
+    avail = (1 << f.n) - 1
+    for level in range(omega, 2, -1):
+        rest = avail
+        for idx, size in enumerate([level] + [level - 1] * (alpha - 2)):
+            clique = lex_least_clique(f, size, within=rest)
+            if clique is None:
+                break
+            steps.append(TraceStep(f"K^{idx}", clique, KIND_DISJOINT_CLIQUE))
+            rest &= ~sum(1 << v for v in clique)
+        red += _edges_within(f, avail & ~rest)
+        if clique is None:
+            # no further clique to extract, so the leftovers cannot complete
+            # a blue clique either; stop here and let them go blue
+            role = "clique-free-all-blue" if idx == 0 else "extraction-stalled-rest-blue"
+            steps.append(TraceStep(role, tuple(_bits(rest)), KIND_NOTE))
+            break
+        assert rest.bit_count() <= lower_bound_connected(alpha, level - 1) - 1
+        steps.append(
+            TraceStep(f"recurse-alpha-{alpha}-omega-{level - 1}", tuple(_bits(rest)), KIND_RECURSE)
+        )
+        avail = rest
+    else:
+        red += _edges_within(f, avail)
+        steps.append(TraceStep("floor-all-red", tuple(_bits(avail)), KIND_NOTE))
     c = _with_rest_blue(f, red)
     trace = ConstructionTrace(METHOD_CONNECTED, tuple(steps))
     validate_trace(f, trace)
     if not _certifies(f, c, alpha, omega):
         raise ConstructionError("clique extraction produced an uncertified coloring")
     return c, trace
-
-
-def _paint_connected(f: Graph, alpha: int, omega: int, avail: list[int], red, steps) -> None:
-    if omega == 2:
-        for u, v in combinations(avail, 2):
-            if f.has_edge(u, v):
-                red.add((u, v))
-        steps.append(TraceStep("floor-all-red", tuple(avail), KIND_NOTE))
-        return
-    sub = induced_subgraph(f, avail)
-    if clique_number(sub) < omega:
-        steps.append(TraceStep("clique-free-all-blue", tuple(avail), KIND_NOTE))
-        return
-    sizes = [omega] + [omega - 1] * (alpha - 2)
-    remaining = list(avail)
-    taken: list[tuple[int, ...]] = []
-    stalled = False
-    for idx, size in enumerate(sizes):
-        local = lex_least_clique(induced_subgraph(f, remaining), size)
-        if local is None:
-            stalled = True
-            break
-        verts = tuple(remaining[i] for i in local)
-        taken.append(verts)
-        steps.append(TraceStep(f"K^{idx}", verts, KIND_DISJOINT_CLIQUE))
-        remaining = [v for v in remaining if v not in verts]
-    union = sorted(v for vs in taken for v in vs)
-    for u, v in combinations(union, 2):
-        if f.has_edge(u, v):
-            red.add((u, v))
-    if stalled:
-        # no further clique to extract, so the leftovers cannot complete a
-        # blue clique either; stop here and let them go blue
-        steps.append(TraceStep("extraction-stalled-rest-blue", tuple(remaining), KIND_NOTE))
-        return
-    assert len(remaining) <= lower_bound_connected(alpha, omega - 1) - 1
-    steps.append(
-        TraceStep(f"recurse-alpha-{alpha}-omega-{omega - 1}", tuple(remaining), KIND_RECURSE)
-    )
-    _paint_connected(f, alpha, omega - 1, remaining, red, steps)
 
 
 def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTrace]:
@@ -245,58 +234,37 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
     """
     if omega < 2:
         raise PreconditionError("clique budget must be at least 2")
-    if f.n > 2 * omega - 1:
-        raise PreconditionError(
-            f"host on {f.n} vertices is too large; this recipe handles at most {2 * omega - 1}"
-        )
+    _require_order(f, 2 * omega - 1)
     t = clique_number(f)
     if t > omega:
         big = lex_least_clique(f, t)
-        c = _with_rest_blue(f, combinations(big, 2))
-        trace = ConstructionTrace(
-            METHOD_TWO_CLIQUE, (TraceStep("oversize-clique", big, KIND_DISJOINT_CLIQUE),)
-        )
-        if _certifies(f, c, 2, omega):
-            validate_trace(f, trace)
-            return c, trace
-        return _fallback_coloring(f, omega)
+        steps = [TraceStep("oversize-clique", big, KIND_DISJOINT_CLIQUE)]
+        return _literal_or_fallback(f, omega, combinations(big, 2), steps)
     if t < omega:
-        c = EdgeColoring.of(f.n, [], f.edges())
-        trace = ConstructionTrace(
-            METHOD_TWO_CLIQUE, (TraceStep("clique-free-all-blue", tuple(range(f.n)), KIND_NOTE),)
-        )
-        if _certifies(f, c, 2, omega):
-            return c, trace
-        return _fallback_coloring(f, omega)
+        steps = [TraceStep("clique-free-all-blue", tuple(range(f.n)), KIND_NOTE)]
+        return _literal_or_fallback(f, omega, [], steps)
 
     k1 = lex_least_clique(f, omega)
     k1set = set(k1)
     rest = tuple(v for v in range(f.n) if v not in k1set)
     steps = [TraceStep("K^1", k1, KIND_DISJOINT_CLIQUE)]
-
-    def k1_red_rest_blue(note: str):
-        c = _with_rest_blue(f, combinations(k1, 2))
-        trace = ConstructionTrace(
-            METHOD_TWO_CLIQUE, tuple(steps + [TraceStep(note, rest, KIND_NOTE)])
-        )
-        if _certifies(f, c, 2, omega):
-            validate_trace(f, trace)
-            return c, trace
-        return _fallback_coloring(f, omega)
-
+    note = None
     if len(rest) < omega - 1:
         # too few leftover vertices to ever complete a blue clique
-        return k1_red_rest_blue("remainder-too-small")
-    if not is_clique(f, rest):
+        note = "remainder-too-small"
+    elif not is_clique(f, rest):
         # a blue clique would need all the leftover vertices pairwise
         # adjacent, and they are not
-        return k1_red_rest_blue("remainder-not-clique")
-    steps.append(TraceStep("K^2", rest, KIND_DISJOINT_CLIQUE))
-    completers = [a for a in k1 if all(f.has_edge(a, w) for w in rest)]
-    if not completers:
-        # every other omega-clique must take two vertices from K^1 and so
-        # carries a red edge
-        return k1_red_rest_blue("no-single-vertex-completion")
+        note = "remainder-not-clique"
+    else:
+        steps.append(TraceStep("K^2", rest, KIND_DISJOINT_CLIQUE))
+        if not any(all(f.has_edge(a, w) for w in rest) for a in k1):
+            # every other omega-clique must take two vertices from K^1 and
+            # so carries a red edge
+            note = "no-single-vertex-completion"
+    if note is not None:
+        steps.append(TraceStep(note, rest, KIND_NOTE))
+        return _literal_or_fallback(f, omega, combinations(k1, 2), steps)
 
     mixed = [q for q in cliques_of_size(f, omega) if set(q) != k1set]
     s_best = max(len(set(q) & k1set) for q in mixed)
@@ -317,14 +285,13 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
         ]
     )
 
-    red_edges: list[tuple[int, int]] | None = None
     if s == 1 and len(c_side) >= 2:
         # two cliques sharing the single vertex a; one red edge inside each
         # spoils every omega-clique, and the red side is a pair of disjoint
         # edges whose host neighborhoods intersect inside K^3
         a = a_side[0]
-        red_edges = [(a, b_side[0]), (c_side[0], c_side[1])]
-    elif s >= 2:
+        return _literal_or_fallback(f, omega, [(a, b_side[0]), (c_side[0], c_side[1])], steps)
+    if s >= 2:
         a = next(
             (x for x in a_side if is_clique(f, b_side + d_side + (x,))),
             a_side[0],
@@ -334,14 +301,19 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
             c_side[0],
         )
         a1 = next(x for x in a_side if x != a)
-        red_edges = [(a, a1), (a, b_side[0]), (cc, d_side[0])]
-    if red_edges is not None:
-        c = _with_rest_blue(f, red_edges)
-        trace = ConstructionTrace(METHOD_TWO_CLIQUE, tuple(steps))
-        if _certifies(f, c, 2, omega):
-            validate_trace(f, trace)
-            return c, trace
+        return _literal_or_fallback(f, omega, [(a, a1), (a, b_side[0]), (cc, d_side[0])], steps)
     return _fallback_coloring(f, omega)
+
+
+def _literal_or_fallback(f: Graph, omega: int, red_pairs, steps) -> tuple[EdgeColoring, ConstructionTrace]:
+    """The literal case's coloring (red_pairs red, the rest blue) when it
+    certifies, else the complete search."""
+    c = _with_rest_blue(f, red_pairs)
+    if not _certifies(f, c, 2, omega):
+        return _fallback_coloring(f, omega)
+    trace = ConstructionTrace(METHOD_TWO_CLIQUE, tuple(steps))
+    validate_trace(f, trace)
+    return c, trace
 
 
 def _clique_partitions(f: Graph):
@@ -408,17 +380,33 @@ def theorem3_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
     candidate, and on the other 11 hosts it fails the red side: no certified
     coloring exists there.
     """
-    if alpha < 2 or omega < 2:
-        raise PreconditionError("needs independence >= 2 and clique budget >= 2")
-    if f.n > alpha * omega - 1:
-        raise PreconditionError(
-            f"host on {f.n} vertices is too large; this recipe handles at most {alpha * omega - 1}"
-        )
+    _require_order(f, lower_bound_isolatefree(alpha, omega) - 1)
     steps: list[TraceStep] = []
     red: set[tuple[int, int]] = set()
     blue: set[tuple[int, int]] = set()
+    avail = (1 << f.n) - 1
     try:
-        _paint_isolatefree(f, alpha, omega, list(range(f.n)), red, blue, steps)
+        for level in range(alpha, 2, -1):
+            clique = lex_least_clique(f, omega, within=avail)
+            if clique is None:
+                blue.update(_edges_within(f, avail))
+                steps.append(TraceStep("clique-free-all-blue", tuple(_bits(avail)), KIND_NOTE))
+                break
+            red.update(combinations(clique, 2))
+            steps.append(TraceStep("K^0", clique, KIND_DISJOINT_CLIQUE))
+            avail &= ~sum(1 << v for v in clique)
+            steps.append(
+                TraceStep(f"recurse-alpha-{level - 1}-omega-{omega}", tuple(_bits(avail)), KIND_RECURSE)
+            )
+        else:
+            verts = tuple(_bits(avail))
+            steps.append(TraceStep(f"delegate-omega-{omega}", verts, KIND_RECURSE))
+            sub_coloring, sub_trace = lemma2_coloring(induced_subgraph(f, verts), omega)
+            red.update((verts[u], verts[v]) for u, v in sub_coloring.red)
+            blue.update((verts[u], verts[v]) for u, v in sub_coloring.blue)
+            steps += [
+                TraceStep(s.role, tuple(verts[v] for v in s.vertices), s.kind) for s in sub_trace.steps
+            ]
     except ConstructionError:
         # the two-clique recipe at the bottom checks the stronger per-component
         # predicate, so its refusal does not mean no certified coloring exists
@@ -437,36 +425,6 @@ def theorem3_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
         raise ConstructionError("clique peeling left a blue clique standing")
     _certify_red_side(f, c, alpha)
     return c, trace
-
-
-def _paint_isolatefree(f: Graph, alpha: int, omega: int, avail: list[int], red, blue, steps) -> None:
-    sub = induced_subgraph(f, avail)
-    if alpha == 2:
-        steps.append(TraceStep(f"delegate-omega-{omega}", tuple(avail), KIND_RECURSE))
-        sub_coloring, sub_trace = lemma2_coloring(sub, omega)
-        for u, v in sub_coloring.red:
-            red.add((avail[u], avail[v]))
-        for u, v in sub_coloring.blue:
-            blue.add((avail[u], avail[v]))
-        for step in sub_trace.steps:
-            steps.append(
-                TraceStep(step.role, tuple(avail[v] for v in step.vertices), step.kind)
-            )
-        return
-    if clique_number(sub) < omega:
-        for u, v in combinations(avail, 2):
-            if f.has_edge(u, v):
-                blue.add((u, v))
-        steps.append(TraceStep("clique-free-all-blue", tuple(avail), KIND_NOTE))
-        return
-    local = lex_least_clique(sub, omega)
-    verts = tuple(avail[i] for i in local)
-    for pair in combinations(verts, 2):
-        red.add(pair)
-    steps.append(TraceStep("K^0", verts, KIND_DISJOINT_CLIQUE))
-    remaining = [v for v in avail if v not in set(verts)]
-    steps.append(TraceStep(f"recurse-alpha-{alpha - 1}-omega-{omega}", tuple(remaining), KIND_RECURSE))
-    _paint_isolatefree(f, alpha - 1, omega, remaining, red, blue, steps)
 
 
 def _certify_red_side(f: Graph, c: EdgeColoring, alpha: int) -> None:

@@ -260,28 +260,15 @@ def ir_verify_value(
     allow_large: bool = False,
 ) -> ValueCheck:
     """Check both halves of a claimed minimum: nothing smaller arrows, and
-    something of exactly the claimed order does."""
-    if g.edge_count() == 0 or h.edge_count() == 0:
-        raise PreconditionError("patterns must have at least one edge")
+    something of exactly the claimed order does. One ir_exact sweep to the
+    claimed order answers both."""
     if claimed < 1:
         raise PreconditionError("claimed value must be positive")
-    if claimed > DEFAULT_ORDER_CAP and not allow_large:
-        raise PreconditionError(
-            f"orders beyond {DEFAULT_ORDER_CAP} are refused without allow_large"
-        )
-    catalog.require_orders(claimed)
-    for order in range(1, claimed):
-        found, _ = _scan_order(g, h, catalog, order, cache)
-        if found is not None:
-            return ValueCheck(
-                False,
-                claimed,
-                f"an order-{order} host already arrows the pair",
-                emit_graph6(found),
-            )
-    found, _ = _scan_order(g, h, catalog, claimed, cache)
-    if found is None:
+    res = ir_exact(g, h, catalog, claimed, cache, allow_large)
+    if isinstance(res, NotFoundBelow):
         return ValueCheck(False, claimed, f"no order-{claimed} host arrows the pair", None)
-    return ValueCheck(
-        True, claimed, f"minimal: first arrowing host at order {claimed} is {emit_graph6(found)}", None
-    )
+    if res.value < claimed:
+        reason = f"an order-{res.value} host already arrows the pair"
+        return ValueCheck(False, claimed, reason, res.witness_arrowing_graph)
+    reason = f"minimal: first arrowing host at order {claimed} is {res.witness_arrowing_graph}"
+    return ValueCheck(True, claimed, reason, None)

@@ -99,6 +99,12 @@ def test_check_against_names_offending_edges():
         EdgeColoring.of(3, [(0, 1), (0, 2)], [(1, 2)]).check_against(path(3))
     with pytest.raises(ColoringMismatchError, match="order"):
         EdgeColoring.of(4, [], []).check_against(k3)
+    # pairs naming a vertex outside 0..n-1 are mismatches, not index errors
+    for bad in ((0, 5), (-1, 1)):
+        with pytest.raises(ColoringMismatchError, match="uncolored"):
+            EdgeColoring.of(3, [bad], []).check_against(k3)
+        with pytest.raises(ColoringMismatchError, match=rf"not host edges.*\({bad[0]}, {bad[1]}\)"):
+            EdgeColoring.of(3, [bad], []).check_against(Graph(3, (0, 0, 0)))
 
 
 def test_red_blue_graphs():

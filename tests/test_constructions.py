@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from arrowhead.coloring import (
@@ -410,6 +413,40 @@ def test_validate_trace_rejects_tampering():
         cycle(4),
         ConstructionTrace("T1", (TraceStep("clique-free-all-blue", (0, 1, 2, 3), KIND_NOTE),)),
     )
+
+
+RECIPE_OUTCOMES_SHA256 = "0d6f1b32f42f09b9ed4f727d20d7a81c9441f2a87f72a614d25d761fa818506a"
+
+
+def test_recipe_outcomes_pinned(catalog):
+    """T1, T3 and L2 on every catalog host of order <= 6 their size limit
+    admits: colorings, trace vertex tuples and refusal texts, pinned as one
+    digest so a rewrite of the recipes must reproduce them all exactly."""
+    calls = []
+    for alpha in range(2, 5):
+        for omega in range(2, 5):
+            calls.append(("T1", lower_bound_connected(alpha, omega) - 1,
+                          lambda f, a=alpha, w=omega: theorem1_coloring(f, a, w)))
+            calls.append(("T3", lower_bound_isolatefree(alpha, omega) - 1,
+                          lambda f, a=alpha, w=omega: theorem3_coloring(f, a, w)))
+    for omega in range(2, 6):
+        calls.append(("L2", 2 * omega - 1, lambda f, w=omega: lemma2_coloring(f, w)))
+    records = []
+    certified = 0
+    for i, (name, limit, recipe) in enumerate(calls):
+        for order in range(1, min(limit, 6) + 1):
+            for host in catalog.graphs(order):
+                try:
+                    c, trace = recipe(host)
+                except ConstructionError as exc:
+                    outcome = [type(exc).__name__, str(exc)]
+                else:
+                    outcome = [c.to_json_dict(), trace.to_json_dict()]
+                    certified += 1
+                records.append([i, name, emit_graph6(host), outcome])
+    assert (len(records), certified) == (2954, 2851)
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == RECIPE_OUTCOMES_SHA256
 
 
 # ---------------------------------------------------------------------------
