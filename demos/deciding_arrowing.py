@@ -2,18 +2,20 @@
 
 K6 forces a monochromatic triangle in every red/blue edge coloring, K5 does
 not. This script decides both, inspects the refuting coloring for K5, and
-re-checks that witness independently.
+re-checks that witness independently. It ends with the classical
+R(C4, K4) = 10, a proof the search closes quickly because all ten vertices
+of K10 are twins and the search skips colorings that only relabel others.
 """
-from arrowhead.arrowing import strongly_arrows
+from arrowhead.arrowing import arrows_complete_non_induced, strongly_arrows
 from arrowhead.coloring import verify_witness
-from arrowhead.graphs import complete, emit_graph6, path
+from arrowhead.graphs import complete, cycle, emit_graph6, path
 
 
 def describe(result) -> str:
     # a proof reaches no complete coloring: every branch of the search closes
-    # on a monochromatic copy, so the branch count is its size
+    # on a monochromatic copy or on a symmetry cut, so the branch count is its size
     if result.arrows:
-        return f"arrows (all {result.prunes} branches closed on a monochromatic copy)"
+        return f"arrows (all {result.prunes} branches closed)"
     return "does not arrow"
 
 
@@ -44,6 +46,10 @@ def main() -> None:
     # asymmetric patterns work the same way
     result = strongly_arrows(complete(5), path(3), k3)
     print(f"K5 => (P3, K3)?  {describe(result)}")
+
+    # classical (non-induced) arrowing: K10 -> (C4, K4), so R(C4, K4) <= 10
+    result = arrows_complete_non_induced(10, cycle(4), complete(4))
+    print(f"K10 -> (C4, K4)? {describe(result)}")
 
 
 if __name__ == "__main__":

@@ -15,9 +15,19 @@ k-subset's adjacency code with the pattern's precomputed labelled codes
 instead of embedding the pattern subset by subset. The subsets' codes and
 interiors depend only on the host and k, so they are built once per (host,
 k) and cached; a sweep over many pattern pairs then only filters them.
+
+The search also closes branches that cannot hold the lexicographically least
+refuting coloring. Swapping two twin vertices of f (vertices whose
+neighbourhoods agree outside the pair) is an automorphism of f, so it maps
+refuting colorings to refuting colorings; a branch whose colors already make
+its image under such a swap lexicographically smaller is closed. The least
+refuting coloring is never larger than its own image, so no cut removes it
+and witnesses are those of the search without cuts. prunes counts these
+symmetry cuts together with the conflicts.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -33,15 +43,30 @@ class ArrowingResult:
 
     colorings_explored counts complete colorings the search reached: 0 on a
     proof, 1 on a refutation (the witness). prunes counts branches closed by
-    a conflict, including conflicts found while propagating forced colors.
-    Both depend on the branching order, so treat them as diagnostics, not
-    invariants.
+    a conflict, including conflicts found while propagating forced colors,
+    and branches closed by a symmetry cut. Both depend on the branching
+    order, so treat them as diagnostics, not invariants. Equal results alive
+    at once are one object, so a caller keeping many holds each once.
     """
 
     arrows: bool
     witness: EdgeColoring | None
     colorings_explored: int
     prunes: int
+
+
+# (arrows, witness, colorings_explored, prunes) -> the live result; an entry
+# goes with its last reference.
+_RESULTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _result(arrows: bool, witness: EdgeColoring | None, leaves: int, prunes: int) -> ArrowingResult:
+    """The live result with these fields, made if none is."""
+    key = (arrows, witness, leaves, prunes)
+    res = _RESULTS.get(key)
+    if res is None:
+        res = _RESULTS[key] = ArrowingResult(arrows, witness, leaves, prunes)
+    return res
 
 
 @dataclass(frozen=True)
@@ -61,6 +86,43 @@ _SWEEP_HOSTS = 208
 def _edge_order(f: Graph) -> tuple[tuple[int, int], ...]:
     # Branch on busiest edges first: their color constrains the most copies.
     return tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
+
+
+@lru_cache(maxsize=_SWEEP_HOSTS)
+def _twin_swaps(f: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """Edge permutations of f's twin transpositions, for the search's symmetry cuts.
+
+    Vertices u and v are twins when their neighbourhoods agree outside
+    {u, v}; swapping them is then an automorphism of f. Twinship is an
+    equivalence relation, and the transpositions of consecutive members of
+    each class are taken. Each is (a_mask, b_mask, pairs): pairs are the
+    edges it moves as (1 << a, 1 << b), a < b in _edge_order index, sorted
+    by a; a_mask and b_mask are the ORs of their a and b bits.
+    """
+    classes: list[list[int]] = []
+    for v in range(f.n):
+        for members in classes:
+            u = members[0]
+            if f.adj[u] & ~(1 << v) == f.adj[v] & ~(1 << u):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    index = {e: i for i, e in enumerate(_edge_order(f))}
+    swaps = []
+    for members in classes:
+        for u, v in zip(members, members[1:]):
+            # the moved edges are {u, x} <-> {v, x} for every common neighbour x
+            moved = sorted(
+                sorted((index[min(u, x), max(u, x)], index[min(v, x), max(v, x)]))
+                for x in _bits(f.adj[u] & f.adj[v])
+            )
+            if moved:
+                pairs = tuple((1 << a, 1 << b) for a, b in moved)
+                a_mask = sum(a for a, _ in pairs)
+                b_mask = sum(b for _, b in pairs)
+                swaps.append((a_mask, b_mask, pairs))
+    return tuple(swaps)
 
 
 # Cached because a catalog sweep builds masks for the same patterns on every host.
@@ -137,7 +199,28 @@ def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> list[int]:
     return sorted(masks)
 
 
-def _search(n_edges, red_masks, blue_masks):
+def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
+    """Whether, under some swap, every completion of this partial coloring
+    has a lexicographically smaller image (red before blue).
+
+    A swap's first pair whose two edges differ decides: (blue, red) makes
+    the image smaller, (red, blue) larger. A pair with an uncolored edge
+    leaves it undecided.
+    """
+    for a_mask, b_mask, pairs in swaps:
+        if a_mask & blue_set and b_mask & red_set:
+            for a, b in pairs:
+                if a & blue_set:
+                    if b & red_set:
+                        return True
+                    if not b & blue_set:
+                        break
+                elif not (a & red_set and b & red_set):
+                    break
+    return False
+
+
+def _search(n_edges, red_masks, blue_masks, swaps=()):
     """DFS with unit propagation. Returns (witness_masks or None, leaves, prunes).
 
     Branches on the lowest-index uncolored edge, red first. After an edge
@@ -147,9 +230,15 @@ def _search(n_edges, red_masks, blue_masks):
     is then scanned the same way. A forced move only removes subtrees in
     which every coloring completes a monochromatic copy, so the first
     complete coloring reached is the lexicographically least refuting one,
-    the same a DFS without forced moves finds. leaves counts complete
-    colorings reached (0 on a proof, 1 on a refutation); prunes counts
-    branches closed by a conflict, including conflicts met while propagating.
+    the same a DFS without forced moves finds.
+
+    swaps are edge permutations, as _twin_swaps gives, that map both mask
+    families onto themselves. A branch whose colors make every completion
+    lexicographically larger than its image under one of them is closed:
+    the image refutes too, so the least refuting coloring is not there.
+    leaves counts complete colorings reached (0 on a proof, 1 on a
+    refutation); prunes counts branches closed by a conflict, including
+    conflicts met while propagating, and by a symmetry cut.
     """
     if not n_edges:
         return (0, 0), 1, 0
@@ -161,6 +250,12 @@ def _search(n_edges, red_masks, blue_masks):
                 lists[i].append(m)
     full = (1 << n_edges) - 1
     prunes = 0
+    # a cut needs a blue a-edge and a red b-edge in one swap; testing the
+    # unions first skips the per-swap walk at most nodes of a short search
+    a_any = b_any = 0
+    for a_mask, b_mask, _ in swaps:
+        a_any |= a_mask
+        b_any |= b_mask
     # stack entries: (red_set, blue_set, edge just colored, its side); LIFO,
     # so the red child is pushed last and explored first
     stack = [(0, 1, 0, 1), (1, 0, 0, 0)]
@@ -188,6 +283,13 @@ def _search(n_edges, red_masks, blue_masks):
             colored = red_set | blue_set
             if colored == full:
                 return (red_set, blue_set), 1, prunes
+            if (
+                a_any & blue_set
+                and b_any & red_set
+                and _lex_larger_than_image(swaps, red_set, blue_set)
+            ):
+                prunes += 1
+                continue
             bit = ~colored & (colored + 1)  # the lowest uncolored edge
             j = bit.bit_length() - 1
             stack.append((red_set, blue_set | bit, j, 1))
@@ -201,9 +303,9 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
     edges = _edge_order(f)
     red_masks = _copy_masks(f, g, induced)
     blue_masks = _copy_masks(f, h, induced)
-    witness_sets, leaves, prunes = _search(len(edges), red_masks, blue_masks)
+    witness_sets, leaves, prunes = _search(len(edges), red_masks, blue_masks, _twin_swaps(f))
     if witness_sets is None:
-        return ArrowingResult(True, None, leaves, prunes)
+        return _result(True, None, leaves, prunes)
     red_set, blue_set = witness_sets
     red = [edges[i] for i in range(len(edges)) if (red_set >> i) & 1]
     blue = [edges[i] for i in range(len(edges)) if (blue_set >> i) & 1]
@@ -218,7 +320,7 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
             or find_induced_embedding(witness.blue_graph(), h, induced=False) is not None
         ):
             raise AssertionError("search returned a non-witness coloring")
-    return ArrowingResult(False, witness, leaves, prunes)
+    return _result(False, witness, leaves, prunes)
 
 
 def strongly_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingResult:

@@ -10,7 +10,9 @@ from arrowhead.arrowing import (
     NotFoundBelow,
     _copy_masks,
     _edge_order,
+    _lex_larger_than_image,
     _search,
+    _twin_swaps,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
@@ -69,6 +71,15 @@ def test_results_are_deterministic():
     a = strongly_arrows(complete(5), complete(3), complete(3))
     b = strongly_arrows(complete(5), complete(3), complete(3))
     assert a == b
+
+
+def test_equal_arrowing_results_are_one_object():
+    k3 = complete(3)
+    refuted = strongly_arrows(complete(5), k3, k3)
+    assert strongly_arrows(complete(5), k3, k3) is refuted
+    proved = arrows_complete_non_induced(6, k3, k3)
+    assert arrows_complete_non_induced(6, k3, k3) is proved
+    assert strongly_arrows(complete(6), k3, k3) is proved
 
 
 def test_edgeless_host_is_trivial_nonarrower():
@@ -282,3 +293,121 @@ def test_k9_arrows_k3_k4_within_counted_work():
     assert res.arrows
     assert res.colorings_explored == 0
     assert res.colorings_explored + res.prunes <= 250_000
+
+
+def test_k10_arrows_c4_k4_within_counted_work():
+    # R(C4, K4) = 10. Without the twin cuts this proof closes about
+    # 1,866,000 branches; K10's transpositions bring it near 1,300.
+    res = arrows_complete_non_induced(10, cycle(4), complete(4))
+    assert res.arrows
+    assert res.colorings_explored == 0
+    assert res.colorings_explored + res.prunes <= 5_000
+
+
+# ---------------------------------------------------------------------------
+# symmetry cuts on twin vertices
+
+def _transposition_pairs(host, u, v):
+    """The edges moved by swapping u and v, as (1 << a, 1 << b) index pairs."""
+    index = {e: i for i, e in enumerate(_edge_order(host))}
+    tau = list(range(host.n))
+    tau[u], tau[v] = v, u
+    pairs = set()
+    for (x, y), i in index.items():
+        j = index.get((min(tau[x], tau[y]), max(tau[x], tau[y])))
+        if j is None:
+            return None  # not an automorphism: an edge maps to a non-edge
+        if i < j:
+            pairs.add((1 << i, 1 << j))
+    return pairs
+
+
+def test_twin_swaps_are_automorphisms(catalog):
+    for host in [g for order in range(1, 7) for g in catalog.graphs(order)]:
+        parent = list(range(host.n))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for a_mask, b_mask, pairs in _twin_swaps(host):
+            assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
+            assert all(a < b for a, b in pairs)
+            assert a_mask == sum(a for a, _ in pairs) and b_mask == sum(b for _, b in pairs)
+            swapped = [
+                (u, v)
+                for u, v in combinations(range(host.n), 2)
+                if _transposition_pairs(host, u, v) == set(pairs)
+            ]
+            assert len(swapped) == 1, (host, pairs)
+            u, v = swapped[0]
+            relabelled = relabel(host, [v if x == u else u if x == v else x for x in range(host.n)])
+            assert relabelled.adj == host.adj
+            parent[root(u)] = root(v)
+        for u, v in combinations(range(host.n), 2):
+            if host.adj[u] & ~(1 << v) == host.adj[v] & ~(1 << u):  # twins
+                # a swap moving no edge cuts nothing, so it may be left out
+                assert root(u) == root(v) or not _transposition_pairs(host, u, v), (host, u, v)
+            else:
+                assert _transposition_pairs(host, u, v) is None, (host, u, v)
+
+
+def test_symmetry_cut_only_closes_branches_with_a_smaller_image(catalog):
+    # a cut is sound when every completion of the branch's partial coloring
+    # has a lexicographically smaller image (red before blue, lowest edge
+    # index first) under some swap: the least refuting coloring never does
+    rng = random.Random(9)
+    hosts = [g for order in range(3, 6) for g in catalog.graphs(order) if _twin_swaps(g)]
+    for host in hosts:
+        swaps = _twin_swaps(host)
+        n_edges = host.edge_count()
+
+        def image(blue):
+            for _, _, pairs in swaps:
+                out = blue
+                for a, b in pairs:
+                    if bool(blue & a) != bool(blue & b):
+                        out ^= a | b
+                yield out
+
+        for _ in range(40):
+            colors = [rng.choice("rb.") for _ in range(n_edges)]
+            red = sum(1 << i for i, c in enumerate(colors) if c == "r")
+            blue = sum(1 << i for i, c in enumerate(colors) if c == "b")
+            if not _lex_larger_than_image(swaps, red, blue):
+                continue
+            free = [1 << i for i, c in enumerate(colors) if c == "."]
+            for fill in product((0, 1), repeat=len(free)):
+                x = blue | sum(bit for bit, on in zip(free, fill) if on)
+                # the image is smaller when the lowest edge where they differ is blue in x
+                assert any((x ^ y) & -(x ^ y) & x for y in image(x)), (host, colors, fill)
+
+
+@st.composite
+def twin_padded_hosts(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    rows = [0] * n
+    for (u, v), on in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))):
+        if on:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.integers(0, len(rows) - 1))
+        w = len(rows)
+        row = rows[v] | (draw(st.booleans()) << v)  # a true twin is adjacent to v
+        for x in range(w):
+            if (row >> x) & 1:
+                rows[x] |= 1 << w
+        rows.append(row)
+    return Graph(len(rows), tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_padded_hosts())
+def test_twin_cuts_keep_the_plain_dfs_witness(host):
+    panel = [path(3), complete(3), matching(2), path(4)]
+    for g, h in product(panel, repeat=2):
+        res = strongly_arrows(host, g, h)
+        assert res.witness == _oracle_result(host, g, h, True), (host, g, h)
