@@ -14,7 +14,8 @@ their copy masks with one builder, _copy_masks, which compares each host
 k-subset's adjacency code with the pattern's precomputed labelled codes
 instead of embedding the pattern subset by subset. The subsets' codes and
 interiors depend only on the host and k, so they are built once per (host,
-k) and cached; a sweep over many pattern pairs then only filters them.
+k) and cached; a sweep over many pattern pairs then filters them once per
+(host, pattern), and keeps the masks.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import BLUE, RED, EdgeColoring, verify_witness
+from .coloring import EdgeColoring
 from .errors import PreconditionError
 from .graphs import Graph, _bits, complete, find_induced_embedding
 
@@ -175,7 +176,10 @@ def _subset_table(f: Graph, k: int) -> dict[int, tuple[tuple[int, ...], tuple[tu
     return {code: (tuple(i), tuple(m)) for code, (i, m) in groups.items()}
 
 
-def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> list[int]:
+# Every (host, pattern) pair a sweep meets: 14 patterns on at most 4 vertices
+# on each of its hosts. The masks are the subset tables' own ints.
+@lru_cache(maxsize=14 * _SWEEP_HOSTS)
+def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
     """Bitmask over f's edges, in _edge_order(f) order, for each copy of
     pattern in f.
 
@@ -196,7 +200,7 @@ def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> list[int]:
             if p & ~code == 0
             for bits in members
         }
-    return sorted(masks)
+    return tuple(sorted(masks))
 
 
 def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
@@ -297,30 +301,57 @@ def _search(n_edges, red_masks, blue_masks, swaps=()):
     return None, 0, prunes
 
 
-def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
-    if g.edge_count() == 0 or h.edge_count() == 0:
+def _edge_rows(n: int, edges, edge_set: int) -> tuple[int, ...]:
+    """Neighbour bitmask per vertex of the edges whose bits edge_set holds."""
+    rows = [0] * n
+    while edge_set:
+        low = edge_set & -edge_set
+        edge_set ^= low
+        u, v = edges[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
+    """(red_set, blue_set) of the least refuting coloring of f, checked, or
+    None when f arrows (g, h); then leaves and prunes.
+
+    The sets are edge bitsets in _edge_order(f) order. The check reads the
+    search's answer as neighbour rows and shares no code with the copy
+    masks: the sides must be disjoint and cover f's edges, and the
+    embedder must find no red g and no blue h on them. Any failure raises
+    AssertionError, as it can only be a fault in the search.
+    """
+    if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
     edges = _edge_order(f)
     red_masks = _copy_masks(f, g, induced)
     blue_masks = _copy_masks(f, h, induced)
-    witness_sets, leaves, prunes = _search(len(edges), red_masks, blue_masks, _twin_swaps(f))
-    if witness_sets is None:
+    found, leaves, prunes = _search(len(edges), red_masks, blue_masks, _twin_swaps(f))
+    if found is not None:
+        red_set, blue_set = found
+        if red_set & blue_set or (red_set | blue_set) >> len(edges):
+            raise AssertionError("search colored an edge twice or a non-edge")
+        red_rows = _edge_rows(f.n, edges, red_set)
+        blue_rows = _edge_rows(f.n, edges, blue_set)
+        if tuple(map(int.__or__, red_rows, blue_rows)) != f.adj:
+            raise AssertionError("search left host edges uncolored")
+        if find_induced_embedding(f, g, red_rows, induced) is not None:
+            raise AssertionError("search returned a coloring with a red copy of g")
+        if find_induced_embedding(f, h, blue_rows, induced) is not None:
+            raise AssertionError("search returned a coloring with a blue copy of h")
+    return found, leaves, prunes
+
+
+def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
+    found, leaves, prunes = _refute(f, g, h, induced)
+    if found is None:
         return _result(True, None, leaves, prunes)
-    red_set, blue_set = witness_sets
-    red = [edges[i] for i in range(len(edges)) if (red_set >> i) & 1]
-    blue = [edges[i] for i in range(len(edges)) if (blue_set >> i) & 1]
-    witness = EdgeColoring.of(f.n, red, blue)
-    if induced:
-        bad = verify_witness(f, witness, g, h)
-        if bad is not None:
-            raise AssertionError(f"search returned a non-witness coloring: {bad}")
-    else:
-        if (
-            find_induced_embedding(witness.red_graph(), g, induced=False) is not None
-            or find_induced_embedding(witness.blue_graph(), h, induced=False) is not None
-        ):
-            raise AssertionError("search returned a non-witness coloring")
-    return _result(False, witness, leaves, prunes)
+    edges = _edge_order(f)
+    red = [edges[i] for i in _bits(found[0])]
+    blue = [edges[i] for i in _bits(found[1])]
+    return _result(False, EdgeColoring.of(f.n, red, blue), leaves, prunes)
 
 
 def strongly_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingResult:

@@ -511,9 +511,14 @@ _REPORTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def bound_report(g: Graph, h: Graph, ramsey_budget: int = 6) -> BoundReport:
     """Every lower bound on the induced value this library knows, with the
     reasons the inapplicable ones do not fire. Equal reports alive at once
-    are one object, so a caller keeping many holds each once."""
+    are one object, so a caller keeping many holds each once, and a call
+    whose report is alive returns it without searching again."""
     if g.edge_count() == 0 or h.edge_count() == 0:
         raise PreconditionError("patterns must have at least one edge")
+    key = ((emit_graph6(g), emit_graph6(h)), ramsey_budget)
+    report = _REPORTS.get(key)
+    if report is not None:
+        return report
     alpha = independence_number(g)
     omega = clique_number(h)
     connected = is_connected(g)
@@ -562,8 +567,5 @@ def bound_report(g: Graph, h: Graph, ramsey_budget: int = 6) -> BoundReport:
         reason = "first pattern has an isolated vertex" if not isolatefree else "independence below 2"
         bounds.append(Bound("T3", None, False, reason))
     best = max(b.value for b in bounds if b.applicable)
-    key = ((emit_graph6(g), emit_graph6(h)), ramsey_budget)
-    report = _REPORTS.get(key)
-    if report is None:
-        report = _REPORTS[key] = BoundReport(key[0], tuple(bounds), best)
+    report = _REPORTS[key] = BoundReport(key[0], tuple(bounds), best)
     return report

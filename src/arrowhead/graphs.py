@@ -330,7 +330,8 @@ def find_induced_embedding(
     The candidates for pattern vertex i form one bitmask: the unused host
     vertices, intersected with the edge row of the image of each earlier
     neighbour of i and, when induced, with the complement of the host row of
-    the image of each earlier non-neighbour.
+    the image of each earlier non-neighbour. A host whose usable edges are
+    fewer than pattern's has no embedding and is answered without a search.
     """
     p = pattern.n
     if p > host.n:
@@ -339,7 +340,9 @@ def find_induced_embedding(
         return Embedding(0, ())
     adj = host.adj
     rows = adj if allowed is None else tuple(map(int.__and__, adj, allowed))
-    joined, apart = _placement_plan(pattern, induced)
+    joined, apart, ends = _placement_plan(pattern, induced)
+    if sum(map(int.bit_count, rows)) < ends:
+        return None
     full = (1 << host.n) - 1
     image = [0] * p
     untried = [0] * p  # candidates of each placed vertex not tried yet
@@ -370,13 +373,14 @@ def find_induced_embedding(
 
 # Cached because a sweep embeds the same few patterns in every host.
 @lru_cache(maxsize=128)
-def _placement_plan(pattern: Graph, induced: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(joined, apart): for each pattern vertex i, its neighbours among
-    0..i-1 and, when induced, its non-neighbours among them."""
+def _placement_plan(pattern: Graph, induced: bool) -> tuple:
+    """(joined, apart, ends): for each pattern vertex i, its neighbours among
+    0..i-1 and, when induced, its non-neighbours among them; ends is twice
+    pattern's edge count, the sum of its row sizes."""
     earlier = [(1 << i) - 1 for i in range(pattern.n)]
     joined = tuple(tuple(_bits(row & low)) for row, low in zip(pattern.adj, earlier))
     apart = tuple(tuple(_bits(~row & low)) if induced else () for row, low in zip(pattern.adj, earlier))
-    return joined, apart
+    return joined, apart, 2 * pattern.edge_count()
 
 
 def find_subgraph_embedding(host: Graph, pattern: Graph) -> Embedding | None:

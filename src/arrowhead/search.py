@@ -7,8 +7,12 @@ so repeated sweeps pay neither again. ir_exact walks orders from 1 upward and
 inside an order walks graphs by ascending (edge count, graph6), so sparse
 hosts fail fast and the answer never depends on file line order. Each
 non-arrowing verdict rests on a refuting coloring that is re-verified:
-arrowing checks every one it returns, and a cached one is checked again
-before it is believed. Verdicts are memoized
+arrowing checks every one its search finds, on neighbour rows built from the
+search's edge bitsets with find_induced_embedding, and a cached one is
+checked again before it is believed. A sweep without a cache takes only the
+verdict, so a host that does not arrow costs no EdgeColoring or
+ArrowingResult; the copy masks behind it are cached per (host, pattern), so
+the many pattern pairs of a sweep build each once. Verdicts are memoized
 in an append-only cache file, one JSON object per line, keyed by the literal
 g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
 is simply a miss.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, strongly_arrows
+from .arrowing import NotFoundBelow, _refute, strongly_arrows
 from .coloring import EdgeColoring, verify_witness
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, emit_graph6, parse_graph6
@@ -154,30 +158,28 @@ class ResultCache:
 def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None) -> bool:
     """Arrowing verdict for one host, through the cache when one is given.
 
-    Cached NotArrows entries are only believed if their stored witness still
-    verifies; anything suspect is recomputed and overwritten.
+    Without a cache only the verdict is asked for: the refuting coloring is
+    checked on edge bitsets and dropped, with no EdgeColoring or
+    ArrowingResult made. Cached NotArrows entries are only believed if their
+    stored witness still verifies; anything suspect is recomputed and
+    overwritten.
     """
-    key = ResultCache.key(f, g, h) if cache else ""
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            if hit["arrows"]:
-                return True
-            try:
-                witness = EdgeColoring.from_json_dict(hit["witness"])
-                if verify_witness(f, witness, g, h) is None:
-                    return False
-            except ArrowheadError:
-                pass
+    if cache is None:
+        return _refute(f, g, h, True)[0] is None
+    key = ResultCache.key(f, g, h)
+    hit = cache.get(key)
+    if hit is not None:
+        if hit["arrows"]:
+            return True
+        try:
+            witness = EdgeColoring.from_json_dict(hit["witness"])
+            if verify_witness(f, witness, g, h) is None:
+                return False
+        except ArrowheadError:
+            pass
     res = strongly_arrows(f, g, h)
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "arrows": res.arrows,
-                "witness": res.witness.to_json_dict() if res.witness else None,
-            },
-        )
+    witness = res.witness.to_json_dict() if res.witness else None
+    cache.put(key, {"arrows": res.arrows, "witness": witness})
     return res.arrows
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrowhead import arrowing
 from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
@@ -30,6 +31,7 @@ from arrowhead.graphs import (
     relabel,
     star,
 )
+from arrowhead.search import ir_exact
 
 from .conftest import random_graph
 from .oracles import (
@@ -147,7 +149,7 @@ def test_copy_masks_match_oracles(catalog):
         edge_index = {e: i for i, e in enumerate(_edge_order(host))}
 
         def edge_sets(masks):
-            assert masks == sorted(set(masks))
+            assert masks == tuple(sorted(set(masks)))
             return {frozenset(e for e, i in edge_index.items() if (m >> i) & 1) for m in masks}
 
         for pat in panel:
@@ -411,3 +413,54 @@ def test_twin_cuts_keep_the_plain_dfs_witness(host):
     for g, h in product(panel, repeat=2):
         res = strongly_arrows(host, g, h)
         assert res.witness == _oracle_result(host, g, h, True), (host, g, h)
+
+
+# ---------------------------------------------------------------------------
+# re-verification of the search's answer
+
+def _all_red(n_edges, red_masks, blue_masks, swaps=()):
+    return ((1 << n_edges) - 1, 0), 1, 0
+
+
+def _all_blue(n_edges, red_masks, blue_masks, swaps=()):
+    return (0, (1 << n_edges) - 1), 1, 0
+
+
+def _one_edge_dropped(n_edges, red_masks, blue_masks, swaps=()):
+    found, leaves, prunes = _search(n_edges, red_masks, blue_masks, swaps)
+    if found is None:
+        return found, leaves, prunes
+    red, blue = found
+    return ((red & (red - 1), blue) if red else (red, blue & (blue - 1))), leaves, prunes
+
+
+def _sides_overlap(n_edges, red_masks, blue_masks, swaps=()):
+    found, leaves, prunes = _search(n_edges, red_masks, blue_masks, swaps)
+    if found is None:
+        return found, leaves, prunes
+    red, blue = found
+    return ((red | blue, blue) if blue else (red, red)), leaves, prunes
+
+
+@pytest.mark.parametrize(
+    "fake, order, message",
+    [
+        # total, but all red (all blue) on K6 holds a red (blue) triangle
+        (_all_red, 6, "red copy"),
+        (_all_blue, 6, "blue copy"),
+        # K5's refuting coloring with one edge left uncolored
+        (_one_edge_dropped, 5, "uncolored"),
+        # K5's refuting coloring with the blue edges also red
+        (_sides_overlap, 5, "twice"),
+    ],
+)
+def test_a_wrong_search_answer_is_caught_on_every_path(monkeypatch, catalog, fake, order, message):
+    k3 = complete(3)
+    monkeypatch.setattr(arrowing, "_search", fake)
+    with pytest.raises(AssertionError, match=message):
+        strongly_arrows(complete(order), k3, k3)
+    with pytest.raises(AssertionError, match=message):
+        arrows_complete_non_induced(order, k3, k3)
+    # the sweep path builds no coloring object, but checks just the same
+    with pytest.raises(AssertionError, match=message):
+        ir_exact(k3, k3, catalog, n_max=6, cache=None)

@@ -487,6 +487,28 @@ def test_equal_bound_reports_are_one_object(named):
     assert bound_report(named["K3"], named["P4"]) is not rep
 
 
+def test_live_bound_report_is_returned_without_a_search(named, monkeypatch):
+    from arrowhead import constructions
+
+    calls = []
+    real = constructions.ramsey_number_exact
+
+    def counted(g, h, n_max):
+        calls.append((g, h, n_max))
+        return real(g, h, n_max)
+
+    monkeypatch.setattr(constructions, "ramsey_number_exact", counted)
+    # no other test holds a report for (C4, K3), so the first call searches
+    rep = bound_report(cycle(4), complete(3))
+    assert len(calls) == 1
+    assert bound_report(cycle(4), named["K3"]) is rep
+    assert len(calls) == 1
+    # the edgeless-pattern refusal still comes first
+    with pytest.raises(PreconditionError):
+        bound_report(Graph(2, (0, 0)), complete(3))
+    assert len(calls) == 1
+
+
 def test_bound_report_json_shape(named):
     rep = bound_report(named["P3"], named["K3"])
     data = rep.to_json_dict()

@@ -1,21 +1,26 @@
 import json
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from arrowhead.arrowing import NotFoundBelow
+from arrowhead.arrowing import NotFoundBelow, strongly_arrows
 from arrowhead.coloring import EdgeColoring, verify_witness
 from arrowhead.errors import CatalogError, PreconditionError
-from arrowhead.graphs import complete, emit_graph6, matching, parse_graph6, path
+from arrowhead.graphs import complete, cycle, emit_graph6, matching, parse_graph6, path
 from arrowhead.search import (
     DEFAULT_ORDER_CAP,
     Catalog,
     IRResult,
     ResultCache,
+    _decide,
     bundled_catalog,
     ir_exact,
     ir_verify_value,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 CATALOG_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -272,6 +277,26 @@ def test_answer_independent_of_line_order(tmp_path, catalog):
     a = ir_exact(matching(2), complete(2), shuffled, n_max=4)
     b = ir_exact(matching(2), complete(2), catalog, n_max=4)
     assert a == b
+
+
+def test_cacheless_verdict_matches_strongly_arrows(catalog):
+    # the sweep path asks only for the verdict and makes no result object
+    panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
+    for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
+        for g, h in product(panel, repeat=2):
+            assert _decide(host, g, h, None) == strongly_arrows(host, g, h).arrows, (host, g, h)
+
+
+def test_ir_sweep_matches_the_benchmark_reference(catalog):
+    # all 196 recorded pattern pairs, with no cache, to order 6
+    items = json.loads(REFERENCE.read_text())["ir"]
+    assert len(items) == 196
+    for item in items:
+        res = ir_exact(parse_graph6(item["g6"]), parse_graph6(item["h6"]), catalog, n_max=6)
+        if item["ir"] is None:
+            assert res == NotFoundBelow(6), item
+        else:
+            assert (res.value, res.witness_arrowing_graph) == (item["ir"], item["witness"]), item
 
 
 # ---------------------------------------------------------------------------
