@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from .arrowing import NotFoundBelow, ramsey_number_exact, strongly_arrows
@@ -213,7 +214,10 @@ def cmd_ramsey(args) -> int:
     return 0 if found else 10
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main call; parsing does not change it, so callers must not either."""
     parser = argparse.ArgumentParser(
         prog="arrowhead",
         description="exact induced-arrowing decisions, witness colorings, bounds, and catalog sweeps",

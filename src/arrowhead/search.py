@@ -15,7 +15,10 @@ ArrowingResult; the copy masks behind it are cached per (host, pattern), so
 the many pattern pairs of a sweep build each once. Verdicts are memoized
 in an append-only cache file, one JSON object per line, keyed by the literal
 g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
-is simply a miss.
+is simply a miss. A sweep emits the pattern pair's g6 strings once, so
+each key costs only its host's. A process that has loaded a cache log parses
+only the lines appended to it since, so repeated sweeps on one growing cache
+do not re-read it whole.
 """
 from __future__ import annotations
 
@@ -108,6 +111,13 @@ def _flock(handle) -> None:
     fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
 
 
+# The bytes of the last newline-terminated cache log loaded in this process
+# and the entries folded from them. Folding stops at line ends, so any file
+# whose bytes start with these folds to these entries updated by its
+# remaining lines, whichever path it was read from.
+_last_log: tuple[bytes, dict[str, str]] = (b"", {})
+
+
 class ResultCache:
     """Write-through memo of arrowing verdicts, kept as an append-only log.
 
@@ -116,47 +126,75 @@ class ResultCache:
     Loading folds the lines in order, so the last line for a key wins; an
     older single-object cache is a one-line log. A corrupt or unreadable
     file is dropped whole with a warning rather than half trusted.
+
+    A process remembers the last newline-terminated log it loaded. When a
+    file's bytes start with that log's bytes, only the lines after them are
+    parsed and checked; otherwise the whole file is. Either way the entries
+    are a function of the file's current bytes alone, so a rewritten,
+    truncated or re-created file loads exactly as a first read would. Each
+    instance folds into its own dict, so a put reaches later loads only
+    through the file. Verdicts are held as JSON text and parsed by get, so
+    the remembered log costs about its size on disk, not several times that
+    in parsed witnesses.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._data: dict[str, dict] = {}
+        self._data: dict[str, str] = {}
         self._load()
 
     @staticmethod
     def key(f: Graph, g: Graph, h: Graph) -> str:
-        return f"{emit_graph6(f)}|{emit_graph6(g)}|{emit_graph6(h)}"
+        return _key(f, (emit_graph6(g), emit_graph6(h)))
 
     def _load(self) -> None:
+        global _last_log
         if not self.path.exists():
             return
         try:
-            lines = [line for line in self.path.read_text().splitlines() if line.strip()]
-            # one parse for the whole log: per-line json.loads is markedly slower
+            data = self.path.read_bytes()
+            known, folded = _last_log
+            if not data.startswith(known):
+                known, folded = b"", {}
+            folded = dict(folded)
+            lines = [line for line in data[len(known):].decode().splitlines() if line.strip()]
+            # one parse for all new lines: per-line json.loads is markedly slower
             for raw in json.loads("[" + ",".join(lines) + "]"):
                 if not isinstance(raw, dict):
                     raise ValueError("cache line must be a JSON object")
                 for key, entry in raw.items():
                     if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
                         raise ValueError(f"malformed cache entry for {key!r}")
-                self._data.update(raw)
+                    folded[key] = json.dumps(entry)
+            if data.endswith(b"\n"):
+                _last_log = (data, folded)
+            self._data = dict(folded)
         except (ValueError, OSError) as exc:
             warnings.warn(f"ignoring unreadable result cache {self.path}: {exc}")
             self._data = {}
 
     def get(self, key: str) -> dict | None:
-        return self._data.get(key)
+        text = self._data.get(key)
+        return None if text is None else json.loads(text)
 
     def put(self, key: str, verdict: dict) -> None:
-        self._data[key] = verdict
+        self._data[key] = json.dumps(verdict)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as log:
             _flock(log)
             log.write(json.dumps({key: verdict}, sort_keys=True) + "\n")
 
 
-def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None) -> bool:
+def _key(f: Graph, pair: tuple[str, str]) -> str:
+    return f"{emit_graph6(f)}|{pair[0]}|{pair[1]}"
+
+
+def _decide(
+    f: Graph, g: Graph, h: Graph, cache: ResultCache | None, pair: tuple[str, str]
+) -> bool:
     """Arrowing verdict for one host, through the cache when one is given.
+
+    pair holds the g6 strings of g and h, which form the cache key's tail.
 
     Without a cache only the verdict is asked for: the refuting coloring is
     checked on edge bitsets and dropped, with no EdgeColoring or
@@ -166,7 +204,7 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None) -> bool:
     """
     if cache is None:
         return _refute(f, g, h, True)[0] is None
-    key = ResultCache.key(f, g, h)
+    key = _key(f, pair)
     hit = cache.get(key)
     if hit is not None:
         if hit["arrows"]:
@@ -183,11 +221,11 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None) -> bool:
     return res.arrows
 
 
-def _scan_order(g, h, catalog, order, cache):
+def _scan_order(g, h, catalog, order, cache, pair):
     """(first arrowing graph or None, count confirmed non-arrowing)."""
     nonarrows = 0
     for f in catalog.scan_order(order):
-        if _decide(f, g, h, cache):
+        if _decide(f, g, h, cache, pair):
             return f, nonarrows
         nonarrows += 1
     return None, nonarrows
@@ -228,14 +266,15 @@ def ir_exact(
             "(search cost roughly doubles per edge)"
         )
     catalog.require_orders(n_max)
+    pair = (emit_graph6(g), emit_graph6(h))
     checked: list[int] = []
     prev_nonarrows = 0
     for order in range(1, n_max + 1):
-        found, nonarrows = _scan_order(g, h, catalog, order, cache)
+        found, nonarrows = _scan_order(g, h, catalog, order, cache, pair)
         checked.append(order)
         if found is not None:
             return IRResult(
-                (emit_graph6(g), emit_graph6(h)),
+                pair,
                 order,
                 emit_graph6(found),
                 prev_nonarrows,

@@ -218,6 +218,33 @@ def test_ir_cache_flag_beats_env(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "ignored.json").exists()
 
 
+def test_ir_calls_in_one_process_keep_their_own_caches(capsys, tmp_path, monkeypatch):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    monkeypatch.setenv("ARROWHEAD_CACHE", str(first))
+    code, env, _ = run_cli(capsys, ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4"])
+    assert (code, env["result"]["ir"], env["result"]["witness"]) == (0, 4, "C`")
+    written = first.read_bytes()
+
+    monkeypatch.setenv("ARROWHEAD_CACHE", str(second))
+    with pytest.raises(SystemExit) as exc:
+        main(["ir", "--g", "P3", "--h", "K2", "--n-max", "three"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert not second.exists()
+
+    code, env, _ = run_cli(capsys, ["ir", "--g", "P3", "--h", "K2", "--n-max", "4"])
+    assert code == 0
+    assert env["inputs"] == {"g": "P3", "h": "K2", "n_max": 4}
+    assert (env["result"]["g"], env["result"]["ir"]) == ("Bg", 3)
+    assert first.read_bytes() == written
+
+    def keys(log):
+        return [key for line in log.splitlines() for key in json.loads(line)]
+
+    assert keys(written) and all(key.endswith("|C`|A_") for key in keys(written))
+    assert keys(second.read_bytes()) and all(key.endswith("|Bg|A_") for key in keys(second.read_bytes()))
+
+
 def test_no_cache_runs_are_deterministic(capsys):
     def once():
         _, env, _ = run_cli(

@@ -1,10 +1,12 @@
 import json
 import random
+import warnings
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from arrowhead import search
 from arrowhead.arrowing import NotFoundBelow, strongly_arrows
 from arrowhead.coloring import EdgeColoring, verify_witness
 from arrowhead.errors import CatalogError, PreconditionError
@@ -167,6 +169,105 @@ def test_each_put_appends_one_line(tmp_path):
     assert ResultCache(cache_file).get(keys[0]) == {"arrows": False, "witness": None}
 
 
+def _open_cache(path):
+    """A fresh ResultCache on path, and whether loading it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResultCache(path)
+    warned = any("ignoring unreadable result cache" in str(w.message) for w in caught)
+    return cache, warned
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_incremental_log_load_matches_a_full_parse(tmp_path, monkeypatch, seed):
+    # Random edits of one cache file; after each, a load that may reuse the
+    # remembered log must equal a load with the remembered log cleared.
+    rng = random.Random(seed)
+    cache_file = tmp_path / "cache.json"
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+
+    def entry():
+        return f"{rng.randrange(10)}|A_|A_", {"arrows": rng.random() < 0.5, "witness": None}
+
+    def line():
+        key, verdict = entry()
+        return json.dumps({key: verdict}, sort_keys=True) + "\n"
+
+    def data():
+        return cache_file.read_bytes() if cache_file.exists() else b""
+
+    def put():
+        current.put(*entry())
+
+    def put_then_restore():
+        before = data()
+        current.put(*entry())
+        cache_file.write_bytes(before)
+
+    def append():
+        with open(cache_file, "a") as log:
+            log.write(line())
+
+    def rewrite_same_length():
+        raw = bytearray(data())
+        digits = [i for i, byte in enumerate(raw) if chr(byte).isdigit()]
+        if digits and rng.random() < 0.7:
+            raw[rng.choice(digits)] = ord(rng.choice("0123456789"))
+        elif raw:
+            raw[rng.randrange(len(raw))] = ord(rng.choice('x{}":,\n '))
+        cache_file.write_bytes(bytes(raw))
+
+    def rewrite_shorter():
+        lines = data().splitlines(keepends=True)
+        kept = b"".join(lines[: rng.randrange(len(lines) + 1)])
+        if kept and rng.random() < 0.3:
+            kept = kept[: rng.randrange(len(kept))]
+        cache_file.write_bytes(kept)
+
+    def tear():
+        nonlocal torn
+        whole = line()
+        # sometimes only the newline is missing, so the torn line parses
+        cut = len(whole) - 1 if rng.random() < 0.3 else rng.randrange(1, len(whole) - 1)
+        with open(cache_file, "a") as log:
+            log.write(whole[:cut])
+        torn = whole[cut:]
+
+    def repair():
+        nonlocal torn
+        with open(cache_file, "a") as log:
+            log.write(torn)
+        torn = ""
+
+    def delete():
+        cache_file.unlink(missing_ok=True)
+
+    def recreate():
+        cache_file.write_text("".join(line() for _ in range(rng.randrange(1, 4))))
+
+    def single_object():
+        folded = dict(entry() for _ in range(rng.randrange(1, 4)))
+        cache_file.write_text(json.dumps(folded, sort_keys=True))
+
+    actions = [put, put, put_then_restore, append, append, rewrite_same_length,
+               rewrite_shorter, tear, delete, recreate, single_object]
+    current, torn, reused = ResultCache(cache_file), "", 0
+    for _ in range(60):
+        act = repair if torn and rng.random() < 0.7 else rng.choice(actions)
+        act()
+        remembered = search._last_log
+        reused += bool(remembered[0]) and data().startswith(remembered[0])
+        current, warned = _open_cache(cache_file)
+        kept = search._last_log
+        monkeypatch.setattr(search, "_last_log", (b"", {}))
+        full, full_warned = _open_cache(cache_file)
+        monkeypatch.setattr(search, "_last_log", kept)
+        assert (current._data, warned) == (full._data, full_warned), act.__name__
+        if warned:
+            assert current._data == {}
+    assert reused > 0
+
+
 def test_cached_verdicts_replay(tmp_path, catalog):
     cache_file = tmp_path / "cache.json"
     first = ir_exact(matching(2), complete(2), catalog, n_max=4, cache=ResultCache(cache_file))
@@ -284,7 +385,8 @@ def test_cacheless_verdict_matches_strongly_arrows(catalog):
     panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
     for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
         for g, h in product(panel, repeat=2):
-            assert _decide(host, g, h, None) == strongly_arrows(host, g, h).arrows, (host, g, h)
+            pair = (emit_graph6(g), emit_graph6(h))
+            assert _decide(host, g, h, None, pair) == strongly_arrows(host, g, h).arrows, (host, g, h)
 
 
 def test_ir_sweep_matches_the_benchmark_reference(catalog):
