@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _intern
 from .errors import PreconditionError
 from .graphs import Graph, _bits, complete, find_induced_embedding
 
@@ -314,14 +314,14 @@ def _edge_rows(n: int, edges, edge_set: int) -> tuple[int, ...]:
 
 
 def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
-    """(red_set, blue_set) of the least refuting coloring of f, checked, or
+    """(red_rows, blue_rows) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
 
-    The sets are edge bitsets in _edge_order(f) order. The check reads the
-    search's answer as neighbour rows and shares no code with the copy
-    masks: the sides must be disjoint and cover f's edges, and the
-    embedder must find no red g and no blue h on them. Any failure raises
-    AssertionError, as it can only be a fault in the search.
+    The rows are neighbour bitmasks per vertex of f, as in Graph.adj, built
+    from the search's edge bitsets. The check reads them and shares no code
+    with the copy masks: the sides must be disjoint and cover f's edges, and
+    the embedder must find no red g and no blue h on them. Any failure
+    raises AssertionError, as it can only be a fault in the search.
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
@@ -329,29 +329,27 @@ def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
     red_masks = _copy_masks(f, g, induced)
     blue_masks = _copy_masks(f, h, induced)
     found, leaves, prunes = _search(len(edges), red_masks, blue_masks, _twin_swaps(f))
-    if found is not None:
-        red_set, blue_set = found
-        if red_set & blue_set or (red_set | blue_set) >> len(edges):
-            raise AssertionError("search colored an edge twice or a non-edge")
-        red_rows = _edge_rows(f.n, edges, red_set)
-        blue_rows = _edge_rows(f.n, edges, blue_set)
-        if tuple(map(int.__or__, red_rows, blue_rows)) != f.adj:
-            raise AssertionError("search left host edges uncolored")
-        if find_induced_embedding(f, g, red_rows, induced) is not None:
-            raise AssertionError("search returned a coloring with a red copy of g")
-        if find_induced_embedding(f, h, blue_rows, induced) is not None:
-            raise AssertionError("search returned a coloring with a blue copy of h")
-    return found, leaves, prunes
+    if found is None:
+        return None, leaves, prunes
+    red_set, blue_set = found
+    if red_set & blue_set or (red_set | blue_set) >> len(edges):
+        raise AssertionError("search colored an edge twice or a non-edge")
+    red_rows = _edge_rows(f.n, edges, red_set)
+    blue_rows = _edge_rows(f.n, edges, blue_set)
+    if tuple(map(int.__or__, red_rows, blue_rows)) != f.adj:
+        raise AssertionError("search left host edges uncolored")
+    if find_induced_embedding(f, g, red_rows, induced) is not None:
+        raise AssertionError("search returned a coloring with a red copy of g")
+    if find_induced_embedding(f, h, blue_rows, induced) is not None:
+        raise AssertionError("search returned a coloring with a blue copy of h")
+    return (red_rows, blue_rows), leaves, prunes
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
-    found, leaves, prunes = _refute(f, g, h, induced)
-    if found is None:
+    rows, leaves, prunes = _refute(f, g, h, induced)
+    if rows is None:
         return _result(True, None, leaves, prunes)
-    edges = _edge_order(f)
-    red = [edges[i] for i in _bits(found[0])]
-    blue = [edges[i] for i in _bits(found[1])]
-    return _result(False, EdgeColoring.of(f.n, red, blue), leaves, prunes)
+    return _result(False, _intern(f.n, *rows), leaves, prunes)
 
 
 def strongly_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingResult:

@@ -1,22 +1,25 @@
 """Red/blue edge colorings, monochromatic-pattern detection, and certification.
 
-A coloring is total: every host edge is red or blue. Certification predicates
-state what a witness coloring must defeat. The red-side predicate looks at
-components of the red spanning subgraph as graphs in their own right (a red
-path P_3 has independence 2 even when its endpoints are adjacent in the
-host).
+A coloring is total: every host edge is red or blue. It is stored as
+neighbour bitmask rows, the format of Graph.adj, which every check reads;
+vertex pairs appear only where a coloring is built from or read as pairs.
+Certification predicates state what a witness coloring must defeat. The
+red-side predicate looks at components of the red spanning subgraph as
+graphs in their own right (a red path P_3 has independence 2 even when its
+endpoints are adjacent in the host).
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
 from .errors import ColoringMismatchError, PreconditionError
 from .graphs import (
     Embedding,
     Graph,
+    _bits,
     check_embedding,
     components,
     find_induced_embedding,
@@ -29,65 +32,77 @@ RED = "red"
 BLUE = "blue"
 
 
-# Bounded above the 1,891 vertex pairs of a graph of order MAX_ORDER.
-@lru_cache(maxsize=2048)
-def _pair(u: int, v: int) -> tuple[int, int]:
-    """The one tuple for vertex pair (u, v), u < v, shared by every coloring.
-
-    A stored coloring then costs its two frozensets but no tuple per edge,
-    so a caller holding many colorings grows by less.
-    """
-    return (u, v)
+def _pairs(rows: Iterable[int]) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, that these neighbour rows join, sorted."""
+    return [(u, v) for u, row in enumerate(rows) for v in _bits(row >> u << u)]
 
 
-def _norm_pairs(pairs) -> frozenset[tuple[int, int]]:
-    out = set()
+def _rows_of(host_order: int, pairs) -> tuple[int, ...]:
+    """Neighbour rows of these unordered pairs of vertices 0..host_order-1."""
+    rows = [0] * host_order
     for u, v in pairs:
         if u == v:
             raise ColoringMismatchError(f"loop pair ({u},{v}) in coloring")
-        out.add(_pair(u, v) if u < v else _pair(v, u))
-    return frozenset(out)
+        if not (0 <= u < host_order and 0 <= v < host_order):
+            raise ColoringMismatchError(f"colored pair {(min(u, v), max(u, v))} is outside 0..{host_order - 1}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total red/blue assignment on the edges of a host graph."""
+    """Total red/blue assignment on the edges of a host graph.
+
+    red_rows[v] and blue_rows[v] are vertex v's neighbour bitmasks in the red
+    and the blue spanning subgraph; red and blue give them as pairs (u, v), u < v.
+    """
 
     host_order: int
-    red: frozenset[tuple[int, int]]
-    blue: frozenset[tuple[int, int]]
+    red_rows: tuple[int, ...]
+    blue_rows: tuple[int, ...]
 
     @staticmethod
     def of(host_order: int, red, blue) -> "EdgeColoring":
         """The coloring with these red and blue pairs, each pair taken
-        unordered. Equal colorings alive at once are one object, so a caller
-        that keeps the same answer many times holds it once."""
-        r = _norm_pairs(red)
-        b = _norm_pairs(blue)
-        overlap = r & b
+        unordered. A loop, a pair colored twice or a vertex outside
+        0..host_order-1 raises ColoringMismatchError. Equal colorings alive
+        at once are one object, so a caller that keeps the same answer many
+        times holds it once."""
+        r = _rows_of(host_order, red)
+        b = _rows_of(host_order, blue)
+        overlap = _pairs(map(int.__and__, r, b))
         if overlap:
-            raise ColoringMismatchError(f"edges colored twice: {sorted(overlap)}")
+            raise ColoringMismatchError(f"edges colored twice: {overlap}")
         return _intern(host_order, r, b)
 
     @staticmethod
     def monochrome(host: Graph, color: str) -> "EdgeColoring":
-        edges = host.edges()
+        empty = (0,) * host.n
         if color == RED:
-            return EdgeColoring.of(host.n, edges, [])
+            return _intern(host.n, host.adj, empty)
         if color == BLUE:
-            return EdgeColoring.of(host.n, [], edges)
+            return _intern(host.n, empty, host.adj)
         raise ValueError(f"unknown color {color!r}")
 
+    @property
+    def red(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs(self.red_rows))
+
+    @property
+    def blue(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs(self.blue_rows))
+
     def color_of(self, u: int, v: int) -> str | None:
-        key = (min(u, v), max(u, v))
-        if key in self.red:
-            return RED
-        if key in self.blue:
-            return BLUE
+        if 0 <= u < self.host_order and 0 <= v < self.host_order:
+            if self.red_rows[u] >> v & 1:
+                return RED
+            if self.blue_rows[u] >> v & 1:
+                return BLUE
         return None
 
     def swapped(self) -> "EdgeColoring":
-        return _intern(self.host_order, self.blue, self.red)
+        return _intern(self.host_order, self.blue_rows, self.red_rows)
 
     def check_against(self, host: Graph) -> None:
         """Raise unless this coloring covers exactly the edges of host."""
@@ -95,36 +110,26 @@ class EdgeColoring:
             raise ColoringMismatchError(
                 f"coloring is for order {self.host_order}, host has order {host.n}"
             )
-        # compare neighbour rows; the tuple sets are built only to word the error
-        colored = self.red | self.blue
-        rows = [0] * host.n
-        for u, v in colored:
-            if not 0 <= u < v < host.n:
-                break  # not a pair of host vertices; the sets below name it
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        else:
-            if tuple(rows) == host.adj:
-                return
-        host_edges = set(host.edges())
-        missing = host_edges - colored
+        colored = tuple(map(int.__or__, self.red_rows, self.blue_rows))
+        if colored == host.adj:
+            return
+        missing = _pairs(a & ~c for a, c in zip(host.adj, colored))
         if missing:
-            raise ColoringMismatchError(f"host edges left uncolored: {sorted(missing)}")
-        extra = colored - host_edges
-        if extra:
-            raise ColoringMismatchError(f"colored pairs are not host edges: {sorted(extra)}")
+            raise ColoringMismatchError(f"host edges left uncolored: {missing}")
+        extra = _pairs(c & ~a for a, c in zip(host.adj, colored))
+        raise ColoringMismatchError(f"colored pairs are not host edges: {extra}")
 
     def red_graph(self) -> Graph:
-        return Graph.from_edges(self.host_order, self.red)
+        return Graph(self.host_order, self.red_rows)
 
     def blue_graph(self) -> Graph:
-        return Graph.from_edges(self.host_order, self.blue)
+        return Graph(self.host_order, self.blue_rows)
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.host_order,
-            "red": sorted([list(e) for e in self.red]),
-            "blue": sorted([list(e) for e in self.blue]),
+            "red": [list(e) for e in _pairs(self.red_rows)],
+            "blue": [list(e) for e in _pairs(self.blue_rows)],
         }
 
     @staticmethod
@@ -157,17 +162,17 @@ class EdgeColoring:
         return EdgeColoring.of(n, sides[RED], sides[BLUE])
 
 
-# (host_order, red, blue) -> the live EdgeColoring with those fields; an
-# entry goes when its coloring is no longer referenced.
+# (host_order, red_rows, blue_rows) -> the live EdgeColoring with those
+# fields; an entry goes when its coloring is no longer referenced.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _intern(host_order: int, red: frozenset, blue: frozenset) -> EdgeColoring:
-    """The live coloring with these normalized, disjoint sides, made if none is."""
-    key = (host_order, red, blue)
+def _intern(host_order: int, red_rows: tuple[int, ...], blue_rows: tuple[int, ...]) -> EdgeColoring:
+    """The live coloring with these disjoint sides' rows, made if none is."""
+    key = (host_order, red_rows, blue_rows)
     c = _INTERNED.get(key)
     if c is None:
-        c = _INTERNED[key] = EdgeColoring(host_order, red, blue)
+        c = _INTERNED[key] = EdgeColoring(host_order, red_rows, blue_rows)
     return c
 
 
@@ -179,19 +184,10 @@ class Violation:
     embedding: Embedding
 
 
-def _rows(host_order: int, pairs) -> tuple[int, ...]:
-    """Neighbour bitmask per vertex of the graph on these (checked) pairs."""
-    rows = [0] * host_order
-    for u, v in pairs:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return tuple(rows)
-
-
 def _find_mono(host: Graph, c: EdgeColoring, pattern: Graph, color: str) -> Violation | None:
     """find_mono_induced on a coloring already checked against host."""
-    side = c.red if color == RED else c.blue
-    emb = find_induced_embedding(host, pattern, _rows(host.n, side))
+    rows = c.red_rows if color == RED else c.blue_rows
+    emb = find_induced_embedding(host, pattern, rows)
     return Violation(color, emb) if emb is not None else None
 
 
@@ -218,12 +214,11 @@ def verify_witness(host: Graph, c: EdgeColoring, g: Graph, h: Graph) -> Violatio
 
 def validate_violation(host: Graph, c: EdgeColoring, pattern: Graph, violation: Violation) -> bool:
     """Recheck a Violation from the definitions, independent of the finder."""
-    side = c.red if violation.color == RED else c.blue
     if not check_embedding(host, pattern, violation.embedding):
         return False
     image = violation.embedding.map
     for a, b in combinations(sorted(image), 2):
-        if host.has_edge(a, b) and (a, b) not in side:
+        if host.has_edge(a, b) and c.color_of(a, b) != violation.color:
             return False
     return True
 
@@ -265,7 +260,7 @@ def red_isolatefree_independence_ok(host: Graph, c: EdgeColoring, alpha: int) ->
         raise PreconditionError("alpha must be at least 1")
     c.check_against(host)
     adj = host.adj
-    blue = _rows(host.n, c.blue)
+    blue = c.blue_rows
 
     def cover(ind: list[int], i: int, members: int, blocked: int) -> bool:
         # members is the set so far, blocked the vertices with a blue edge into it

@@ -9,10 +9,10 @@ hosts fail fast and the answer never depends on file line order. Each
 non-arrowing verdict rests on a refuting coloring that is re-verified:
 arrowing checks every one its search finds, on neighbour rows built from the
 search's edge bitsets with find_induced_embedding, and a cached one is
-checked again before it is believed. A sweep without a cache takes only the
-verdict, so a host that does not arrow costs no EdgeColoring or
-ArrowingResult; the copy masks behind it are cached per (host, pattern), so
-the many pattern pairs of a sweep build each once. Verdicts are memoized
+checked again before it is believed. A sweep makes no ArrowingResult, and a
+cache stores a refuting coloring as JSON written from its rows; the copy
+masks behind each verdict are cached per (host, pattern), so the many
+pattern pairs of a sweep build each once. Verdicts are memoized
 in an append-only cache file, one JSON object per line, keyed by the literal
 g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
 is simply a miss. A sweep emits the pattern pair's g6 strings once, so
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _refute, strongly_arrows
+from .arrowing import NotFoundBelow, _refute
 from .coloring import EdgeColoring, verify_witness
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, emit_graph6, parse_graph6
@@ -124,8 +124,9 @@ class ResultCache:
     Each put appends one line, a JSON object {key: verdict}, under an flock
     on the cache file, so parallel sweeps sharing one cache lose no entries.
     Loading folds the lines in order, so the last line for a key wins; an
-    older single-object cache is a one-line log. A corrupt or unreadable
-    file is dropped whole with a warning rather than half trusted.
+    older single-object cache is a one-line log, whose missing final newline
+    a put writes first. A corrupt or unreadable file is dropped whole with a
+    warning rather than half trusted.
 
     A process remembers the last newline-terminated log it loaded. When a
     file's bytes start with that log's bytes, only the lines after them are
@@ -180,9 +181,13 @@ class ResultCache:
     def put(self, key: str, verdict: dict) -> None:
         self._data[key] = json.dumps(verdict)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as log:
+        line = json.dumps({key: verdict}, sort_keys=True) + "\n"
+        with open(self.path, "a+b") as log:
             _flock(log)
-            log.write(json.dumps({key: verdict}, sort_keys=True) + "\n")
+            log.seek(max(log.seek(0, 2) - 1, 0))
+            if log.read(1) not in (b"", b"\n"):
+                line = "\n" + line
+            log.write(line.encode())
 
 
 def _key(f: Graph, pair: tuple[str, str]) -> str:
@@ -196,29 +201,29 @@ def _decide(
 
     pair holds the g6 strings of g and h, which form the cache key's tail.
 
-    Without a cache only the verdict is asked for: the refuting coloring is
-    checked on edge bitsets and dropped, with no EdgeColoring or
-    ArrowingResult made. Cached NotArrows entries are only believed if their
-    stored witness still verifies; anything suspect is recomputed and
+    A verdict the cache does not settle comes from one _refute call, which
+    checks the refuting coloring on neighbour rows; a cache stores it as JSON
+    written from those rows. Cached NotArrows entries are only believed if
+    their stored witness still verifies; anything suspect is recomputed and
     overwritten.
     """
-    if cache is None:
-        return _refute(f, g, h, True)[0] is None
-    key = _key(f, pair)
-    hit = cache.get(key)
-    if hit is not None:
-        if hit["arrows"]:
-            return True
-        try:
-            witness = EdgeColoring.from_json_dict(hit["witness"])
-            if verify_witness(f, witness, g, h) is None:
-                return False
-        except ArrowheadError:
-            pass
-    res = strongly_arrows(f, g, h)
-    witness = res.witness.to_json_dict() if res.witness else None
-    cache.put(key, {"arrows": res.arrows, "witness": witness})
-    return res.arrows
+    if cache is not None:
+        key = _key(f, pair)
+        hit = cache.get(key)
+        if hit is not None:
+            if hit["arrows"]:
+                return True
+            try:
+                witness = EdgeColoring.from_json_dict(hit["witness"])
+                if verify_witness(f, witness, g, h) is None:
+                    return False
+            except ArrowheadError:
+                pass
+    rows = _refute(f, g, h, True)[0]
+    if cache is not None:
+        witness = None if rows is None else EdgeColoring(f.n, *rows).to_json_dict()
+        cache.put(key, {"arrows": rows is None, "witness": witness})
+    return rows is None
 
 
 def _scan_order(g, h, catalog, order, cache, pair):

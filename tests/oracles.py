@@ -216,3 +216,54 @@ def brute_first_embedding(host: Graph, pattern: Graph, allowed=None, induced=Tru
         if ok:
             return image
     return None
+
+
+class PairColoring:
+    """Reference coloring kept as frozensets of pairs (u, v), u < v, for
+    differential tests of EdgeColoring's neighbour rows. Building one and
+    checking it against a host give the library's error texts, as strings
+    here instead of exceptions.
+    """
+
+    def __init__(self, n: int, red: frozenset, blue: frozenset):
+        self.n, self.red, self.blue = n, red, blue
+
+    @staticmethod
+    def of(n: int, red, blue):
+        """The coloring, or the text of the error building it must raise."""
+        sides = []
+        for pairs in (red, blue):
+            side = set()
+            for u, v in pairs:
+                if u == v:
+                    return f"loop pair ({u},{v}) in coloring"
+                if not (0 <= u < n and 0 <= v < n):
+                    return f"colored pair {(min(u, v), max(u, v))} is outside 0..{n - 1}"
+                side.add((min(u, v), max(u, v)))
+            sides.append(frozenset(side))
+        if sides[0] & sides[1]:
+            return f"edges colored twice: {sorted(sides[0] & sides[1])}"
+        return PairColoring(n, *sides)
+
+    def color_of(self, u: int, v: int):
+        key = (min(u, v), max(u, v))
+        return "red" if key in self.red else "blue" if key in self.blue else None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "red": sorted([list(e) for e in self.red]),
+            "blue": sorted([list(e) for e in self.blue]),
+        }
+
+    def check_against(self, host: Graph):
+        """None when the pairs are exactly host's edges, else the error text."""
+        if host.n != self.n:
+            return f"coloring is for order {self.n}, host has order {host.n}"
+        host_edges = set(host.edges())
+        colored = self.red | self.blue
+        if host_edges - colored:
+            return f"host edges left uncolored: {sorted(host_edges - colored)}"
+        if colored - host_edges:
+            return f"colored pairs are not host edges: {sorted(colored - host_edges)}"
+        return None

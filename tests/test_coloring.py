@@ -1,6 +1,11 @@
+import json
 import random
+from dataclasses import fields
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowhead.coloring import (
     BLUE,
@@ -31,7 +36,7 @@ from arrowhead.graphs import (
 )
 
 from .conftest import random_graph
-from .oracles import brute_red_isolatefree_ok
+from .oracles import PairColoring, brute_red_isolatefree_ok
 
 
 def _split_random(host: Graph, rng: random.Random) -> EdgeColoring:
@@ -54,12 +59,14 @@ def test_of_normalizes_pair_order():
     assert c.color_of(0, 2) is None
 
 
-def test_colorings_share_pair_tuples():
-    # a stored coloring holds no tuple of its own per edge
-    a = EdgeColoring.of(3, [(1, 0)], [[2, 1]])
-    b = EdgeColoring.of(4, [(0, 1)], [(1, 2)])
-    assert next(iter(a.red)) is next(iter(b.red))
-    assert next(iter(a.blue)) is next(iter(b.blue))
+def test_colorings_store_neighbour_rows():
+    # a stored coloring holds one int row per vertex and side, not pairs
+    c = EdgeColoring.of(3, [(1, 0)], [[2, 1]])
+    assert [f.name for f in fields(c)] == ["host_order", "red_rows", "blue_rows"]
+    assert c.red_rows == (0b010, 0b001, 0b000)
+    assert c.blue_rows == (0b000, 0b100, 0b010)
+    for rows in (c.red_rows, c.blue_rows):
+        assert type(rows) is tuple and all(type(row) is int for row in rows)
 
 
 def test_equal_colorings_are_one_object():
@@ -99,12 +106,73 @@ def test_check_against_names_offending_edges():
         EdgeColoring.of(3, [(0, 1), (0, 2)], [(1, 2)]).check_against(path(3))
     with pytest.raises(ColoringMismatchError, match="order"):
         EdgeColoring.of(4, [], []).check_against(k3)
-    # pairs naming a vertex outside 0..n-1 are mismatches, not index errors
-    for bad in ((0, 5), (-1, 1)):
-        with pytest.raises(ColoringMismatchError, match="uncolored"):
-            EdgeColoring.of(3, [bad], []).check_against(k3)
-        with pytest.raises(ColoringMismatchError, match=rf"not host edges.*\({bad[0]}, {bad[1]}\)"):
-            EdgeColoring.of(3, [bad], []).check_against(Graph(3, (0, 0, 0)))
+    # pairs naming a vertex outside 0..n-1 are mismatches, not index errors,
+    # and are refused as the coloring is built, on either side
+    for bad in ((0, 5), (5, 0), (-1, 1), (1, -1)):
+        pair = rf"\({min(bad)}, {max(bad)}\)"
+        with pytest.raises(ColoringMismatchError, match=pair):
+            EdgeColoring.of(3, [bad], [])
+        with pytest.raises(ColoringMismatchError, match=pair):
+            EdgeColoring.of(3, [(0, 1)], [(1, 2), bad])
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, red pairs, blue pairs), n <= 8: pairs either way round and some
+    repeated, in any order, and now and then one bad pair on one side: a
+    loop, a pair already on the other side or a vertex outside 0..n-1."""
+    n = draw(st.integers(0, 8))
+    sides = {RED: [], BLUE: []}
+    for u, v in combinations(range(n), 2):
+        color = draw(st.sampled_from((RED, BLUE, None)))
+        if color:
+            sides[color] += [draw(st.sampled_from(((u, v), (v, u))))] * draw(st.integers(1, 2))
+    side, other = draw(st.sampled_from(((RED, BLUE), (BLUE, RED))))
+    fault = draw(st.sampled_from((None, None, "loop", "twice", "outside")))
+    if fault == "loop":
+        v = draw(st.integers(-1, n))
+        sides[side].append((v, v))
+    elif fault == "twice" and sides[other]:
+        sides[side].append(draw(st.sampled_from(sides[other]))[::-1])
+    elif fault == "outside":
+        sides[side].append(draw(st.permutations((draw(st.integers(0, n)), draw(st.sampled_from((-1, n)))))))
+    return n, draw(st.permutations(sides[RED])), draw(st.permutations(sides[BLUE]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists(), st.sets(st.integers(0, 27)))
+def test_rows_match_the_pair_reference(case, flips):
+    """EdgeColoring on rows agrees with a coloring kept as pair sets: what
+    of builds or refuses, the pair views, color_of, swapped, the JSON form
+    and its round trip, and check_against's error texts on hosts that differ
+    from the colored pairs in the flipped pairs."""
+    n, red, blue = case
+    ref = PairColoring.of(n, red, blue)
+    if isinstance(ref, str):
+        with pytest.raises(ColoringMismatchError) as err:
+            EdgeColoring.of(n, red, blue)
+        assert str(err.value) == ref
+        return
+    c = EdgeColoring.of(n, red, blue)
+    assert (c.host_order, c.red, c.blue) == (n, ref.red, ref.blue)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert c.color_of(u, v) == ref.color_of(u, v)
+    swapped = c.swapped()
+    assert (swapped.red, swapped.blue) == (ref.blue, ref.red)
+    data = c.to_json_dict()
+    assert json.dumps(data) == json.dumps(ref.to_json_dict())
+    assert EdgeColoring.from_json_dict(json.loads(json.dumps(data))) == c
+    pairs = list(combinations(range(n), 2))
+    edges = (ref.red | ref.blue) ^ {pairs[i % len(pairs)] for i in flips if pairs}
+    for host in (Graph.from_edges(n, edges), Graph.from_edges(n + 1, edges)):
+        want = ref.check_against(host)
+        if want is None:
+            c.check_against(host)
+        else:
+            with pytest.raises(ColoringMismatchError) as err:
+                c.check_against(host)
+            assert str(err.value) == want
 
 
 def test_red_blue_graphs():

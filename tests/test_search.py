@@ -147,6 +147,19 @@ def test_single_object_cache_still_loads(tmp_path):
     assert cache.get("Bw|A_|A_") == {"arrows": True, "witness": None}
 
 
+def test_put_after_a_single_object_without_final_newline(tmp_path):
+    # an older cache may end without a newline; the put must not glue its
+    # object onto the last line, or the next load drops the whole cache
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}')
+    ResultCache(cache_file).put("Bw|A_|A_", {"arrows": True, "witness": None})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reopened = ResultCache(cache_file)
+    assert reopened.get("A_|A_|A_") == {"arrows": True, "witness": None}
+    assert reopened.get("Bw|A_|A_") == {"arrows": True, "witness": None}
+
+
 def test_torn_last_line_drops_the_cache(tmp_path):
     cache_file = tmp_path / "cache.json"
     cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}\n{"k": {"arr')
