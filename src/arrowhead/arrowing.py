@@ -15,7 +15,13 @@ k-subset's adjacency code with the pattern's precomputed labelled codes
 instead of embedding the pattern subset by subset. The subsets' codes and
 interiors depend only on the host and k, so they are built once per (host,
 k) and cached; a sweep over many pattern pairs then filters them once per
-(host, pattern), and keeps the masks.
+(host, pattern), and keeps the masks. The search's index of each mask
+family by edge is kept too, so it is built once per family.
+
+A host with no copy of g needs no search: coloring every edge red refutes
+it, and that is the least refuting coloring, the one the search reaches
+first. The embedder checks that the host holds no g at all, a fact cached
+per (host, pattern, kind) like the masks.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -203,6 +209,17 @@ def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
+# One entry per mask family a sweep meets, like _copy_masks.
+@lru_cache(maxsize=14 * _SWEEP_HOSTS)
+def _by_edge(n_edges: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each edge index below n_edges, the masks through that edge."""
+    lists: list[list[int]] = [[] for _ in range(n_edges)]
+    for m in masks:
+        for i in _bits(m):
+            lists[i].append(m)
+    return tuple(map(tuple, lists))
+
+
 def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
     """Whether, under some swap, every completion of this partial coloring
     has a lexicographically smaller image (red before blue).
@@ -247,11 +264,7 @@ def _search(n_edges, red_masks, blue_masks, swaps=()):
     if not n_edges:
         return (0, 0), 1, 0
     # by_edge[side][i]: that side's copy masks through edge i
-    by_edge = ([[] for _ in range(n_edges)], [[] for _ in range(n_edges)])
-    for lists, masks in zip(by_edge, (red_masks, blue_masks)):
-        for m in masks:
-            for i in _bits(m):
-                lists[i].append(m)
+    by_edge = (_by_edge(n_edges, tuple(red_masks)), _by_edge(n_edges, tuple(blue_masks)))
     full = (1 << n_edges) - 1
     prunes = 0
     # a cut needs a blue a-edge and a red b-edge in one swap; testing the
@@ -313,6 +326,13 @@ def _edge_rows(n: int, edges, edge_set: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+# The same (host, pattern, kind) facts as _copy_masks, asked as often.
+@lru_cache(maxsize=14 * _SWEEP_HOSTS)
+def _embeds(f: Graph, pattern: Graph, induced: bool) -> bool:
+    """Whether f holds a copy of pattern, by the embedder."""
+    return find_induced_embedding(f, pattern, None, induced) is not None
+
+
 def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
     """(red_rows, blue_rows) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
@@ -322,11 +342,21 @@ def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
     with the copy masks: the sides must be disjoint and cover f's edges, and
     the embedder must find no red g and no blue h on them. Any failure
     raises AssertionError, as it can only be a fault in the search.
+
+    A host with no copy of g is settled without a search: coloring every
+    edge red refutes it, and that is the least refuting coloring, the one
+    the search reaches first with no conflict and no cut (no edge is blue),
+    so leaves and prunes are 1 and 0. Its check is that the embedder finds
+    no g in f itself; the blue side is empty and holds no h.
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
-    edges = _edge_order(f)
     red_masks = _copy_masks(f, g, induced)
+    if not red_masks:
+        if _embeds(f, g, induced):
+            raise AssertionError("search returned a coloring with a red copy of g")
+        return (f.adj, (0,) * f.n), 1, 0
+    edges = _edge_order(f)
     blue_masks = _copy_masks(f, h, induced)
     found, leaves, prunes = _search(len(edges), red_masks, blue_masks, _twin_swaps(f))
     if found is None:

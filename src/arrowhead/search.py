@@ -15,8 +15,11 @@ masks behind each verdict are cached per (host, pattern), so the many
 pattern pairs of a sweep build each once. Verdicts are memoized
 in an append-only cache file, one JSON object per line, keyed by the literal
 g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
-is simply a miss. A sweep emits the pattern pair's g6 strings once, so
-each key costs only its host's. A process that has loaded a cache log parses
+is simply a miss. A sweep emits the pattern pair's g6 strings once, and a
+Catalog keeps each host's g6 string beside its scan order, so building a
+key emits nothing. A host with no copy of g is refuted all red without a
+search, and its check is that the embedder finds no g in it at all
+(arrowing._refute). A process that has loaded a cache log parses
 only the lines appended to it since, so repeated sweeps on one growing cache
 do not re-read it whole.
 """
@@ -46,7 +49,7 @@ class Catalog:
     def __init__(self, directory):
         self.directory = Path(directory)
         self._graphs: dict[int, tuple[Graph, ...]] = {}
-        self._scans: dict[int, tuple[Graph, ...]] = {}
+        self._scans: dict[int, tuple[tuple[Graph, str], ...]] = {}
 
     def path_for(self, order: int) -> Path:
         return self.directory / f"n{order}.g6"
@@ -69,9 +72,14 @@ class Catalog:
 
     def scan_order(self, order: int) -> tuple[Graph, ...]:
         """The order's graphs by ascending (edge count, graph6 line)."""
+        return tuple(f for f, _ in self.scan(order))
+
+    def scan(self, order: int) -> tuple[tuple[Graph, str], ...]:
+        """scan_order's graphs, each beside its graph6 line."""
         if order not in self._scans:
-            by_edges = sorted(self.graphs(order), key=lambda g: (g.edge_count(), emit_graph6(g)))
-            self._scans[order] = tuple(by_edges)
+            entries = [(f, emit_graph6(f)) for f in self.graphs(order)]
+            entries.sort(key=lambda e: (e[0].edge_count(), e[1]))
+            self._scans[order] = tuple(entries)
         return self._scans[order]
 
     def _parse(self, order: int) -> tuple[Graph, ...]:
@@ -146,7 +154,7 @@ class ResultCache:
 
     @staticmethod
     def key(f: Graph, g: Graph, h: Graph) -> str:
-        return _key(f, (emit_graph6(g), emit_graph6(h)))
+        return _key(emit_graph6(f), (emit_graph6(g), emit_graph6(h)))
 
     def _load(self) -> None:
         global _last_log
@@ -190,16 +198,22 @@ class ResultCache:
             log.write(line.encode())
 
 
-def _key(f: Graph, pair: tuple[str, str]) -> str:
-    return f"{emit_graph6(f)}|{pair[0]}|{pair[1]}"
+def _key(f6: str, pair: tuple[str, str]) -> str:
+    return f"{f6}|{pair[0]}|{pair[1]}"
 
 
 def _decide(
-    f: Graph, g: Graph, h: Graph, cache: ResultCache | None, pair: tuple[str, str]
+    f: Graph,
+    g: Graph,
+    h: Graph,
+    cache: ResultCache | None,
+    pair: tuple[str, str],
+    f6: str | None = None,
 ) -> bool:
     """Arrowing verdict for one host, through the cache when one is given.
 
-    pair holds the g6 strings of g and h, which form the cache key's tail.
+    pair holds the g6 strings of g and h, which form the cache key's tail;
+    f6, f's g6 string, is its head, emitted here when not given.
 
     A verdict the cache does not settle comes from one _refute call, which
     checks the refuting coloring on neighbour rows; a cache stores it as JSON
@@ -208,7 +222,7 @@ def _decide(
     overwritten.
     """
     if cache is not None:
-        key = _key(f, pair)
+        key = _key(emit_graph6(f) if f6 is None else f6, pair)
         hit = cache.get(key)
         if hit is not None:
             if hit["arrows"]:
@@ -227,11 +241,11 @@ def _decide(
 
 
 def _scan_order(g, h, catalog, order, cache, pair):
-    """(first arrowing graph or None, count confirmed non-arrowing)."""
+    """(g6 of the first arrowing graph or None, count confirmed non-arrowing)."""
     nonarrows = 0
-    for f in catalog.scan_order(order):
-        if _decide(f, g, h, cache, pair):
-            return f, nonarrows
+    for f, f6 in catalog.scan(order):
+        if _decide(f, g, h, cache, pair, f6):
+            return f6, nonarrows
         nonarrows += 1
     return None, nonarrows
 
@@ -281,7 +295,7 @@ def ir_exact(
             return IRResult(
                 pair,
                 order,
-                emit_graph6(found),
+                found,
                 prev_nonarrows,
                 tuple(checked),
             )

@@ -288,6 +288,44 @@ def test_verdicts_and_witnesses_match_plain_dfs(catalog):
             assert res.arrows == (res.witness is None)
 
 
+def _searched(host, g, h, induced):
+    """(witness, leaves, prunes) of _search run directly on host's masks."""
+    edges = _edge_order(host)
+    found, leaves, prunes = _search(
+        len(edges), _copy_masks(host, g, induced), _copy_masks(host, h, induced), _twin_swaps(host)
+    )
+    red_set, blue_set = found
+    side = {True: [], False: []}
+    for i, e in enumerate(edges):
+        side[bool(red_set >> i & 1)].append(e)
+    assert blue_set == (1 << len(edges)) - 1 - red_set
+    return EdgeColoring.of(host.n, side[True], side[False]), leaves, prunes
+
+
+def test_hosts_without_g_match_the_search(catalog):
+    # a host holding no copy of g is settled without a search: its all-red
+    # witness and its counts must be those the search itself reaches
+    panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
+    settled = 0
+    for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
+        for induced, copies in ((True, brute_induced_copies), (False, brute_subgraph_copies)):
+            for g in panel:
+                if copies(host, g):
+                    continue
+                for h in panel:
+                    res = arrowing._run(host, g, h, induced)
+                    expected = _searched(host, g, h, induced)
+                    assert (res.witness, res.colorings_explored, res.prunes) == expected, (host, g, h)
+                    assert res.witness.red_rows == host.adj
+                    settled += 1
+    for g, h in product(panel, repeat=2):
+        for n in range(1, g.n):
+            res = arrows_complete_non_induced(n, g, h)
+            expected = _searched(complete(n), g, h, False)
+            assert (res.witness, res.colorings_explored, res.prunes) == expected, (n, g, h)
+    assert settled == 4332
+
+
 def test_k9_arrows_k3_k4_within_counted_work():
     # R(3, 4) = 9. The bound counts closed branches, not seconds: the plain
     # DFS needs 1,270,376 leaves plus prunes here, propagation about 101,000.
@@ -463,4 +501,16 @@ def test_a_wrong_search_answer_is_caught_on_every_path(monkeypatch, catalog, fak
         arrows_complete_non_induced(order, k3, k3)
     # the sweep path builds no coloring object, but checks just the same
     with pytest.raises(AssertionError, match=message):
+        ir_exact(k3, k3, catalog, n_max=6, cache=None)
+
+
+def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog):
+    # K6 holds triangles: masks claiming none must not pass as the all-red refutation
+    k3 = complete(3)
+    monkeypatch.setattr(arrowing, "_copy_masks", lambda f, pattern, induced: ())
+    with pytest.raises(AssertionError, match="red copy"):
+        strongly_arrows(complete(6), k3, k3)
+    with pytest.raises(AssertionError, match="red copy"):
+        arrows_complete_non_induced(6, k3, k3)
+    with pytest.raises(AssertionError, match="red copy"):
         ir_exact(k3, k3, catalog, n_max=6, cache=None)

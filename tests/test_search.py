@@ -289,6 +289,23 @@ def test_cached_verdicts_replay(tmp_path, catalog):
     assert cache_file.exists()
 
 
+def test_a_second_cached_sweep_emits_no_host_graph6(tmp_path, monkeypatch, catalog):
+    # the scan order keeps every host's g6 string, so cache keys reuse it
+    fresh = Catalog(catalog.directory)
+    g, h = path(4), complete(3)
+    cache = ResultCache(tmp_path / "cache.json")
+    first = ir_exact(g, h, fresh, n_max=5, cache=cache)
+    emitted = []
+
+    def counting_emit(graph):
+        emitted.append(graph)
+        return emit_graph6(graph)
+
+    monkeypatch.setattr(search, "emit_graph6", counting_emit)
+    assert ir_exact(g, h, fresh, n_max=5, cache=cache) == first
+    assert emitted == [g, h]
+
+
 def test_tampered_notarrows_witness_is_recomputed(tmp_path, catalog):
     cache_file = tmp_path / "cache.json"
     cache = ResultCache(cache_file)
