@@ -18,10 +18,15 @@ k) and cached; a sweep over many pattern pairs then filters them once per
 (host, pattern), and keeps the masks. The search's index of each mask
 family by edge is kept too, so it is built once per family.
 
-A host with no copy of g needs no search: coloring every edge red refutes
-it, and that is the least refuting coloring, the one the search reaches
-first. The embedder checks that the host holds no g at all, a fact cached
-per (host, pattern, kind) like the masks.
+Every refuting coloring the search returns is checked against copy lists
+that share no code with the masks: the embedder lists each copy of a
+pattern once, as an edge bitset, and the list is cached per (host,
+pattern, kind) like the masks. A coloring refutes when no copy of g lies
+inside its red edges and no copy of h inside its blue ones, so each check
+is one bit test per copy, not an embedding search per coloring. A host
+with no copy of g needs no search: coloring every edge red refutes it, and
+that is the least refuting coloring, the one the search reaches first; its
+check is that the host's list of g copies is empty.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -41,7 +46,7 @@ from itertools import combinations
 
 from .coloring import EdgeColoring, _intern
 from .errors import PreconditionError
-from .graphs import Graph, _bits, complete, find_induced_embedding
+from .graphs import Graph, _bits, _embeddings, complete
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def _result(arrows: bool, witness: EdgeColoring | None, leaves: int, prunes: int
     return res
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotFoundBelow:
     """Outcome of a bounded minimum search that exhausted its order budget."""
 
@@ -314,9 +319,11 @@ def _search(n_edges, red_masks, blue_masks, swaps=()):
     return None, 0, prunes
 
 
-def _edge_rows(n: int, edges, edge_set: int) -> tuple[int, ...]:
-    """Neighbour bitmask per vertex of the edges whose bits edge_set holds."""
-    rows = [0] * n
+def _edge_rows(f: Graph, edge_set: int) -> tuple[int, ...]:
+    """Neighbour bitmask per vertex of f of the edges whose _edge_order(f)
+    bits edge_set holds."""
+    edges = _edge_order(f)
+    rows = [0] * f.n
     while edge_set:
         low = edge_set & -edge_set
         edge_set ^= low
@@ -326,60 +333,83 @@ def _edge_rows(n: int, edges, edge_set: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-# The same (host, pattern, kind) facts as _copy_masks, asked as often.
+@lru_cache(maxsize=_SWEEP_HOSTS)
+def _rebuilds(f: Graph) -> bool:
+    """Whether the edges of _edge_order(f) make up f.adj exactly."""
+    return _edge_rows(f, (1 << len(_edge_order(f))) - 1) == f.adj
+
+
+# The same (host, pattern, kind) triples as _copy_masks.
 @lru_cache(maxsize=14 * _SWEEP_HOSTS)
-def _embeds(f: Graph, pattern: Graph, induced: bool) -> bool:
-    """Whether f holds a copy of pattern, by the embedder."""
-    return find_induced_embedding(f, pattern, None, induced) is not None
+def _copies(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
+    """Bitmask over f's edges, in _edge_order(f) order, of each copy of
+    pattern in f, from the embedder.
+
+    The embedder yields one embedding per copy, and a copy's mask holds the
+    images of pattern's edges: for an induced copy those are the host edges
+    inside it. This shares no code with _copy_masks, which builds the same
+    masks from the subset tables.
+    """
+    bit = [[0] * f.n for _ in range(f.n)]
+    for i, (u, v) in enumerate(_edge_order(f)):
+        bit[u][v] = bit[v][u] = 1 << i
+    pairs = pattern.edges()
+    return tuple(sorted({
+        sum(bit[image[a]][image[b]] for a, b in pairs)
+        for image in _embeddings(f, pattern, None, induced)
+    }))
 
 
 def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
-    """(red_rows, blue_rows) of the least refuting coloring of f, checked, or
+    """(red_set, blue_set) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
 
-    The rows are neighbour bitmasks per vertex of f, as in Graph.adj, built
-    from the search's edge bitsets. The check reads them and shares no code
-    with the copy masks: the sides must be disjoint and cover f's edges, and
-    the embedder must find no red g and no blue h on them. Any failure
-    raises AssertionError, as it can only be a fault in the search.
+    The sides are edge bitsets in _edge_order(f) index, as the search gives
+    them. The check shares no code with the copy masks: the sides must be
+    disjoint, lie inside and cover f's edges (whose order is checked once
+    per host to rebuild f.adj), and no copy of g from _copies may lie inside
+    the red side, nor a copy of h inside the blue side. Any failure raises
+    AssertionError, as it can only be a fault in the search.
 
     A host with no copy of g is settled without a search: coloring every
     edge red refutes it, and that is the least refuting coloring, the one
     the search reaches first with no conflict and no cut (no edge is blue),
-    so leaves and prunes are 1 and 0. Its check is that the embedder finds
-    no g in f itself; the blue side is empty and holds no h.
+    so leaves and prunes are 1 and 0. Its check is that _copies finds no g
+    in f; the blue side is empty and holds no h.
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
+    n_edges = len(_edge_order(f))
+    full = (1 << n_edges) - 1
     red_masks = _copy_masks(f, g, induced)
     if not red_masks:
-        if _embeds(f, g, induced):
+        if _copies(f, g, induced):
             raise AssertionError("search returned a coloring with a red copy of g")
-        return (f.adj, (0,) * f.n), 1, 0
-    edges = _edge_order(f)
+        return (full, 0), 1, 0
     blue_masks = _copy_masks(f, h, induced)
-    found, leaves, prunes = _search(len(edges), red_masks, blue_masks, _twin_swaps(f))
+    found, leaves, prunes = _search(n_edges, red_masks, blue_masks, _twin_swaps(f))
     if found is None:
         return None, leaves, prunes
     red_set, blue_set = found
-    if red_set & blue_set or (red_set | blue_set) >> len(edges):
+    if red_set & blue_set or (red_set | blue_set) >> n_edges:
         raise AssertionError("search colored an edge twice or a non-edge")
-    red_rows = _edge_rows(f.n, edges, red_set)
-    blue_rows = _edge_rows(f.n, edges, blue_set)
-    if tuple(map(int.__or__, red_rows, blue_rows)) != f.adj:
+    if red_set | blue_set != full or not _rebuilds(f):
         raise AssertionError("search left host edges uncolored")
-    if find_induced_embedding(f, g, red_rows, induced) is not None:
+    # a copy lies inside a side when none of its edges is outside it
+    if not all(map((~red_set).__and__, _copies(f, g, induced))):
         raise AssertionError("search returned a coloring with a red copy of g")
-    if find_induced_embedding(f, h, blue_rows, induced) is not None:
+    if not all(map((~blue_set).__and__, _copies(f, h, induced))):
         raise AssertionError("search returned a coloring with a blue copy of h")
-    return (red_rows, blue_rows), leaves, prunes
+    return found, leaves, prunes
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
-    rows, leaves, prunes = _refute(f, g, h, induced)
-    if rows is None:
+    found, leaves, prunes = _refute(f, g, h, induced)
+    if found is None:
         return _result(True, None, leaves, prunes)
-    return _result(False, _intern(f.n, *rows), leaves, prunes)
+    red_set, blue_set = found
+    witness = _intern(f.n, _edge_rows(f, red_set), _edge_rows(f, blue_set))
+    return _result(False, witness, leaves, prunes)
 
 
 def strongly_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingResult:

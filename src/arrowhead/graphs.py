@@ -315,46 +315,84 @@ def find_induced_embedding(
     allowed: tuple[int, ...] | None = None,
     induced: bool = True,
 ) -> Embedding | None:
-    """First embedding of pattern in host, or None.
+    """First embedding of pattern in host, or None: the first one that
+    _embeddings yields.
 
     This one backtracker serves both kinds of containment: an induced
     embedding maps edges to edges and non-edges to non-edges; with
-    induced=False only pattern edges must land on host edges. Pattern vertices
-    are assigned in index order and each one's candidates are taken lowest
-    vertex first, so the embedding found first is the lexicographically
-    smallest one; a fixed input always reproduces the same witness. allowed,
-    when given, is one neighbour bitmask per host vertex, and every pattern
-    edge must then land on a host edge that its row allows (for an induced
-    embedding those are exactly the host edges inside the image).
-
-    The candidates for pattern vertex i form one bitmask: the unused host
-    vertices, intersected with the edge row of the image of each earlier
-    neighbour of i and, when induced, with the complement of the host row of
-    the image of each earlier non-neighbour. A host whose usable edges are
-    fewer than pattern's has no embedding and is answered without a search.
+    induced=False only pattern edges must land on host edges. The embedding
+    found first is the lexicographically smallest one, so a fixed input
+    always reproduces the same witness. allowed, when given, is one
+    neighbour bitmask per host vertex, and every pattern edge must then land
+    on a host edge that its row allows (for an induced embedding those are
+    exactly the host edges inside the image).
     """
-    p = pattern.n
-    if p > host.n:
-        return None
-    if p == 0:
-        return Embedding(0, ())
-    adj = host.adj
-    rows = adj if allowed is None else tuple(map(int.__and__, adj, allowed))
-    joined, apart, ends = _placement_plan(pattern, induced)
-    if sum(map(int.bit_count, rows)) < ends:
-        return None
-    full = (1 << host.n) - 1
-    image = [0] * p
+    image = next(_embeddings(host, pattern, allowed, induced), None)
+    return None if image is None else Embedding(pattern.n, image)
+
+
+def _embeddings(
+    host: Graph,
+    pattern: Graph,
+    allowed: tuple[int, ...] | None = None,
+    induced: bool = True,
+) -> Iterator[tuple[int, ...]]:
+    """One embedding of pattern in host per copy, as image tuples, in
+    lexicographic order.
+
+    Embeddings that differ by an automorphism of pattern are one copy, and
+    of those only the lexicographically least is yielded (the lex-leader
+    rule): for each automorphism sigma other than the identity, with i its
+    first moved vertex, the image of i must be below the image of sigma(i).
+    The least embedding of all is the least of its copy, so it comes first.
+    A host whose usable edges are fewer than pattern's has no embedding and
+    is answered without a search.
+    """
+    if pattern.n > host.n:
+        return iter(())
+    rows = host.adj if allowed is None else tuple(map(int.__and__, host.adj, allowed))
+    plan = _placement_plan(pattern, induced)
+    if sum(map(int.bit_count, rows)) < plan[3]:  # ends: twice the edge count
+        return iter(())
+    return _walk(host.adj, rows, plan)
+
+
+def _walk(adj, rows, plan, start=()):
+    """Embeddings as image tuples, in lexicographic order, that begin with
+    the images in start, a prefix the caller has checked.
+
+    adj is the host's rows and rows its usable edge rows. Pattern vertices
+    are placed in index order, each one's candidates lowest vertex first.
+    The candidates for pattern vertex i form one bitmask: the unused host
+    vertices, intersected with the usable row of the image of each earlier
+    neighbour of i (plan's joined), with the complement of the host row of
+    the image of each earlier non-neighbour (apart), and with the vertices
+    above the image of each earlier vertex named in above.
+    """
+    joined, apart, above, _ = plan
+    p = len(joined)
+    if not p:
+        yield ()
+        return
+    full = (1 << len(adj)) - 1
+    image = [*start] + [0] * (p - len(start))
     untried = [0] * p  # candidates of each placed vertex not tried yet
-    used = 0
-    i = 0
+    used = i = 0
     cand = full
+    if start:  # the loop places start's last vertex, as its only candidate
+        i = len(start) - 1
+        cand = 1 << start[i]
+        for v in start[:i]:
+            used |= 1 << v
+    floor = i
     while True:
         if cand:
             low = cand & -cand
             image[i] = low.bit_length() - 1
             if i + 1 == p:
-                return Embedding(p, tuple(image))
+                yield tuple(image)
+                cand ^= low
+                continue
             untried[i] = cand ^ low
             used |= low
             i += 1
@@ -363,10 +401,12 @@ def find_induced_embedding(
                 cand &= rows[image[j]]
             for j in apart[i]:
                 cand &= ~adj[image[j]]
+            for j in above[i]:
+                cand &= -2 << image[j]  # the vertices above image[j]
         else:
             i -= 1
-            if i < 0:
-                return None
+            if i < floor:
+                return
             used ^= 1 << image[i]
             cand = untried[i]
 
@@ -374,13 +414,34 @@ def find_induced_embedding(
 # Cached because a sweep embeds the same few patterns in every host.
 @lru_cache(maxsize=128)
 def _placement_plan(pattern: Graph, induced: bool) -> tuple:
-    """(joined, apart, ends): for each pattern vertex i, its neighbours among
-    0..i-1 and, when induced, its non-neighbours among them; ends is twice
-    pattern's edge count, the sum of its row sizes."""
-    earlier = [(1 << i) - 1 for i in range(pattern.n)]
-    joined = tuple(tuple(_bits(row & low)) for row, low in zip(pattern.adj, earlier))
-    apart = tuple(tuple(_bits(~row & low)) if induced else () for row, low in zip(pattern.adj, earlier))
-    return joined, apart, 2 * pattern.edge_count()
+    """(joined, apart, above, ends): for each pattern vertex i, its
+    neighbours among 0..i-1, when induced its non-neighbours among them, and
+    the earlier vertices whose images must lie below i's; ends is twice
+    pattern's edge count, the sum of its row sizes.
+
+    above holds the lex-leader rule. An automorphism whose first moved
+    vertex is i fixes 0..i-1, so the vertices j it can send i to form the
+    orbit of i under the automorphisms fixing 0..i-1; each such j > i gets i
+    in above[j]. Whether some automorphism sends i to j is one walk of
+    pattern into itself from the start (0, ..., i - 1, j), so the group is
+    never listed whole.
+    """
+    n = pattern.n
+    adj = pattern.adj
+    earlier = [(1 << i) - 1 for i in range(n)]
+    joined = tuple(tuple(_bits(row & low)) for row, low in zip(adj, earlier))
+    apart = tuple(tuple(_bits(~row & low)) for row, low in zip(adj, earlier))
+    unordered = (joined, apart, ((),) * n, 0)
+    above: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # the start (0, ..., i - 1, j) holds when j meets 0..i-1 as i does
+            start = (*range(i), j)
+            if (adj[i] ^ adj[j]) & earlier[i] == 0 and next(_walk(adj, adj, unordered, start), None):
+                above[j].append(i)
+    if not induced:
+        apart = ((),) * n
+    return joined, apart, tuple(map(tuple, above)), 2 * pattern.edge_count()
 
 
 def find_subgraph_embedding(host: Graph, pattern: Graph) -> Embedding | None:

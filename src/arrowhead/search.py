@@ -7,21 +7,23 @@ so repeated sweeps pay neither again. ir_exact walks orders from 1 upward and
 inside an order walks graphs by ascending (edge count, graph6), so sparse
 hosts fail fast and the answer never depends on file line order. Each
 non-arrowing verdict rests on a refuting coloring that is re-verified:
-arrowing checks every one its search finds, on neighbour rows built from the
-search's edge bitsets with find_induced_embedding, and a cached one is
-checked again before it is believed. A sweep makes no ArrowingResult, and a
-cache stores a refuting coloring as JSON written from its rows; the copy
-masks behind each verdict are cached per (host, pattern), so the many
-pattern pairs of a sweep build each once. Verdicts are memoized
-in an append-only cache file, one JSON object per line, keyed by the literal
-g6 triple; keys are not canonicalized, so an isomorphic-but-relabeled query
-is simply a miss. A sweep emits the pattern pair's g6 strings once, and a
-Catalog keeps each host's g6 string beside its scan order, so building a
-key emits nothing. A host with no copy of g is refuted all red without a
-search, and its check is that the embedder finds no g in it at all
-(arrowing._refute). A process that has loaded a cache log parses
-only the lines appended to it since, so repeated sweeps on one growing cache
-do not re-read it whole.
+arrowing checks every one its search finds, on the search's edge bitsets,
+against per-host lists of the copies of g and h that the embedder builds,
+and a cached one is checked again with find_induced_embedding before it is
+believed. A sweep makes no ArrowingResult and builds no neighbour rows
+unless a cache stores the refuting coloring, as JSON written from them; the
+copy masks and copy lists behind each verdict are cached per (host,
+pattern), so the many pattern pairs of a sweep build each once. Verdicts
+are memoized in an append-only cache file, one JSON object per line, keyed
+by the literal g6 triple; keys are not canonicalized, so an
+isomorphic-but-relabeled query is simply a miss. A sweep emits the pattern
+pair's g6 strings once, and a Catalog keeps each host's g6 string beside
+its scan order, so building a key emits nothing. A host with no copy of g
+is refuted all red without a search, and its check is that its list of g
+copies is empty (arrowing._refute). A process that has loaded a cache log
+parses only the lines appended to it since, so repeated sweeps on one
+growing cache do not re-read it whole. A Catalog counts an order it has
+parsed as present without looking at its file again.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _refute
+from .arrowing import NotFoundBelow, _edge_rows, _refute
 from .coloring import EdgeColoring, verify_witness
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, emit_graph6, parse_graph6
@@ -43,7 +45,8 @@ class Catalog:
     """Directory of per-order graph6 files named n<order>.g6.
 
     Each file is read, parsed and checked once per instance, when first
-    asked for; a file changed on disk after that is not read again.
+    asked for; a file changed or removed on disk after that is not read
+    again, and its order still counts as present.
     """
 
     def __init__(self, directory):
@@ -55,7 +58,7 @@ class Catalog:
         return self.directory / f"n{order}.g6"
 
     def has_order(self, order: int) -> bool:
-        return self.path_for(order).is_file()
+        return order in self._graphs or self.path_for(order).is_file()
 
     def require_orders(self, n_max: int) -> None:
         missing = [k for k in range(1, n_max + 1) if not self.has_order(k)]
@@ -216,10 +219,10 @@ def _decide(
     f6, f's g6 string, is its head, emitted here when not given.
 
     A verdict the cache does not settle comes from one _refute call, which
-    checks the refuting coloring on neighbour rows; a cache stores it as JSON
-    written from those rows. Cached NotArrows entries are only believed if
-    their stored witness still verifies; anything suspect is recomputed and
-    overwritten.
+    checks the refuting coloring on its edge bitsets; a cache stores it as
+    JSON written from the neighbour rows built from them. Cached NotArrows
+    entries are only believed if their stored witness still verifies;
+    anything suspect is recomputed and overwritten.
     """
     if cache is not None:
         key = _key(emit_graph6(f) if f6 is None else f6, pair)
@@ -233,11 +236,13 @@ def _decide(
                     return False
             except ArrowheadError:
                 pass
-    rows = _refute(f, g, h, True)[0]
+    found = _refute(f, g, h, True)[0]
     if cache is not None:
-        witness = None if rows is None else EdgeColoring(f.n, *rows).to_json_dict()
-        cache.put(key, {"arrows": rows is None, "witness": witness})
-    return rows is None
+        witness = None
+        if found is not None:
+            witness = EdgeColoring(f.n, *(_edge_rows(f, side) for side in found)).to_json_dict()
+        cache.put(key, {"arrows": found is None, "witness": witness})
+    return found is None
 
 
 def _scan_order(g, h, catalog, order, cache, pair):
@@ -250,7 +255,7 @@ def _scan_order(g, h, catalog, order, cache, pair):
     return None, nonarrows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IRResult:
     pair: tuple[str, str]
     value: int

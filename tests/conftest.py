@@ -12,6 +12,12 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
+def sweep_patterns(catalog):
+    """The 14 patterns of a catalog sweep: the catalog graphs of order 2 to 4 with an edge."""
+    return [g for order in (2, 3, 4) for g in catalog.graphs(order) if g.edge_count()]
+
+
+@pytest.fixture(scope="session")
 def named():
     """Small graphs used across many tests, keyed by the usual shorthand."""
     return {

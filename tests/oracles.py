@@ -195,9 +195,9 @@ def plain_dfs_search(n_edges, red_masks, blue_masks):
     return None, leaves, prunes
 
 
-def brute_first_embedding(host: Graph, pattern: Graph, allowed=None, induced=True):
-    """The first map in permutations(range(host.n), pattern.n) order that
-    embeds pattern in host, as a tuple, or None.
+def brute_embeddings(host: Graph, pattern: Graph, allowed=None, induced=True):
+    """Every map in permutations(range(host.n), pattern.n) order that
+    embeds pattern in host, as tuples.
 
     A pattern edge a < b must land on a host edge (u, v) = (image[a],
     image[b]), and when allowed rows are given, allowed[u] must have bit v.
@@ -214,8 +214,12 @@ def brute_first_embedding(host: Graph, pattern: Graph, allowed=None, induced=Tru
             if not ok:
                 break
         if ok:
-            return image
-    return None
+            yield image
+
+
+def brute_first_embedding(host: Graph, pattern: Graph, allowed=None, induced=True):
+    """The first map that brute_embeddings lists, or None."""
+    return next(brute_embeddings(host, pattern, allowed, induced), None)
 
 
 class PairColoring:

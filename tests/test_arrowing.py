@@ -9,6 +9,7 @@ from arrowhead import arrowing
 from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
+    _copies,
     _copy_masks,
     _edge_order,
     _lex_larger_than_image,
@@ -139,27 +140,31 @@ def test_ramsey_asymmetric_pair():
 # ---------------------------------------------------------------------------
 # copy masks
 
-def test_copy_masks_match_oracles(catalog):
+def test_copy_masks_match_oracles(catalog, sweep_patterns):
     # induced masks are the interiors of induced vertex sets; non-induced
-    # masks are the edge images of pattern copies
+    # masks are the edge images of pattern copies. The check's copy lists,
+    # which the embedder builds, must hold the same masks.
+    assert len(sweep_patterns) == 14
     panel = [complete(2), path(3), complete(3), path(4), cycle(4), star(3), matching(2), complete(4)]
-    hosts = [g for order in range(1, 7) for g in catalog.graphs(order)]
-    hosts += [complete(n) for n in range(2, 9)]
-    for host in hosts:
+    cases = [(host, pat) for order in range(1, 7) for host in catalog.graphs(order) for pat in sweep_patterns]
+    cases += [(complete(n), pat) for n in range(2, 9) for pat in panel]
+    cases += [(complete(n), pat) for n in range(5, 10) for pat in (complete(3), complete(4), cycle(5))]
+    for host, pat in cases:
         edge_index = {e: i for i, e in enumerate(_edge_order(host))}
 
         def edge_sets(masks):
             assert masks == tuple(sorted(set(masks)))
             return {frozenset(e for e, i in edge_index.items() if (m >> i) & 1) for m in masks}
 
-        for pat in panel:
-            interiors = {
-                frozenset(e for e in combinations(verts, 2) if host.has_edge(*e))
-                for verts in brute_induced_copies(host, pat)
-            }
-            assert edge_sets(_copy_masks(host, pat, True)) == interiors, (host, pat)
-            images = set(brute_subgraph_copies(host, pat))
-            assert edge_sets(_copy_masks(host, pat, False)) == images, (host, pat)
+        interiors = {
+            frozenset(e for e in combinations(verts, 2) if host.has_edge(*e))
+            for verts in brute_induced_copies(host, pat)
+        }
+        images = set(brute_subgraph_copies(host, pat))
+        assert edge_sets(_copy_masks(host, pat, True)) == interiors, (host, pat)
+        assert edge_sets(_copy_masks(host, pat, False)) == images, (host, pat)
+        assert edge_sets(_copies(host, pat, True)) == interiors, (host, pat)
+        assert edge_sets(_copies(host, pat, False)) == images, (host, pat)
 
 
 # ---------------------------------------------------------------------------
@@ -513,4 +518,26 @@ def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog):
     with pytest.raises(AssertionError, match="red copy"):
         arrows_complete_non_induced(6, k3, k3)
     with pytest.raises(AssertionError, match="red copy"):
+        ir_exact(k3, k3, catalog, n_max=6, cache=None)
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_a_dropped_copy_mask_is_caught(monkeypatch, catalog, dropped):
+    # masks missing one copy let the search return a coloring in which that
+    # copy is monochromatic; the check's copy lists come from the embedder
+    real = arrowing._copy_masks
+
+    def one_dropped(f, pattern, induced):
+        masks = list(real(f, pattern, induced))
+        if len(masks) > 1:  # a family left empty would take the all-red shortcut
+            del masks[dropped]
+        return tuple(masks)
+
+    k3 = complete(3)
+    monkeypatch.setattr(arrowing, "_copy_masks", one_dropped)
+    with pytest.raises(AssertionError, match="(red|blue) copy"):
+        strongly_arrows(complete(5), k3, k3)
+    with pytest.raises(AssertionError, match="(red|blue) copy"):
+        arrows_complete_non_induced(5, k3, k3)
+    with pytest.raises(AssertionError, match="(red|blue) copy"):
         ir_exact(k3, k3, catalog, n_max=6, cache=None)

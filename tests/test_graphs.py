@@ -7,6 +7,7 @@ from arrowhead.errors import Graph6Error, OrderLimitError
 from arrowhead.graphs import (
     Embedding,
     Graph,
+    _embeddings,
     check_embedding,
     chromatic_number,
     clique_number,
@@ -36,6 +37,7 @@ from .conftest import random_graph
 from .oracles import (
     brute_chromatic,
     brute_clique,
+    brute_embeddings,
     brute_first_embedding,
     brute_independence,
     brute_induced_copies,
@@ -249,8 +251,8 @@ def test_graph6_round_trip_random():
 # ---------------------------------------------------------------------------
 # embeddings
 
-def test_find_induced_embedding_matches_oracle(catalog):
-    patterns = [path(3), complete(3), matching(2), path(4)]
+def test_find_induced_embedding_matches_oracle(catalog, sweep_patterns):
+    patterns = sweep_patterns + [cycle(5)]
     rng = random.Random(3)
     for host in catalog.graphs(5):
         rows = [0] * host.n  # allowed rows over random pairs, host edges or not
@@ -282,6 +284,29 @@ def test_find_induced_embedding_matches_oracle(catalog):
                     emb = find_induced_embedding(host, pat, allowed, induced)
                     first = brute_first_embedding(host, pat, allowed, induced)
                     assert (emb.map if emb else None) == first, (host, pat, allowed, induced)
+
+
+def test_embeddings_yield_one_per_copy(catalog, sweep_patterns):
+    # embeddings that differ by an automorphism of the pattern are one copy;
+    # each one yielded is the least of its copy, and there are as many as
+    # copies: all embeddings over the automorphism count
+    hosts = [g for order in range(1, 6) for g in catalog.graphs(order)]
+    hosts += [complete(n) for n in range(5, 9)]
+    for pat in sweep_patterns + [cycle(5)]:
+        auts = list(brute_embeddings(pat, pat))
+        for host in hosts:
+            if host.n > 5 and pat != cycle(5):
+                continue
+            for induced in (True, False):
+                got = list(_embeddings(host, pat, None, induced))
+                assert got == sorted(set(got)), (host, pat, induced)
+                for image in got:
+                    assert check_embedding(host, pat, Embedding(pat.n, image), induced=induced)
+                    assert image == min(tuple(image[s[v]] for v in range(pat.n)) for s in auts)
+                every = sum(1 for _ in brute_embeddings(host, pat, None, induced))
+                assert len(got) * len(auts) == every, (host, pat, induced)
+    # a non-induced C5 in K8: 6,720 embeddings, 672 copies
+    assert len(list(_embeddings(complete(8), cycle(5), None, False))) == 672
 
 
 def test_find_induced_embedding_is_deterministic():

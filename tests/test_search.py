@@ -59,6 +59,15 @@ def test_catalog_gap_reporting(tmp_path):
         cat.require_orders(4)
     with pytest.raises(CatalogError, match="n5.g6"):
         cat.graphs(5)
+    # a parsed order stays present when its file goes; others are looked up
+    assert len(cat.graphs(2)) == 2
+    (tmp_path / "n2.g6").unlink()
+    assert cat.has_order(2)
+    cat.require_orders(2)
+    assert len(cat.graphs(2)) == 2
+    (tmp_path / "n1.g6").unlink()
+    with pytest.raises(CatalogError, match=r"\[1\]"):
+        cat.require_orders(2)
 
 
 def test_catalog_rejects_wrong_order_line(tmp_path):
