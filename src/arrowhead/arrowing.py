@@ -23,7 +23,9 @@ that share no code with the masks: the embedder lists each copy of a
 pattern once, as an edge bitset, and the list is cached per (host,
 pattern, kind) like the masks. A coloring refutes when no copy of g lies
 inside its red edges and no copy of h inside its blue ones, so each check
-is one bit test per copy, not an embedding search per coloring. A host
+is one bit test per copy, not an embedding search per coloring; a
+witness read back from a result cache is turned into edge bitsets and
+goes through the same check (_fault). A host
 with no copy of g needs no search: coloring every edge red refutes it, and
 that is the least refuting coloring, the one the search reaches first; its
 check is that the host's list of g copies is empty.
@@ -360,16 +362,38 @@ def _copies(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
     }))
 
 
+def _fault(
+    f: Graph, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int, n_edges: int
+) -> str | None:
+    """What keeps (red_set, blue_set) from refuting f -> (g, h), or None.
+
+    The sides are edge bitsets in _edge_order(f) index, and n_edges is the
+    number of f's edges; g and h have an edge each. The check shares no code
+    with the copy masks: the sides must be disjoint, lie inside and cover
+    f's edges (whose order is checked once per host to rebuild f.adj), and
+    no copy of g from _copies may lie inside the red side, nor a copy of h
+    inside the blue side. An empty blue side holds no copy of h, so its
+    list is not built.
+    """
+    if red_set & blue_set or (red_set | blue_set) >> n_edges:
+        return "search colored an edge twice or a non-edge"
+    if red_set | blue_set != (1 << n_edges) - 1 or not _rebuilds(f):
+        return "search left host edges uncolored"
+    # a copy lies inside a side when none of its edges is outside it
+    if not all(map((~red_set).__and__, _copies(f, g, induced))):
+        return "search returned a coloring with a red copy of g"
+    if blue_set and not all(map((~blue_set).__and__, _copies(f, h, induced))):
+        return "search returned a coloring with a blue copy of h"
+    return None
+
+
 def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
     """(red_set, blue_set) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
 
     The sides are edge bitsets in _edge_order(f) index, as the search gives
-    them. The check shares no code with the copy masks: the sides must be
-    disjoint, lie inside and cover f's edges (whose order is checked once
-    per host to rebuild f.adj), and no copy of g from _copies may lie inside
-    the red side, nor a copy of h inside the blue side. Any failure raises
-    AssertionError, as it can only be a fault in the search.
+    them, and _fault checks them. Any fault raises AssertionError, as it
+    can only be a fault in the search.
 
     A host with no copy of g is settled without a search: coloring every
     edge red refutes it, and that is the least refuting coloring, the one
@@ -380,27 +404,72 @@ def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
     n_edges = len(_edge_order(f))
-    full = (1 << n_edges) - 1
     red_masks = _copy_masks(f, g, induced)
     if not red_masks:
         if _copies(f, g, induced):
             raise AssertionError("search returned a coloring with a red copy of g")
-        return (full, 0), 1, 0
+        return ((1 << n_edges) - 1, 0), 1, 0
     blue_masks = _copy_masks(f, h, induced)
     found, leaves, prunes = _search(n_edges, red_masks, blue_masks, _twin_swaps(f))
-    if found is None:
-        return None, leaves, prunes
-    red_set, blue_set = found
-    if red_set & blue_set or (red_set | blue_set) >> n_edges:
-        raise AssertionError("search colored an edge twice or a non-edge")
-    if red_set | blue_set != full or not _rebuilds(f):
-        raise AssertionError("search left host edges uncolored")
-    # a copy lies inside a side when none of its edges is outside it
-    if not all(map((~red_set).__and__, _copies(f, g, induced))):
-        raise AssertionError("search returned a coloring with a red copy of g")
-    if not all(map((~blue_set).__and__, _copies(f, h, induced))):
-        raise AssertionError("search returned a coloring with a blue copy of h")
+    if found is not None:
+        fault = _fault(f, g, h, induced, *found, n_edges)
+        if fault is not None:
+            raise AssertionError(fault)
     return found, leaves, prunes
+
+
+# Not shared with _subset_table's map of the same pairs, so that checking a
+# stored witness shares no code with the copy masks.
+@lru_cache(maxsize=_SWEEP_HOSTS)
+def _edge_bits(f: Graph) -> dict[tuple[int, int], int]:
+    """(u, v) -> 1 << its _edge_order(f) index, for each edge u < v of f;
+    one dict per host, read and never changed by its callers."""
+    return {e: 1 << i for i, e in enumerate(_edge_order(f))}
+
+
+def _witness_sets(f: Graph, data) -> tuple[int, int] | None:
+    """(red_set, blue_set) of a stored witness of f, as edge bitsets in
+    _edge_order(f) index, or None when it is malformed.
+
+    The witness is {"n": f.n, "red": pairs, "blue": pairs}, each pair an
+    [int, int] list [u, v] that is an edge of f with u < v, and no pair
+    named twice on one side; None is returned for exactly the JSON that
+    EdgeColoring.from_json_dict plus check_against would reject, short of
+    an edge on both sides or one on neither, which _fault finds.
+    """
+    if type(data) is not dict or data.keys() != {"n", "red", "blue"}:
+        return None
+    n = data["n"]
+    if type(n) is not int or n != f.n:
+        return None
+    bits = _edge_bits(f)
+    sides = []
+    for pairs in (data["red"], data["blue"]):
+        if type(pairs) is not list:
+            return None
+        side = 0
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            u, v = pair
+            # True and 1.0 would match the key 1
+            if type(u) is not int or type(v) is not int:
+                return None
+            bit = bits.get((u, v), 0)
+            if not bit or side & bit:
+                return None
+            side |= bit
+        sides.append(side)
+    return sides[0], sides[1]
+
+
+def _witness_json(f: Graph, red_set: int, blue_set: int) -> dict:
+    """The stored witness of the coloring of f with these edge bitsets:
+    {"n": f.n, "red": pairs, "blue": pairs}, each side its sorted [u, v]
+    lists, u < v."""
+    edges = _edge_order(f)
+    red, blue = (sorted(list(edges[i]) for i in _bits(side)) for side in (red_set, blue_set))
+    return {"n": f.n, "red": red, "blue": blue}
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:

@@ -137,7 +137,8 @@ class EdgeColoring:
         if not isinstance(data, dict) or set(data) != {"n", "red", "blue"}:
             raise ColoringMismatchError('coloring JSON must have exactly the keys "n", "red", "blue"')
         n = data["n"]
-        if not isinstance(n, int) or n < 0:
+        # JSON true and false are not integers, though Python's bools are ints
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ColoringMismatchError('"n" must be a non-negative integer')
         sides = {}
         for key in (RED, BLUE):
@@ -149,7 +150,7 @@ class EdgeColoring:
                 if (
                     not isinstance(item, list)
                     or len(item) != 2
-                    or not all(isinstance(x, int) for x in item)
+                    or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
                 ):
                     raise ColoringMismatchError(f'"{key}" entries must be [u, v] integer pairs')
                 u, v = item

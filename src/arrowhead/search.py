@@ -6,12 +6,13 @@ keeps its scan order, and bundled_catalog() hands out one shared instance,
 so repeated sweeps pay neither again. ir_exact walks orders from 1 upward and
 inside an order walks graphs by ascending (edge count, graph6), so sparse
 hosts fail fast and the answer never depends on file line order. Each
-non-arrowing verdict rests on a refuting coloring that is re-verified:
-arrowing checks every one its search finds, on the search's edge bitsets,
-against per-host lists of the copies of g and h that the embedder builds,
-and a cached one is checked again with find_induced_embedding before it is
-believed. A sweep makes no ArrowingResult and builds no neighbour rows
-unless a cache stores the refuting coloring, as JSON written from them; the
+non-arrowing verdict rests on a refuting coloring that is re-verified on
+its edge bitsets, against per-host lists of the copies of g and h that the
+embedder builds: arrowing checks every one its search finds, and a cached
+one is read back into edge bitsets and put through the same check
+(arrowing._fault) on every hit before it is believed. A sweep makes no
+ArrowingResult, no EdgeColoring and no neighbour rows; a cache stores the
+refuting coloring as sorted [u, v] lists written from the bitsets. The
 copy masks and copy lists behind each verdict are cached per (host,
 pattern), so the many pattern pairs of a sweep build each once. Verdicts
 are memoized in an append-only cache file, one JSON object per line, keyed
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _edge_rows, _refute
-from .coloring import EdgeColoring, verify_witness
+from .arrowing import NotFoundBelow, _edge_order, _fault, _refute, _witness_json, _witness_sets
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, emit_graph6, parse_graph6
 
@@ -147,7 +147,8 @@ class ResultCache:
     instance folds into its own dict, so a put reaches later loads only
     through the file. Verdicts are held as JSON text and parsed by get, so
     the remembered log costs about its size on disk, not several times that
-    in parsed witnesses.
+    in parsed witnesses. A put encodes its verdict once, sorted by key, and
+    that text is both the entry and the body of its log line.
     """
 
     def __init__(self, path):
@@ -190,9 +191,10 @@ class ResultCache:
         return None if text is None else json.loads(text)
 
     def put(self, key: str, verdict: dict) -> None:
-        self._data[key] = json.dumps(verdict)
+        text = self._data[key] = json.dumps(verdict, sort_keys=True)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({key: verdict}, sort_keys=True) + "\n"
+        # the bytes of json.dumps({key: verdict}, sort_keys=True), verdict encoded once
+        line = "{" + json.dumps(key) + ": " + text + "}\n"
         with open(self.path, "a+b") as log:
             _flock(log)
             log.seek(max(log.seek(0, 2) - 1, 0))
@@ -220,9 +222,10 @@ def _decide(
 
     A verdict the cache does not settle comes from one _refute call, which
     checks the refuting coloring on its edge bitsets; a cache stores it as
-    JSON written from the neighbour rows built from them. Cached NotArrows
-    entries are only believed if their stored witness still verifies;
-    anything suspect is recomputed and overwritten.
+    JSON written from them. A cached NotArrows entry is believed only when
+    its stored witness parses into edge bitsets (_witness_sets) and they
+    pass _refute's check (_fault), on every hit; anything suspect is
+    recomputed and overwritten.
     """
     if cache is not None:
         key = _key(emit_graph6(f) if f6 is None else f6, pair)
@@ -230,17 +233,12 @@ def _decide(
         if hit is not None:
             if hit["arrows"]:
                 return True
-            try:
-                witness = EdgeColoring.from_json_dict(hit["witness"])
-                if verify_witness(f, witness, g, h) is None:
-                    return False
-            except ArrowheadError:
-                pass
+            sides = _witness_sets(f, hit.get("witness"))
+            if sides is not None and _fault(f, g, h, True, *sides, len(_edge_order(f))) is None:
+                return False
     found = _refute(f, g, h, True)[0]
     if cache is not None:
-        witness = None
-        if found is not None:
-            witness = EdgeColoring(f.n, *(_edge_rows(f, side) for side in found)).to_json_dict()
+        witness = None if found is None else _witness_json(f, *found)
         cache.put(key, {"arrows": found is None, "witness": witness})
     return found is None
 

@@ -204,6 +204,8 @@ def test_json_round_trip():
         {"n": 3, "red": [[0, 3]], "blue": []},
         {"n": 3, "red": [[0, 1], [0, 1]], "blue": []},
         {"n": 3, "red": [[0, 1]], "blue": [[0, 1]]},
+        {"n": 3, "red": [[False, 1]], "blue": []},
+        {"n": True, "red": [], "blue": []},
     ],
 )
 def test_json_schema_violations(data):

@@ -5,12 +5,22 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrowhead import search
-from arrowhead.arrowing import NotFoundBelow, strongly_arrows
+from arrowhead import arrowing, coloring, graphs, search
+from arrowhead.arrowing import NotFoundBelow, _edge_order, _fault, _witness_sets, strongly_arrows
 from arrowhead.coloring import EdgeColoring, verify_witness
-from arrowhead.errors import CatalogError, PreconditionError
-from arrowhead.graphs import complete, cycle, emit_graph6, matching, parse_graph6, path
+from arrowhead.errors import ArrowheadError, CatalogError, PreconditionError
+from arrowhead.graphs import (
+    complete,
+    cycle,
+    emit_graph6,
+    find_induced_embedding,
+    matching,
+    parse_graph6,
+    path,
+)
 from arrowhead.search import (
     DEFAULT_ORDER_CAP,
     Catalog,
@@ -331,6 +341,247 @@ def test_tampered_notarrows_witness_is_recomputed(tmp_path, catalog):
     res = ir_exact(matching(2), complete(2), catalog, n_max=4, cache=ResultCache(cache_file))
     assert isinstance(res, IRResult)
     assert res.value == 4
+
+
+def _host_of(key, g, h):
+    """The host of a cache key for the pattern pair (g, h); graph6 lines may
+    hold "|", so the key is cut at its known tail."""
+    return parse_graph6(key[: -len(f"|{emit_graph6(g)}|{emit_graph6(h)}")])
+
+
+def _refuted(witness):
+    return {"arrows": False, "witness": witness}
+
+
+def _red_copy_of_g(host, w):
+    if find_induced_embedding(host, path(4)) is not None:
+        return _refuted({"n": w["n"], "red": sorted(w["red"] + w["blue"]), "blue": []})
+
+
+def _blue_copy_of_h(host, w):
+    if find_induced_embedding(host, complete(3)) is not None:
+        return _refuted({"n": w["n"], "red": [], "blue": sorted(w["red"] + w["blue"])})
+
+
+def _pair_on_a_non_edge(host, w):
+    gaps = [[u, v] for u in range(host.n) for v in range(u + 1, host.n) if not host.has_edge(u, v)]
+    if gaps:
+        return _refuted({**w, "red": w["red"] + gaps[:1]})
+
+
+def _pair_repeated_in_one_side(host, w):
+    if w["red"]:
+        return _refuted({**w, "red": w["red"] + w["red"][:1]})
+
+
+def _edge_on_both_sides(host, w):
+    if w["red"]:
+        return _refuted({**w, "blue": w["blue"] + w["red"][:1]})
+
+
+def _order_off_by_one(host, w):
+    return _refuted({**w, "n": w["n"] + 1})
+
+
+def _boolean_vertex(host, w):
+    # [0, v] or [1, v] with a JSON boolean for the 0 or 1: the same edge to
+    # Python, but not an integer pair
+    for side in ("red", "blue"):
+        for i, (u, v) in enumerate(w[side]):
+            if u < 2:
+                pairs = list(w[side])
+                pairs[i] = [bool(u), v]
+                return _refuted({**w, side: pairs})
+
+
+def _reversed_pair(host, w):
+    if w["red"]:
+        return _refuted({**w, "red": [w["red"][0][::-1]] + w["red"][1:]})
+
+
+def _witness_left_out(host, w):
+    return {"arrows": False}
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_red_copy_of_g, _blue_copy_of_h, _pair_on_a_non_edge, _pair_repeated_in_one_side,
+     _edge_on_both_sides, _order_off_by_one, _boolean_vertex, _reversed_pair, _witness_left_out],
+    ids=lambda tamper: tamper.__name__.strip("_"),
+)
+def test_a_suspect_cached_witness_is_recomputed(tmp_path, catalog, tamper):
+    # One stored P4/K3 verdict is replaced by a tampered one; the next sweep
+    # must recompute it and log the cache-less answer as one new line.
+    g, h = path(4), complete(3)
+    cache_file = tmp_path / "cache.json"
+    first = ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file))
+    for key, entry in read_cache_log(cache_file).items():
+        host = _host_of(key, g, h)
+        if not entry["arrows"] and entry["witness"]["red"] and entry["witness"]["blue"]:
+            tampered = tamper(host, entry["witness"])
+            if tampered is not None:
+                break
+    else:
+        pytest.fail("no stored witness to tamper with")
+    with open(cache_file, "a") as log:
+        log.write(json.dumps({key: tampered}, sort_keys=True) + "\n")
+    before = cache_file.read_text().splitlines()
+
+    assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == first
+    lines = cache_file.read_text().splitlines()
+    truth = strongly_arrows(host, g, h)
+    assert lines[:-1] == before
+    assert lines[-1] == json.dumps(
+        {key: {"arrows": False, "witness": truth.witness.to_json_dict()}}, sort_keys=True
+    )
+
+
+def _stored_witness_mutations(draw, host, data):
+    """data with up to two malformed or misleading edits drawn."""
+    n = host.n
+    vertex = st.one_of(st.integers(-1, n + 1), st.booleans(), st.sampled_from([0.0, 1.0, "0", None]))
+    for _ in range(draw(st.integers(0, 2))):
+        side = draw(st.sampled_from(["red", "blue"]))
+        other = "blue" if side == "red" else "red"
+        pairs = data.get(side)
+        if not isinstance(pairs, list):
+            break
+        edit = draw(st.sampled_from([
+            "drop", "move", "both", "repeat", "reverse", "vertex", "pair", "n",
+            "key", "side", "shape",
+        ]))
+        i = draw(st.integers(0, max(len(pairs) - 1, 0)))
+        pairs = list(pairs)
+        if edit == "drop" and pairs:
+            del pairs[i]
+        elif edit == "move" and pairs and isinstance(data.get(other), list):
+            data[other] = data[other] + [pairs.pop(i)]
+        elif edit == "both" and pairs and isinstance(data.get(other), list):
+            data[other] = data[other] + [pairs[i]]
+        elif edit == "repeat" and pairs:
+            pairs.append(pairs[i])
+        elif edit == "reverse" and pairs and isinstance(pairs[i], list):
+            pairs[i] = pairs[i][::-1]
+        elif edit == "vertex" and pairs and isinstance(pairs[i], list) and pairs[i]:
+            pairs[i] = [draw(vertex)] + pairs[i][1:]
+        elif edit == "pair":
+            pairs.append([draw(vertex), draw(vertex)])
+        elif edit == "n":
+            data["n"] = draw(st.one_of(st.integers(n - 1, n + 1), st.booleans(), st.just(str(n))))
+        elif edit == "key":
+            data.pop(draw(st.sampled_from(["n", "red", "blue"])), None)
+            if draw(st.booleans()):
+                data["extra"] = 0
+        elif edit == "side":
+            pairs = draw(st.sampled_from([None, {}, "", 0]))
+        elif edit == "shape" and pairs:
+            pairs[i] = draw(st.sampled_from([[], [0], [0, 1, 2], (0, 1), "01", {"0": 1}, [[0], 1]]))
+        data[side] = pairs
+    return data
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8), st.floats(allow_nan=False), st.text(max_size=2)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patterns, data):
+    # The cached-hit check (parse to edge bitsets, then _fault) against the
+    # reference pair EdgeColoring.from_json_dict + verify_witness, on stored
+    # witnesses that are real, recoloured, edited or arbitrary JSON.
+    host = data.draw(st.sampled_from([f for order in range(1, 7) for f in catalog.graphs(order)]))
+    g = data.draw(st.sampled_from(sweep_patterns))
+    h = data.draw(st.sampled_from(sweep_patterns))
+    start = data.draw(st.sampled_from(["witness", "recoloured", "json"]))
+    truth = strongly_arrows(host, g, h)
+    if start == "json":
+        stored = data.draw(st.recursive(
+            JSON_SCALARS,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.sampled_from(["n", "red", "blue", "x"]), inner, max_size=4),
+            max_leaves=12,
+        ))
+    else:
+        if start == "witness" and truth.witness is not None:
+            stored = truth.witness.to_json_dict()
+        else:
+            red = data.draw(st.lists(st.booleans(), min_size=host.edge_count(), max_size=host.edge_count()))
+            edges = [list(e) for e in sorted(host.edges())]
+            stored = {
+                "n": host.n,
+                "red": [e for e, r in zip(edges, red) if r],
+                "blue": [e for e, r in zip(edges, red) if not r],
+            }
+        stored = _stored_witness_mutations(data.draw, host, stored)
+
+    sides = _witness_sets(host, stored)
+    accepted = sides is not None and _fault(host, g, h, True, *sides, len(_edge_order(host))) is None
+    try:
+        expected = verify_witness(host, EdgeColoring.from_json_dict(stored), g, h) is None
+    except ArrowheadError:
+        expected = False
+    assert accepted == expected
+    if accepted:
+        assert truth.witness is not None
+
+
+def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog):
+    # Every hit of a second sweep is checked with bit tests against copy
+    # lists, rebuilt here from cleared caches by the embedder's generator:
+    # no witness object, no verify_witness, no single-embedding search, and
+    # no byte appended to the log.
+    g, h = path(4), complete(3)
+    cache_file = tmp_path / "cache.json"
+    first = ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file))
+    stored = read_cache_log(cache_file)
+    assert sum(not e["arrows"] and bool(e["witness"]["blue"]) for e in stored.values()) >= 50
+    data = cache_file.read_bytes()
+    for cached in (arrowing._copies, arrowing._rebuilds, arrowing._edge_bits, arrowing._edge_order):
+        cached.cache_clear()
+    calls = []
+
+    def refuse(name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called on a cache hit")
+        return counted
+
+    monkeypatch.setattr(coloring, "verify_witness", refuse("verify_witness"))
+    monkeypatch.setattr(EdgeColoring, "from_json_dict", staticmethod(refuse("from_json_dict")))
+    monkeypatch.setattr(graphs, "find_induced_embedding", refuse("find_induced_embedding"))
+    monkeypatch.setattr(coloring, "find_induced_embedding", refuse("find_induced_embedding"))
+    monkeypatch.setattr(arrowing, "_search", refuse("_search"))
+    assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == first
+    assert calls == []
+    assert cache_file.read_bytes() == data
+    assert arrowing._copies.cache_info().currsize > 0
+    assert not hasattr(search, "verify_witness") and not hasattr(search, "EdgeColoring")
+
+
+def test_stored_witnesses_are_the_cacheless_colorings(tmp_path, catalog):
+    g, h = path(4), complete(3)
+    cache_file = tmp_path / "cache.json"
+    ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file))
+    for key, entry in read_cache_log(cache_file).items():
+        truth = strongly_arrows(_host_of(key, g, h), g, h)
+        assert entry == {"arrows": truth.arrows, "witness": truth.witness and truth.witness.to_json_dict()}
+
+
+@pytest.mark.parametrize("key", ["Dx_|C~|Bw", "@|A_|A_", "k\\ey \"q\" \u00e9"])
+def test_put_line_is_the_sorted_json_of_one_entry(tmp_path, key):
+    cache_file = tmp_path / "cache.json"
+    cache = ResultCache(cache_file)
+    verdicts = [
+        {"witness": {"red": [[0, 1]], "n": 3, "blue": [[0, 2], [1, 2]]}, "arrows": False},
+        {"arrows": True, "witness": None},
+    ]
+    for verdict in verdicts:
+        cache.put(key, verdict)
+    expected = "".join(json.dumps({key: v}, sort_keys=True) + "\n" for v in verdicts)
+    assert cache_file.read_bytes() == expected.encode()
+    assert cache.get(key) == verdicts[-1]
 
 
 def test_persisted_witnesses_all_verify(tmp_path, catalog):
