@@ -12,16 +12,15 @@ The classical (non-induced, complete host) variant lives here too: it is
 the same search with ordinary instead of induced containment. Both build
 their copy masks with one builder, _copy_masks, which compares each host
 k-subset's adjacency code with the pattern's precomputed labelled codes
-instead of embedding the pattern subset by subset. The subsets' codes and
-interiors depend only on the host and k, so they are built once per (host,
-k) and cached; a sweep over many pattern pairs then filters them once per
-(host, pattern), and keeps the masks. The search's index of each mask
-family by edge is kept too, so it is built once per family.
+instead of embedding the pattern subset by subset. What is derived from
+one host lives in one record (_Host) that a decision looks up once: the
+subsets' codes and interiors per k, and per (pattern, kind) the search's
+index of the masks by edge and the check's copy lists, each built on first
+ask and kept, so a sweep over many pattern pairs builds each once per host.
 
 Every refuting coloring the search returns is checked against copy lists
 that share no code with the masks: the embedder lists each copy of a
-pattern once, as an edge bitset, and the list is cached per (host,
-pattern, kind) like the masks. A coloring refutes when no copy of g lies
+pattern once, as an edge bitset. A coloring refutes when no copy of g lies
 inside its red edges and no copy of h inside its blue ones, so each check
 is one bit test per copy, not an embedding search per coloring; a
 witness read back from a result cache is turned into edge bitsets and
@@ -91,27 +90,52 @@ class NotFoundBelow:
 
 
 # A catalog sweep to order 6 visits at most 1 + 2 + 4 + 11 + 34 + 156 = 208
-# hosts. The per-host caches below hold all of them, so a sweep over many
-# pattern pairs builds each host's tables once.
+# hosts and a dense-proof benchmark pass at most 182; _host keeps a record
+# for each, so a sweep over many pattern pairs builds each host's tables once.
 _SWEEP_HOSTS = 208
 
 
-@lru_cache(maxsize=_SWEEP_HOSTS)
-def _edge_order(f: Graph) -> tuple[tuple[int, int], ...]:
-    # Branch on busiest edges first: their color constrains the most copies.
-    return tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
+class _Host:
+    """What the search and its check derive from one host f. Built with the
+    record: edges (f's edges busiest first, the order of every edge bitset),
+    n_edges, bits ((u, v) -> edge bit, to read stored witnesses), rebuilds
+    (edges make up f.adj) and swaps; the rest through get, on first ask.
+    bits and the copy lists share no code with the subset tables and masks.
+    """
+
+    def __init__(self, f: Graph):
+        self.f = f
+        # Branch on busiest edges first: their color constrains the most copies.
+        self.edges = tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
+        self.n_edges = len(self.edges)
+        self.bits = {e: 1 << i for i, e in enumerate(self.edges)}
+        self.rebuilds = _edge_rows(self, (1 << self.n_edges) - 1) == f.adj
+        self.swaps = _twin_swaps(f, self.edges)
+        self._kept: dict = {}
+
+    def get(self, build, *args):
+        """build(self, *args), built on the first ask and kept."""
+        key = (build, *args)
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build(self, *args)
+        return value
 
 
 @lru_cache(maxsize=_SWEEP_HOSTS)
-def _twin_swaps(f: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+def _host(f: Graph) -> _Host:
+    return _Host(f)
+
+
+def _twin_swaps(f: Graph, edges) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
     """Edge permutations of f's twin transpositions, for the search's symmetry cuts.
 
     Vertices u and v are twins when their neighbourhoods agree outside
     {u, v}; swapping them is then an automorphism of f. Twinship is an
     equivalence relation, and the transpositions of consecutive members of
     each class are taken. Each is (a_mask, b_mask, pairs): pairs are the
-    edges it moves as (1 << a, 1 << b), a < b in _edge_order index, sorted
-    by a; a_mask and b_mask are the ORs of their a and b bits.
+    edges it moves as (1 << a, 1 << b), a < b in edges index, sorted by
+    a; a_mask and b_mask are the ORs of their a and b bits.
     """
     classes: list[list[int]] = []
     for v in range(f.n):
@@ -122,7 +146,7 @@ def _twin_swaps(f: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]],
                 break
         else:
             classes.append([v])
-    index = {e: i for i, e in enumerate(_edge_order(f))}
+    index = {e: i for i, e in enumerate(edges)}
     swaps = []
     for members in classes:
         for u, v in zip(members, members[1:]):
@@ -168,19 +192,17 @@ def _pattern_codes(pattern: Graph) -> dict[int, tuple[int, ...]]:
     return codes
 
 
-# Three tables per host: a sweep over the small patterns needs k = 2, 3 and 4.
-@lru_cache(maxsize=3 * _SWEEP_HOSTS)
-def _subset_table(f: Graph, k: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+def _subset_table(host: _Host, k: int) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """f's k-subsets grouped by adjacency code: code -> (interiors, edge bits).
 
     Bit t of a subset's code says whether its t-th vertex pair of
     combinations(verts, 2) is an edge of f, and that pair's edge bit is
-    1 << (its index in _edge_order(f)), or 0 for a non-edge. The interior
-    is the sum of the edge bits. None of it depends on the pattern.
+    1 << (its index in host.edges), or 0 for a non-edge. The interior is
+    the sum of the edge bits. None of it depends on the pattern.
     """
-    edge_bit = {e: 1 << i for i, e in enumerate(_edge_order(f))}
+    edge_bit = {e: 1 << i for i, e in enumerate(host.edges)}
     groups: dict[int, tuple[list, list]] = {}
-    for verts in combinations(range(f.n), k):
+    for verts in combinations(range(host.f.n), k):
         bits = tuple([edge_bit.get(pair, 0) for pair in combinations(verts, 2)])
         code = sum(1 << t for t, bit in enumerate(bits) if bit)
         interiors, members = groups.setdefault(code, ([], []))
@@ -189,20 +211,17 @@ def _subset_table(f: Graph, k: int) -> dict[int, tuple[tuple[int, ...], tuple[tu
     return {code: (tuple(i), tuple(m)) for code, (i, m) in groups.items()}
 
 
-# Every (host, pattern) pair a sweep meets: 14 patterns on at most 4 vertices
-# on each of its hosts. The masks are the subset tables' own ints.
-@lru_cache(maxsize=14 * _SWEEP_HOSTS)
-def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
-    """Bitmask over f's edges, in _edge_order(f) order, for each copy of
-    pattern in f.
+def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
+    """Bitmask over f's edges, in host.edges order, for each copy of pattern
+    in f.
 
     A k-subset of f holds an induced copy when its code is one of pattern's
     codes, and the mask is the subset's interior. It holds a non-induced copy
     for every pattern code that fits inside its code, and the mask is that
-    code's edges only.
+    code's edges only. The masks are the subset table's own ints.
     """
     codes = _pattern_codes(pattern)
-    table = _subset_table(f, pattern.n)
+    table = host.get(_subset_table, pattern.n)
     if induced:
         masks = {m for code in codes if code in table for m in table[code][0]}
     else:
@@ -216,12 +235,10 @@ def _copy_masks(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-# One entry per mask family a sweep meets, like _copy_masks.
-@lru_cache(maxsize=14 * _SWEEP_HOSTS)
-def _by_edge(n_edges: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """For each edge index below n_edges, the masks through that edge."""
-    lists: list[list[int]] = [[] for _ in range(n_edges)]
-    for m in masks:
+def _by_edge(host: _Host, pattern: Graph, induced: bool) -> tuple[tuple[int, ...], ...]:
+    """For each edge index of host, the copy masks of pattern through that edge."""
+    lists: list[list[int]] = [[] for _ in range(host.n_edges)]
+    for m in _copy_masks(host, pattern, induced):
         for i in _bits(m):
             lists[i].append(m)
     return tuple(map(tuple, lists))
@@ -248,7 +265,7 @@ def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
     return False
 
 
-def _search(n_edges, red_masks, blue_masks, swaps=()):
+def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
     """DFS with unit propagation. Returns (witness_masks or None, leaves, prunes).
 
     Branches on the lowest-index uncolored edge, red first. After an edge
@@ -270,8 +287,8 @@ def _search(n_edges, red_masks, blue_masks, swaps=()):
     """
     if not n_edges:
         return (0, 0), 1, 0
-    # by_edge[side][i]: that side's copy masks through edge i
-    by_edge = (_by_edge(n_edges, tuple(red_masks)), _by_edge(n_edges, tuple(blue_masks)))
+    # by_edge[side][i]: that side's copy masks through edge i (see _by_edge)
+    by_edge = (red_by_edge, blue_by_edge)
     full = (1 << n_edges) - 1
     prunes = 0
     # a cut needs a blue a-edge and a red b-edge in one swap; testing the
@@ -321,11 +338,11 @@ def _search(n_edges, red_masks, blue_masks, swaps=()):
     return None, 0, prunes
 
 
-def _edge_rows(f: Graph, edge_set: int) -> tuple[int, ...]:
-    """Neighbour bitmask per vertex of f of the edges whose _edge_order(f)
-    bits edge_set holds."""
-    edges = _edge_order(f)
-    rows = [0] * f.n
+def _edge_rows(host: _Host, edge_set: int) -> tuple[int, ...]:
+    """Neighbour bitmask per vertex of f of the edges whose host.edges bits
+    edge_set holds."""
+    edges = host.edges
+    rows = [0] * host.f.n
     while edge_set:
         low = edge_set & -edge_set
         edge_set ^= low
@@ -335,25 +352,18 @@ def _edge_rows(f: Graph, edge_set: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=_SWEEP_HOSTS)
-def _rebuilds(f: Graph) -> bool:
-    """Whether the edges of _edge_order(f) make up f.adj exactly."""
-    return _edge_rows(f, (1 << len(_edge_order(f))) - 1) == f.adj
-
-
-# The same (host, pattern, kind) triples as _copy_masks.
-@lru_cache(maxsize=14 * _SWEEP_HOSTS)
-def _copies(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
-    """Bitmask over f's edges, in _edge_order(f) order, of each copy of
-    pattern in f, from the embedder.
+def _copies(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
+    """Bitmask over f's edges, in host.edges order, of each copy of pattern
+    in f, from the embedder.
 
     The embedder yields one embedding per copy, and a copy's mask holds the
     images of pattern's edges: for an induced copy those are the host edges
     inside it. This shares no code with _copy_masks, which builds the same
     masks from the subset tables.
     """
+    f = host.f
     bit = [[0] * f.n for _ in range(f.n)]
-    for i, (u, v) in enumerate(_edge_order(f)):
+    for i, (u, v) in enumerate(host.edges):
         bit[u][v] = bit[v][u] = 1 << i
     pairs = pattern.edges()
     return tuple(sorted({
@@ -362,36 +372,33 @@ def _copies(f: Graph, pattern: Graph, induced: bool) -> tuple[int, ...]:
     }))
 
 
-def _fault(
-    f: Graph, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int, n_edges: int
-) -> str | None:
+def _fault(host: _Host, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int) -> str | None:
     """What keeps (red_set, blue_set) from refuting f -> (g, h), or None.
 
-    The sides are edge bitsets in _edge_order(f) index, and n_edges is the
-    number of f's edges; g and h have an edge each. The check shares no code
-    with the copy masks: the sides must be disjoint, lie inside and cover
-    f's edges (whose order is checked once per host to rebuild f.adj), and
-    no copy of g from _copies may lie inside the red side, nor a copy of h
-    inside the blue side. An empty blue side holds no copy of h, so its
-    list is not built.
+    The sides are edge bitsets in host.edges index; g and h have an edge
+    each. The check shares no code with the copy masks: the sides must be
+    disjoint, lie inside and cover f's edges (whose order is checked once
+    per host to rebuild f.adj), and no copy of g from _copies may lie inside
+    the red side, nor a copy of h inside the blue side. An empty blue side
+    holds no copy of h, so its list is not built.
     """
-    if red_set & blue_set or (red_set | blue_set) >> n_edges:
+    if red_set & blue_set or (red_set | blue_set) >> host.n_edges:
         return "search colored an edge twice or a non-edge"
-    if red_set | blue_set != (1 << n_edges) - 1 or not _rebuilds(f):
+    if red_set | blue_set != (1 << host.n_edges) - 1 or not host.rebuilds:
         return "search left host edges uncolored"
     # a copy lies inside a side when none of its edges is outside it
-    if not all(map((~red_set).__and__, _copies(f, g, induced))):
+    if not all(map((~red_set).__and__, host.get(_copies, g, induced))):
         return "search returned a coloring with a red copy of g"
-    if blue_set and not all(map((~blue_set).__and__, _copies(f, h, induced))):
+    if blue_set and not all(map((~blue_set).__and__, host.get(_copies, h, induced))):
         return "search returned a coloring with a blue copy of h"
     return None
 
 
-def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
+def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     """(red_set, blue_set) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
 
-    The sides are edge bitsets in _edge_order(f) index, as the search gives
+    The sides are edge bitsets in host.edges index, as the search gives
     them, and _fault checks them. Any fault raises AssertionError, as it
     can only be a fault in the search.
 
@@ -403,33 +410,23 @@ def _refute(f: Graph, g: Graph, h: Graph, induced: bool):
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
-    n_edges = len(_edge_order(f))
-    red_masks = _copy_masks(f, g, induced)
-    if not red_masks:
-        if _copies(f, g, induced):
+    red = host.get(_by_edge, g, induced)
+    if not any(red):
+        if host.get(_copies, g, induced):
             raise AssertionError("search returned a coloring with a red copy of g")
-        return ((1 << n_edges) - 1, 0), 1, 0
-    blue_masks = _copy_masks(f, h, induced)
-    found, leaves, prunes = _search(n_edges, red_masks, blue_masks, _twin_swaps(f))
+        return ((1 << host.n_edges) - 1, 0), 1, 0
+    blue = host.get(_by_edge, h, induced)
+    found, leaves, prunes = _search(host.n_edges, red, blue, host.swaps)
     if found is not None:
-        fault = _fault(f, g, h, induced, *found, n_edges)
+        fault = _fault(host, g, h, induced, *found)
         if fault is not None:
             raise AssertionError(fault)
     return found, leaves, prunes
 
 
-# Not shared with _subset_table's map of the same pairs, so that checking a
-# stored witness shares no code with the copy masks.
-@lru_cache(maxsize=_SWEEP_HOSTS)
-def _edge_bits(f: Graph) -> dict[tuple[int, int], int]:
-    """(u, v) -> 1 << its _edge_order(f) index, for each edge u < v of f;
-    one dict per host, read and never changed by its callers."""
-    return {e: 1 << i for i, e in enumerate(_edge_order(f))}
-
-
-def _witness_sets(f: Graph, data) -> tuple[int, int] | None:
+def _witness_sets(host: _Host, data) -> tuple[int, int] | None:
     """(red_set, blue_set) of a stored witness of f, as edge bitsets in
-    _edge_order(f) index, or None when it is malformed.
+    host.edges index, or None when it is malformed.
 
     The witness is {"n": f.n, "red": pairs, "blue": pairs}, each pair an
     [int, int] list [u, v] that is an edge of f with u < v, and no pair
@@ -440,9 +437,9 @@ def _witness_sets(f: Graph, data) -> tuple[int, int] | None:
     if type(data) is not dict or data.keys() != {"n", "red", "blue"}:
         return None
     n = data["n"]
-    if type(n) is not int or n != f.n:
+    if type(n) is not int or n != host.f.n:
         return None
-    bits = _edge_bits(f)
+    bits = host.bits
     sides = []
     for pairs in (data["red"], data["blue"]):
         if type(pairs) is not list:
@@ -463,21 +460,22 @@ def _witness_sets(f: Graph, data) -> tuple[int, int] | None:
     return sides[0], sides[1]
 
 
-def _witness_json(f: Graph, red_set: int, blue_set: int) -> dict:
+def _witness_json(host: _Host, red_set: int, blue_set: int) -> dict:
     """The stored witness of the coloring of f with these edge bitsets:
     {"n": f.n, "red": pairs, "blue": pairs}, each side its sorted [u, v]
     lists, u < v."""
-    edges = _edge_order(f)
+    edges = host.edges
     red, blue = (sorted(list(edges[i]) for i in _bits(side)) for side in (red_set, blue_set))
-    return {"n": f.n, "red": red, "blue": blue}
+    return {"n": host.f.n, "red": red, "blue": blue}
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
-    found, leaves, prunes = _refute(f, g, h, induced)
+    host = _host(f)
+    found, leaves, prunes = _refute(host, g, h, induced)
     if found is None:
         return _result(True, None, leaves, prunes)
     red_set, blue_set = found
-    witness = _intern(f.n, _edge_rows(f, red_set), _edge_rows(f, blue_set))
+    witness = _intern(f.n, _edge_rows(host, red_set), _edge_rows(host, blue_set))
     return _result(False, witness, leaves, prunes)
 
 

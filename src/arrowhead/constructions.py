@@ -39,7 +39,7 @@ from .graphs import (
     cliques_of_size,
     complete,
     emit_graph6,
-    find_subgraph_embedding,
+    find_induced_embedding,
     has_isolated_vertex,
     independence_number,
     induced_subgraph,
@@ -166,9 +166,9 @@ def chvatal_harary_coloring(g: Graph, h: Graph) -> tuple[Graph, EdgeColoring, Co
         steps.append(TraceStep(f"red-block-{i}", verts, KIND_DISJOINT_CLIQUE))
         red.extend(combinations(verts, 2))
     c = _with_rest_blue(host, red)
-    if find_subgraph_embedding(c.red_graph(), g) is not None:
+    if find_induced_embedding(c.red_graph(), g, induced=False) is not None:
         raise ConstructionError("clique-block coloring admits a red copy of the first pattern")
-    if find_subgraph_embedding(c.blue_graph(), h) is not None:
+    if find_induced_embedding(c.blue_graph(), h, induced=False) is not None:
         raise ConstructionError("clique-block coloring admits a blue copy of the second pattern")
     trace = ConstructionTrace(METHOD_CLIQUE_BLOCKS, tuple(steps))
     validate_trace(host, trace)

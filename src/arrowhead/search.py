@@ -13,8 +13,8 @@ one is read back into edge bitsets and put through the same check
 (arrowing._fault) on every hit before it is believed. A sweep makes no
 ArrowingResult, no EdgeColoring and no neighbour rows; a cache stores the
 refuting coloring as sorted [u, v] lists written from the bitsets. The
-copy masks and copy lists behind each verdict are cached per (host,
-pattern), so the many pattern pairs of a sweep build each once. Verdicts
+copy masks and copy lists behind each verdict are kept in one record per
+host (arrowing._host), so the pattern pairs of a sweep build each once. Verdicts
 are memoized in an append-only cache file, one JSON object per line, keyed
 by the literal g6 triple; keys are not canonicalized, so an
 isomorphic-but-relabeled query is simply a miss. A sweep emits the pattern
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _edge_order, _fault, _refute, _witness_json, _witness_sets
+from .arrowing import NotFoundBelow, _fault, _host, _refute, _witness_json, _witness_sets
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, emit_graph6, parse_graph6
 
@@ -227,18 +227,19 @@ def _decide(
     pass _refute's check (_fault), on every hit; anything suspect is
     recomputed and overwritten.
     """
+    host = _host(f)
     if cache is not None:
         key = _key(emit_graph6(f) if f6 is None else f6, pair)
         hit = cache.get(key)
         if hit is not None:
             if hit["arrows"]:
                 return True
-            sides = _witness_sets(f, hit.get("witness"))
-            if sides is not None and _fault(f, g, h, True, *sides, len(_edge_order(f))) is None:
+            sides = _witness_sets(host, hit.get("witness"))
+            if sides is not None and _fault(host, g, h, True, *sides) is None:
                 return False
-    found = _refute(f, g, h, True)[0]
+    found = _refute(host, g, h, True)[0]
     if cache is not None:
-        witness = None if found is None else _witness_json(f, *found)
+        witness = None if found is None else _witness_json(host, *found)
         cache.put(key, {"arrows": found is None, "witness": witness})
     return found is None
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arrowhead import arrowing
 from arrowhead.graphs import Graph, complete, cycle, matching, path, star
 from arrowhead.search import bundled_catalog
 
@@ -15,6 +16,16 @@ def catalog():
 def sweep_patterns(catalog):
     """The 14 patterns of a catalog sweep: the catalog graphs of order 2 to 4 with an edge."""
     return [g for order in (2, 3, 4) for g in catalog.graphs(order) if g.edge_count()]
+
+
+@pytest.fixture
+def fresh_hosts():
+    """No host records before the test and none after it: a kept record
+    would hide a builder the test patches, and records built from patched
+    builders must not reach later tests."""
+    arrowing._host.cache_clear()
+    yield
+    arrowing._host.cache_clear()
 
 
 @pytest.fixture(scope="session")

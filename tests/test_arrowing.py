@@ -9,12 +9,12 @@ from arrowhead import arrowing
 from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
+    _by_edge,
     _copies,
     _copy_masks,
-    _edge_order,
+    _host,
     _lex_larger_than_image,
     _search,
-    _twin_swaps,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
@@ -150,7 +150,8 @@ def test_copy_masks_match_oracles(catalog, sweep_patterns):
     cases += [(complete(n), pat) for n in range(2, 9) for pat in panel]
     cases += [(complete(n), pat) for n in range(5, 10) for pat in (complete(3), complete(4), cycle(5))]
     for host, pat in cases:
-        edge_index = {e: i for i, e in enumerate(_edge_order(host))}
+        record = _host(host)
+        edge_index = {e: i for i, e in enumerate(record.edges)}
 
         def edge_sets(masks):
             assert masks == tuple(sorted(set(masks)))
@@ -161,10 +162,10 @@ def test_copy_masks_match_oracles(catalog, sweep_patterns):
             for verts in brute_induced_copies(host, pat)
         }
         images = set(brute_subgraph_copies(host, pat))
-        assert edge_sets(_copy_masks(host, pat, True)) == interiors, (host, pat)
-        assert edge_sets(_copy_masks(host, pat, False)) == images, (host, pat)
-        assert edge_sets(_copies(host, pat, True)) == interiors, (host, pat)
-        assert edge_sets(_copies(host, pat, False)) == images, (host, pat)
+        assert edge_sets(_copy_masks(record, pat, True)) == interiors, (host, pat)
+        assert edge_sets(_copy_masks(record, pat, False)) == images, (host, pat)
+        assert edge_sets(_copies(record, pat, True)) == interiors, (host, pat)
+        assert edge_sets(_copies(record, pat, False)) == images, (host, pat)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +258,21 @@ def test_search_matches_plain_dfs(family):
     # forced moves prune only subtrees without a refuting coloring, so the
     # first one found is the plain DFS's lexicographically least one
     n, red_masks, blue_masks = family
-    witness, leaves, prunes = _search(n, red_masks, blue_masks)
+
+    def by_edge(masks):
+        return [[m for m in masks if m >> i & 1] for i in range(n)]
+
+    witness, leaves, prunes = _search(n, by_edge(red_masks), by_edge(blue_masks))
     expected = plain_dfs_search(n, red_masks, blue_masks)[0]
     assert witness == expected
     assert leaves == (witness is not None) and prunes >= 0
 
 
 def _oracle_result(host, g, h, induced):
-    edges = _edge_order(host)
-    edge_index = {e: i for i, e in enumerate(edges)}
+    record = _host(host)
+    edge_index = {e: i for i, e in enumerate(record.edges)}
     found = plain_dfs_search(
-        len(edges), _copy_masks(host, g, induced), _copy_masks(host, h, induced)
+        record.n_edges, _copy_masks(record, g, induced), _copy_masks(record, h, induced)
     )[0]
     if found is None:
         return None
@@ -295,9 +300,10 @@ def test_verdicts_and_witnesses_match_plain_dfs(catalog):
 
 def _searched(host, g, h, induced):
     """(witness, leaves, prunes) of _search run directly on host's masks."""
-    edges = _edge_order(host)
+    record = _host(host)
+    edges = record.edges
     found, leaves, prunes = _search(
-        len(edges), _copy_masks(host, g, induced), _copy_masks(host, h, induced), _twin_swaps(host)
+        len(edges), _by_edge(record, g, induced), _by_edge(record, h, induced), record.swaps
     )
     red_set, blue_set = found
     side = {True: [], False: []}
@@ -354,7 +360,7 @@ def test_k10_arrows_c4_k4_within_counted_work():
 
 def _transposition_pairs(host, u, v):
     """The edges moved by swapping u and v, as (1 << a, 1 << b) index pairs."""
-    index = {e: i for i, e in enumerate(_edge_order(host))}
+    index = {e: i for i, e in enumerate(_host(host).edges)}
     tau = list(range(host.n))
     tau[u], tau[v] = v, u
     pairs = set()
@@ -376,7 +382,7 @@ def test_twin_swaps_are_automorphisms(catalog):
                 v = parent[v]
             return v
 
-        for a_mask, b_mask, pairs in _twin_swaps(host):
+        for a_mask, b_mask, pairs in _host(host).swaps:
             assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
             assert all(a < b for a, b in pairs)
             assert a_mask == sum(a for a, _ in pairs) and b_mask == sum(b for _, b in pairs)
@@ -403,9 +409,9 @@ def test_symmetry_cut_only_closes_branches_with_a_smaller_image(catalog):
     # has a lexicographically smaller image (red before blue, lowest edge
     # index first) under some swap: the least refuting coloring never does
     rng = random.Random(9)
-    hosts = [g for order in range(3, 6) for g in catalog.graphs(order) if _twin_swaps(g)]
+    hosts = [g for order in range(3, 6) for g in catalog.graphs(order) if _host(g).swaps]
     for host in hosts:
-        swaps = _twin_swaps(host)
+        swaps = _host(host).swaps
         n_edges = host.edge_count()
 
         def image(blue):
@@ -461,24 +467,24 @@ def test_twin_cuts_keep_the_plain_dfs_witness(host):
 # ---------------------------------------------------------------------------
 # re-verification of the search's answer
 
-def _all_red(n_edges, red_masks, blue_masks, swaps=()):
+def _all_red(n_edges, red_by_edge, blue_by_edge, swaps=()):
     return ((1 << n_edges) - 1, 0), 1, 0
 
 
-def _all_blue(n_edges, red_masks, blue_masks, swaps=()):
+def _all_blue(n_edges, red_by_edge, blue_by_edge, swaps=()):
     return (0, (1 << n_edges) - 1), 1, 0
 
 
-def _one_edge_dropped(n_edges, red_masks, blue_masks, swaps=()):
-    found, leaves, prunes = _search(n_edges, red_masks, blue_masks, swaps)
+def _one_edge_dropped(n_edges, red_by_edge, blue_by_edge, swaps=()):
+    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps)
     if found is None:
         return found, leaves, prunes
     red, blue = found
     return ((red & (red - 1), blue) if red else (red, blue & (blue - 1))), leaves, prunes
 
 
-def _sides_overlap(n_edges, red_masks, blue_masks, swaps=()):
-    found, leaves, prunes = _search(n_edges, red_masks, blue_masks, swaps)
+def _sides_overlap(n_edges, red_by_edge, blue_by_edge, swaps=()):
+    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps)
     if found is None:
         return found, leaves, prunes
     red, blue = found
@@ -509,7 +515,7 @@ def test_a_wrong_search_answer_is_caught_on_every_path(monkeypatch, catalog, fak
         ir_exact(k3, k3, catalog, n_max=6, cache=None)
 
 
-def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog):
+def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog, fresh_hosts):
     # K6 holds triangles: masks claiming none must not pass as the all-red refutation
     k3 = complete(3)
     monkeypatch.setattr(arrowing, "_copy_masks", lambda f, pattern, induced: ())
@@ -522,7 +528,7 @@ def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog):
 
 
 @pytest.mark.parametrize("dropped", [0, -1])
-def test_a_dropped_copy_mask_is_caught(monkeypatch, catalog, dropped):
+def test_a_dropped_copy_mask_is_caught(monkeypatch, catalog, fresh_hosts, dropped):
     # masks missing one copy let the search return a coloring in which that
     # copy is monochromatic; the check's copy lists come from the embedder
     real = arrowing._copy_masks
@@ -541,3 +547,23 @@ def test_a_dropped_copy_mask_is_caught(monkeypatch, catalog, dropped):
         arrows_complete_non_induced(5, k3, k3)
     with pytest.raises(AssertionError, match="(red|blue) copy"):
         ir_exact(k3, k3, catalog, n_max=6, cache=None)
+
+
+def test_a_warm_sweep_builds_nothing(catalog, fresh_hosts):
+    # A second pass over the same pairs reads every host's subset tables,
+    # mask index, copy lists and twin swaps from its record. A record keys
+    # what it keeps by builder, so the builders are made to raise in place.
+    pairs = [(path(4), complete(3)), (path(4), path(3)), (matching(2), complete(3)), (complete(3), cycle(4))]
+    first = [ir_exact(g, h, catalog, n_max=6) for g, h in pairs]
+    assert any(isinstance(res, NotFoundBelow) for res in first)
+    assert any(not isinstance(res, NotFoundBelow) for res in first)
+
+    def built(*args):
+        raise AssertionError("a builder ran on a warm host")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for builder in (arrowing._subset_table, _copy_masks, _by_edge, _copies, arrowing._twin_swaps):
+            patch.setattr(builder, "__code__", built.__code__)
+        assert [ir_exact(g, h, catalog, n_max=6) for g, h in pairs] == first
+    arrowing._host.cache_clear()
+    assert [ir_exact(g, h, catalog, n_max=6) for g, h in pairs] == first

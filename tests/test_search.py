@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowhead import arrowing, coloring, graphs, search
-from arrowhead.arrowing import NotFoundBelow, _edge_order, _fault, _witness_sets, strongly_arrows
+from arrowhead.arrowing import NotFoundBelow, _fault, _host, _witness_sets, strongly_arrows
 from arrowhead.coloring import EdgeColoring, verify_witness
 from arrowhead.errors import ArrowheadError, CatalogError, PreconditionError
 from arrowhead.graphs import (
@@ -516,8 +516,9 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
             }
         stored = _stored_witness_mutations(data.draw, host, stored)
 
-    sides = _witness_sets(host, stored)
-    accepted = sides is not None and _fault(host, g, h, True, *sides, len(_edge_order(host))) is None
+    record = _host(host)
+    sides = _witness_sets(record, stored)
+    accepted = sides is not None and _fault(record, g, h, True, *sides) is None
     try:
         expected = verify_witness(host, EdgeColoring.from_json_dict(stored), g, h) is None
     except ArrowheadError:
@@ -527,9 +528,9 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
         assert truth.witness is not None
 
 
-def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog):
+def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog, fresh_hosts):
     # Every hit of a second sweep is checked with bit tests against copy
-    # lists, rebuilt here from cleared caches by the embedder's generator:
+    # lists, rebuilt here from cleared host records by the embedder's generator:
     # no witness object, no verify_witness, no single-embedding search, and
     # no byte appended to the log.
     g, h = path(4), complete(3)
@@ -538,9 +539,14 @@ def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog
     stored = read_cache_log(cache_file)
     assert sum(not e["arrows"] and bool(e["witness"]["blue"]) for e in stored.values()) >= 50
     data = cache_file.read_bytes()
-    for cached in (arrowing._copies, arrowing._rebuilds, arrowing._edge_bits, arrowing._edge_order):
-        cached.cache_clear()
+    arrowing._host.cache_clear()  # records kept from the first sweep
     calls = []
+    copy_lists = []
+    real_copies = arrowing._copies
+
+    def listed(host, pattern, induced):
+        copy_lists.append(pattern)
+        return real_copies(host, pattern, induced)
 
     def refuse(name):
         def counted(*args, **kwargs):
@@ -553,10 +559,12 @@ def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog
     monkeypatch.setattr(graphs, "find_induced_embedding", refuse("find_induced_embedding"))
     monkeypatch.setattr(coloring, "find_induced_embedding", refuse("find_induced_embedding"))
     monkeypatch.setattr(arrowing, "_search", refuse("_search"))
+    monkeypatch.setattr(arrowing, "_copies", listed)
     assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == first
     assert calls == []
     assert cache_file.read_bytes() == data
-    assert arrowing._copies.cache_info().currsize > 0
+    assert arrowing._host.cache_info().currsize > 0
+    assert g in copy_lists and h in copy_lists
     assert not hasattr(search, "verify_witness") and not hasattr(search, "EdgeColoring")
 
 
