@@ -37,6 +37,16 @@ its image under such a swap lexicographically smaller is closed. The least
 refuting coloring is never larger than its own image, so no cut removes it
 and witnesses are those of the search without cuts. prunes counts these
 symmetry cuts together with the conflicts.
+
+A dominance cut, DPLL's pure-literal rule made safe for the least witness,
+drops the blue branch on an edge j when every red copy through j already
+holds a blue edge (so also when j lies in no red copy). A refuting
+completion with j blue still refutes with j red: no red copy through j can
+complete, and the blue side only loses an edge. That recolored completion
+is lexicographically smaller, so the least refuting coloring is never in
+the dropped branch, and if the red branch holds no refuting coloring the
+blue one holds none either. A dropped branch is never opened, so it counts
+in neither leaves nor prunes.
 """
 from __future__ import annotations
 
@@ -98,9 +108,10 @@ _SWEEP_HOSTS = 208
 class _Host:
     """What the search and its check derive from one host f. Built with the
     record: edges (f's edges busiest first, the order of every edge bitset),
-    n_edges, bits ((u, v) -> edge bit, to read stored witnesses), rebuilds
-    (edges make up f.adj) and swaps; the rest through get, on first ask.
-    bits and the copy lists share no code with the subset tables and masks.
+    n_edges and rebuilds (edges make up f.adj); the rest through get, on
+    first ask, since a host settled without a search reads neither its twin
+    swaps nor, outside a cache hit, its edge bits. The edge bits and the
+    copy lists share no code with the subset tables and masks.
     """
 
     def __init__(self, f: Graph):
@@ -108,9 +119,7 @@ class _Host:
         # Branch on busiest edges first: their color constrains the most copies.
         self.edges = tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
         self.n_edges = len(self.edges)
-        self.bits = {e: 1 << i for i, e in enumerate(self.edges)}
         self.rebuilds = _edge_rows(self, (1 << self.n_edges) - 1) == f.adj
-        self.swaps = _twin_swaps(f, self.edges)
         self._kept: dict = {}
 
     def get(self, build, *args):
@@ -127,7 +136,12 @@ def _host(f: Graph) -> _Host:
     return _Host(f)
 
 
-def _twin_swaps(f: Graph, edges) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+def _edge_bits(host: _Host) -> dict[tuple[int, int], int]:
+    """(u, v) -> edge bit of f, u < v, to read stored witnesses."""
+    return {e: 1 << i for i, e in enumerate(host.edges)}
+
+
+def _twin_swaps(host: _Host) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
     """Edge permutations of f's twin transpositions, for the search's symmetry cuts.
 
     Vertices u and v are twins when their neighbourhoods agree outside
@@ -137,6 +151,7 @@ def _twin_swaps(f: Graph, edges) -> tuple[tuple[int, int, tuple[tuple[int, int],
     edges it moves as (1 << a, 1 << b), a < b in edges index, sorted by
     a; a_mask and b_mask are the ORs of their a and b bits.
     """
+    f = host.f
     classes: list[list[int]] = []
     for v in range(f.n):
         for members in classes:
@@ -146,7 +161,7 @@ def _twin_swaps(f: Graph, edges) -> tuple[tuple[int, int, tuple[tuple[int, int],
                 break
         else:
             classes.append([v])
-    index = {e: i for i, e in enumerate(edges)}
+    index = {e: i for i, e in enumerate(host.edges)}
     swaps = []
     for members in classes:
         for u, v in zip(members, members[1:]):
@@ -281,6 +296,11 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
     families onto themselves. A branch whose colors make every completion
     lexicographically larger than its image under one of them is closed:
     the image refutes too, so the least refuting coloring is not there.
+    The blue child of edge j is dropped when every red copy through j holds
+    a blue edge: recoloring j red in any refuting completion below it
+    completes no red copy and removes a blue edge, so it gives a smaller
+    refuting completion in the red child.
+
     leaves counts complete colorings reached (0 on a proof, 1 on a
     refutation); prunes counts branches closed by a conflict, including
     conflicts met while propagating, and by a symmetry cut.
@@ -302,6 +322,12 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
     stack = [(0, 1, 0, 1), (1, 0, 0, 0)]
     while stack:
         red_set, blue_set, i, side = stack.pop()
+        # dominance cut, tested on the pop so that a refutation, which never
+        # returns to most blue children, does not pay for it: with every red
+        # copy through i broken by a blue edge other than i, i red refutes
+        # wherever i blue does
+        if side and all(map((blue_set ^ 1 << i).__and__, red_by_edge[i])):
+            continue
         todo = [(i, side)]
         while todo:
             i, side = todo.pop()
@@ -416,7 +442,7 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
             raise AssertionError("search returned a coloring with a red copy of g")
         return ((1 << host.n_edges) - 1, 0), 1, 0
     blue = host.get(_by_edge, h, induced)
-    found, leaves, prunes = _search(host.n_edges, red, blue, host.swaps)
+    found, leaves, prunes = _search(host.n_edges, red, blue, host.get(_twin_swaps))
     if found is not None:
         fault = _fault(host, g, h, induced, *found)
         if fault is not None:
@@ -439,7 +465,7 @@ def _witness_sets(host: _Host, data) -> tuple[int, int] | None:
     n = data["n"]
     if type(n) is not int or n != host.f.n:
         return None
-    bits = host.bits
+    bits = host.get(_edge_bits)
     sides = []
     for pairs in (data["red"], data["blue"]):
         if type(pairs) is not list:

@@ -32,7 +32,9 @@ class Graph:
     """Simple undirected graph with one neighbour bitmask per vertex.
 
     Equality and hashing are on the labelled structure, not the isomorphism
-    class.
+    class. The hash is computed on the first call and kept: per-host records
+    and pattern-keyed caches hash the same graphs on every lookup, while
+    most graphs a recipe builds are never hashed.
     """
 
     n: int
@@ -51,6 +53,15 @@ class Graph:
             for u in range(v):
                 if ((self.adj[u] >> v) & 1) != ((self.adj[v] >> u) & 1):
                     raise ValueError(f"asymmetric adjacency at ({u},{v})")
+
+    _hash = None  # not a field: hash((n, adj)), set on the first call
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.adj))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -15,6 +15,7 @@ from arrowhead.arrowing import (
     _host,
     _lex_larger_than_image,
     _search,
+    _twin_swaps,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
@@ -28,6 +29,7 @@ from arrowhead.graphs import (
     disjoint_union,
     find_subgraph_embedding,
     matching,
+    parse_graph6,
     path,
     relabel,
     star,
@@ -285,7 +287,10 @@ def _oracle_result(host, g, h, induced):
 
 
 def test_verdicts_and_witnesses_match_plain_dfs(catalog):
-    panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
+    # K2+K1's induced copies are single edges, so the dominance cut takes
+    # every other edge red only: the cut fires most there
+    k2_k1 = parse_graph6("B_")
+    panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2), k2_k1]
     for host in [g for order in range(1, 7) for g in catalog.graphs(order)]:
         for g, h in product(panel, repeat=2):
             res = strongly_arrows(host, g, h)
@@ -303,7 +308,10 @@ def _searched(host, g, h, induced):
     record = _host(host)
     edges = record.edges
     found, leaves, prunes = _search(
-        len(edges), _by_edge(record, g, induced), _by_edge(record, h, induced), record.swaps
+        len(edges),
+        _by_edge(record, g, induced),
+        _by_edge(record, h, induced),
+        record.get(_twin_swaps),
     )
     red_set, blue_set = found
     side = {True: [], False: []}
@@ -355,6 +363,16 @@ def test_k10_arrows_c4_k4_within_counted_work():
     assert res.colorings_explored + res.prunes <= 5_000
 
 
+def test_dense_host_arrows_k2_k1_k3_within_counted_work():
+    # This order-10 host has 37 edges and 7 induced copies of K2+K1, each a
+    # single edge. Without the dominance cut the DFS closed 15,167 branches,
+    # trying blue on the 30 edges that lie in no red copy; with it, 5.
+    res = strongly_arrows(parse_graph6("In}~M~znW"), parse_graph6("B_"), complete(3))
+    assert res.arrows
+    assert res.colorings_explored == 0
+    assert res.colorings_explored + res.prunes <= 50
+
+
 # ---------------------------------------------------------------------------
 # symmetry cuts on twin vertices
 
@@ -382,7 +400,7 @@ def test_twin_swaps_are_automorphisms(catalog):
                 v = parent[v]
             return v
 
-        for a_mask, b_mask, pairs in _host(host).swaps:
+        for a_mask, b_mask, pairs in _host(host).get(_twin_swaps):
             assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
             assert all(a < b for a, b in pairs)
             assert a_mask == sum(a for a, _ in pairs) and b_mask == sum(b for _, b in pairs)
@@ -409,9 +427,9 @@ def test_symmetry_cut_only_closes_branches_with_a_smaller_image(catalog):
     # has a lexicographically smaller image (red before blue, lowest edge
     # index first) under some swap: the least refuting coloring never does
     rng = random.Random(9)
-    hosts = [g for order in range(3, 6) for g in catalog.graphs(order) if _host(g).swaps]
+    hosts = [f for order in range(3, 6) for f in catalog.graphs(order) if _host(f).get(_twin_swaps)]
     for host in hosts:
-        swaps = _host(host).swaps
+        swaps = _host(host).get(_twin_swaps)
         n_edges = host.edge_count()
 
         def image(blue):

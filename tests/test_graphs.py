@@ -114,6 +114,17 @@ def test_relabel_is_isomorphism():
         assert brute_is_iso(g, relabel(g, perm))
 
 
+def test_equality_and_hash_are_on_the_labelled_structure():
+    # the hash is kept on the instance after its first call; it must stay
+    # that of the fields, and equality must not see it
+    g = path(3)
+    key = hash(g)
+    same = Graph.from_edges(3, [(1, 2), (0, 1)])
+    assert same == g and hash(same) == key == hash((g.n, g.adj))
+    assert {g: "p3"}[same] == "p3"
+    assert relabel(g, [1, 0, 2]) != g  # isomorphic, differently labelled
+
+
 def test_graph_validation_rejects_bad_input():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
