@@ -15,8 +15,9 @@ k-subset's adjacency code with the pattern's precomputed labelled codes
 instead of embedding the pattern subset by subset. What is derived from
 one host lives in one record (_Host) that a decision looks up once: the
 subsets' codes and interiors per k, and per (pattern, kind) the search's
-index of the masks by edge and the check's copy lists, each built on first
-ask and kept, so a sweep over many pattern pairs builds each once per host.
+index of the masks by edge (with the OR of the one-edge masks) and the
+check's copy lists, each built on first ask and kept, so a sweep over many
+pattern pairs builds each once per host.
 
 Every refuting coloring the search returns is checked against copy lists
 that share no code with the masks: the embedder lists each copy of a
@@ -47,6 +48,16 @@ is lexicographically smaller, so the least refuting coloring is never in
 the dropped branch, and if the red branch holds no refuting coloring the
 blue one holds none either. A dropped branch is never opened, so it counts
 in neither leaves nor prunes.
+
+Before the first branch the search colors every edge that is a copy of g
+by itself blue and every edge that is a copy of h by itself red, and
+propagates from them as from any forced edge (root forcing; K2+K1's
+induced copies, for one, are single edges). The other color on such an
+edge completes a copy, so this too removes only colorings that refute
+nothing, and witnesses are unchanged. An edge that is a copy on both sides
+closes the root as a proof, with leaves 0 and prunes 1. The one-edge
+copies come with the per-edge index of the masks, found once per host,
+pattern and kind, not per search.
 """
 from __future__ import annotations
 
@@ -66,9 +77,10 @@ class ArrowingResult:
 
     colorings_explored counts complete colorings the search reached: 0 on a
     proof, 1 on a refutation (the witness). prunes counts branches closed by
-    a conflict, including conflicts found while propagating forced colors,
-    and branches closed by a symmetry cut. Both depend on the branching
-    order, so treat them as diagnostics, not invariants. Equal results alive
+    a conflict, including conflicts found while propagating forced colors
+    (the root's forcing of one-edge copies among them), and branches closed
+    by a symmetry cut. Both depend on the branching order and on the cuts,
+    so treat them as diagnostics, not invariants. Equal results alive
     at once are one object, so a caller keeping many holds each once.
     """
 
@@ -250,13 +262,18 @@ def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-def _by_edge(host: _Host, pattern: Graph, induced: bool) -> tuple[tuple[int, ...], ...]:
-    """For each edge index of host, the copy masks of pattern through that edge."""
+def _by_edge(host: _Host, pattern: Graph, induced: bool) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """For each edge index of host, the copy masks of pattern through that
+    edge; and the OR of the one-edge masks, the edges that are a copy by
+    themselves."""
     lists: list[list[int]] = [[] for _ in range(host.n_edges)]
+    units = 0
     for m in _copy_masks(host, pattern, induced):
+        if not m & (m - 1):
+            units |= m
         for i in _bits(m):
             lists[i].append(m)
-    return tuple(map(tuple, lists))
+    return tuple(map(tuple, lists)), units
 
 
 def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
@@ -280,7 +297,7 @@ def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
     return False
 
 
-def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
+def _search(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
     """DFS with unit propagation. Returns (witness_masks or None, leaves, prunes).
 
     Branches on the lowest-index uncolored edge, red first. After an edge
@@ -291,6 +308,12 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
     which every coloring completes a monochromatic copy, so the first
     complete coloring reached is the lexicographically least refuting one,
     the same a DFS without forced moves finds.
+
+    red_units and blue_units are the ORs of each side's one-edge copy masks
+    (see _by_edge). Before the first branch every red unit is colored blue
+    and every blue unit red, as forced moves, and the same propagation runs
+    from all of them. An edge in both closes the root (leaves 0, prunes 1):
+    every coloring holds a copy on it. With no units the root is uncolored.
 
     swaps are edge permutations, as _twin_swaps gives, that map both mask
     families onto themselves. A branch whose colors make every completion
@@ -307,6 +330,8 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
     """
     if not n_edges:
         return (0, 0), 1, 0
+    if red_units & blue_units:
+        return None, 0, 1
     # by_edge[side][i]: that side's copy masks through edge i (see _by_edge)
     by_edge = (red_by_edge, blue_by_edge)
     full = (1 << n_edges) - 1
@@ -318,8 +343,13 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
         a_any |= a_mask
         b_any |= b_mask
     # stack entries: (red_set, blue_set, edge just colored, its side); LIFO,
-    # so the red child is pushed last and explored first
-    stack = [(0, 1, 0, 1), (1, 0, 0, 0)]
+    # so the red child is pushed last and explored first. With units the
+    # stack starts at the root, edge -1, with the units colored; without,
+    # at edge 0's children, so a search with no units pays nothing for them
+    if red_units | blue_units:
+        stack = [(blue_units, red_units, -1, 0)]
+    else:
+        stack = [(0, 1, 0, 1), (1, 0, 0, 0)]
     while stack:
         red_set, blue_set, i, side = stack.pop()
         # dominance cut, tested on the pop so that a refutation, which never
@@ -328,7 +358,10 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=()):
         # wherever i blue does
         if side and all(map((blue_set ^ 1 << i).__and__, red_by_edge[i])):
             continue
-        todo = [(i, side)]
+        if i < 0:
+            todo = [(j, 1) for j in _bits(red_units)] + [(j, 0) for j in _bits(blue_units)]
+        else:
+            todo = [(i, side)]
         while todo:
             i, side = todo.pop()
             own, other = (blue_set, red_set) if side else (red_set, blue_set)
@@ -436,13 +469,15 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
-    red = host.get(_by_edge, g, induced)
+    red, red_units = host.get(_by_edge, g, induced)
     if not any(red):
         if host.get(_copies, g, induced):
             raise AssertionError("search returned a coloring with a red copy of g")
         return ((1 << host.n_edges) - 1, 0), 1, 0
-    blue = host.get(_by_edge, h, induced)
-    found, leaves, prunes = _search(host.n_edges, red, blue, host.get(_twin_swaps))
+    blue, blue_units = host.get(_by_edge, h, induced)
+    found, leaves, prunes = _search(
+        host.n_edges, red, blue, host.get(_twin_swaps), red_units, blue_units
+    )
     if found is not None:
         fault = _fault(host, g, h, induced, *found)
         if fault is not None:

@@ -148,7 +148,8 @@ class ResultCache:
     through the file. Verdicts are held as JSON text and parsed by get, so
     the remembered log costs about its size on disk, not several times that
     in parsed witnesses. A put encodes its verdict once, sorted by key, and
-    that text is both the entry and the body of its log line.
+    that text is both the entry and the body of its log line; loading such
+    a line keeps that text as written instead of encoding it again.
     """
 
     def __init__(self, path):
@@ -171,14 +172,16 @@ class ResultCache:
                 known, folded = b"", {}
             folded = dict(folded)
             lines = [line for line in data[len(known):].decode().splitlines() if line.strip()]
-            # one parse for all new lines: per-line json.loads is markedly slower
-            for raw in json.loads("[" + ",".join(lines) + "]"):
-                if not isinstance(raw, dict):
-                    raise ValueError("cache line must be a JSON object")
-                for key, entry in raw.items():
-                    if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
-                        raise ValueError(f"malformed cache entry for {key!r}")
-                    folded[key] = json.dumps(entry)
+            # one parse for all new lines, each line its own array of values:
+            # per-line json.loads is markedly slower
+            for line, values in zip(lines, json.loads("[[" + "],[".join(lines) + "]]")):
+                for raw in values:
+                    if not isinstance(raw, dict):
+                        raise ValueError("cache line must be a JSON object")
+                    for key, entry in raw.items():
+                        if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
+                            raise ValueError(f"malformed cache entry for {key!r}")
+                        folded[key] = _verdict_text(line, values, key, entry)
             if data.endswith(b"\n"):
                 _last_log = (data, folded)
             self._data = dict(folded)
@@ -205,6 +208,29 @@ class ResultCache:
 
 def _key(f6: str, pair: tuple[str, str]) -> str:
     return f"{f6}|{pair[0]}|{pair[1]}"
+
+
+def _verdict_text(line: str, values: list, key: str, entry: dict) -> str:
+    """JSON text of the entry for key, read from a log line that parsed to values.
+
+    A line that holds one value in put's one-key form, {"<key>": <verdict>},
+    keeps its verdict's text as written, sliced after the key. Every colon
+    outside a JSON string follows a key, so a line with no more colons than
+    the entry and its witness have keys, plus its own, holds no other key
+    (nor this one twice), and the slice is one value. Any other line's entry
+    is encoded again.
+    """
+    head = "{" + json.dumps(key) + ": "
+    witness = entry.get("witness")
+    keys = 1 + len(entry) + (len(witness) if type(witness) is dict else 0)
+    if (
+        len(values) == 1
+        and line.startswith(head)
+        and line.endswith("}")
+        and line.count(":") == keys
+    ):
+        return line[len(head):-1]
+    return json.dumps(entry)
 
 
 def _decide(

@@ -251,23 +251,40 @@ def mask_families(draw):
     mask = st.lists(st.integers(0, n - 1), min_size=1, max_size=6).map(
         lambda idx: sum(1 << i for i in set(idx))
     )
-    return n, draw(st.lists(mask, max_size=30)), draw(st.lists(mask, max_size=30))
+    # one-edge copies, which the search colors at its root, a few per side;
+    # an edge drawn on both sides is a copy on both
+    unit = st.integers(0, n - 1).map(lambda i: 1 << i)
+    red = draw(st.lists(mask, max_size=30)) + draw(st.lists(unit, max_size=4))
+    blue = draw(st.lists(mask, max_size=30)) + draw(st.lists(unit, max_size=4))
+    return n, red, blue
 
 
 @settings(max_examples=300, deadline=None)
 @given(mask_families())
 def test_search_matches_plain_dfs(family):
     # forced moves prune only subtrees without a refuting coloring, so the
-    # first one found is the plain DFS's lexicographically least one
+    # first one found is the plain DFS's lexicographically least one, with
+    # or without the one-edge copies colored at the root
     n, red_masks, blue_masks = family
 
     def by_edge(masks):
         return [[m for m in masks if m >> i & 1] for i in range(n)]
 
-    witness, leaves, prunes = _search(n, by_edge(red_masks), by_edge(blue_masks))
+    def units(masks):
+        return sum({m for m in masks if not m & (m - 1)})
+
     expected = plain_dfs_search(n, red_masks, blue_masks)[0]
+    witness, leaves, prunes = _search(n, by_edge(red_masks), by_edge(blue_masks))
     assert witness == expected
     assert leaves == (witness is not None) and prunes >= 0
+    red_units, blue_units = units(red_masks), units(blue_masks)
+    witness, leaves, prunes = _search(
+        n, by_edge(red_masks), by_edge(blue_masks), (), red_units, blue_units
+    )
+    assert witness == expected
+    assert leaves == (witness is not None) and prunes >= 0
+    if red_units & blue_units:
+        assert (witness, leaves, prunes) == (None, 0, 1)
 
 
 def _oracle_result(host, g, h, induced):
@@ -307,11 +324,10 @@ def _searched(host, g, h, induced):
     """(witness, leaves, prunes) of _search run directly on host's masks."""
     record = _host(host)
     edges = record.edges
+    red, red_units = _by_edge(record, g, induced)
+    blue, blue_units = _by_edge(record, h, induced)
     found, leaves, prunes = _search(
-        len(edges),
-        _by_edge(record, g, induced),
-        _by_edge(record, h, induced),
-        record.get(_twin_swaps),
+        len(edges), red, blue, record.get(_twin_swaps), red_units, blue_units
     )
     red_set, blue_set = found
     side = {True: [], False: []}
@@ -366,11 +382,21 @@ def test_k10_arrows_c4_k4_within_counted_work():
 def test_dense_host_arrows_k2_k1_k3_within_counted_work():
     # This order-10 host has 37 edges and 7 induced copies of K2+K1, each a
     # single edge. Without the dominance cut the DFS closed 15,167 branches,
-    # trying blue on the 30 edges that lie in no red copy; with it, 5.
+    # trying blue on the 30 edges that lie in no red copy; with it, 5. Those
+    # 7 edges are colored blue at the root, and propagating from them closes
+    # the proof in 1.
     res = strongly_arrows(parse_graph6("In}~M~znW"), parse_graph6("B_"), complete(3))
     assert res.arrows
     assert res.colorings_explored == 0
-    assert res.colorings_explored + res.prunes <= 50
+    assert res.colorings_explored + res.prunes <= 5
+
+
+def test_a_one_edge_copy_on_both_sides_closes_the_root():
+    # K2+K1's one edge is a copy of K2+K1 by itself, red or blue
+    k2_k1 = parse_graph6("B_")
+    res = strongly_arrows(k2_k1, k2_k1, k2_k1)
+    assert res.arrows
+    assert (res.colorings_explored, res.prunes) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +511,24 @@ def test_twin_cuts_keep_the_plain_dfs_witness(host):
 # ---------------------------------------------------------------------------
 # re-verification of the search's answer
 
-def _all_red(n_edges, red_by_edge, blue_by_edge, swaps=()):
+def _all_red(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
     return ((1 << n_edges) - 1, 0), 1, 0
 
 
-def _all_blue(n_edges, red_by_edge, blue_by_edge, swaps=()):
+def _all_blue(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
     return (0, (1 << n_edges) - 1), 1, 0
 
 
-def _one_edge_dropped(n_edges, red_by_edge, blue_by_edge, swaps=()):
-    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps)
+def _one_edge_dropped(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
+    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps, red_units, blue_units)
     if found is None:
         return found, leaves, prunes
     red, blue = found
     return ((red & (red - 1), blue) if red else (red, blue & (blue - 1))), leaves, prunes
 
 
-def _sides_overlap(n_edges, red_by_edge, blue_by_edge, swaps=()):
-    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps)
+def _sides_overlap(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
+    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps, red_units, blue_units)
     if found is None:
         return found, leaves, prunes
     red, blue = found

@@ -201,6 +201,58 @@ def test_each_put_appends_one_line(tmp_path):
     assert ResultCache(cache_file).get(keys[0]) == {"arrows": False, "witness": None}
 
 
+def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
+    # A line in put's one-key form keeps its verdict's text as written; every
+    # other form is encoded again. Each must give the verdicts a per-line
+    # parse folds to, the last line for a key winning.
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    refuted = {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}}
+    proved = {"arrows": True, "witness": None}
+    put_form = {"a|A_|A_": refuted, "h\\|A_|A_": refuted, "k|A_|A_": proved}
+    lines = [json.dumps({key: verdict}, sort_keys=True) for key, verdict in put_form.items()] + [
+        json.dumps({"b|A_|A_": refuted}, separators=(",", ":")),
+        json.dumps({"c|A_|A_": refuted}).replace(": ", " :  "),
+        json.dumps({"d|A_|A_": proved}) + "  ",
+        # a legacy multi-key object
+        json.dumps({"e|A_|A_": proved, "f|A_|A_": refuted}),
+        # a key named twice: the last verdict counts
+        '{"g|A_|A_": {"arrows": false}, "g|A_|A_": ' + json.dumps(proved) + "}",
+        # two values on one line
+        json.dumps({"i|A_|A_": proved}) + ", {}",
+        json.dumps({"j|A_|A_": proved}) + ", " + json.dumps({"k|A_|A_": refuted}),
+        # an escaped key that names a|A_|A_ again
+        '{"\\u0061|A_|A_": ' + json.dumps(proved) + "}",
+    ]
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text("\n".join(lines) + "\n")
+    expected = {}
+    for line in lines:
+        for raw in json.loads("[" + line + "]"):
+            expected.update(raw)
+    cache = ResultCache(cache_file)
+    assert cache._data.keys() == expected.keys()
+    assert {key: cache.get(key) for key in expected} == expected
+    assert cache._data["h\\|A_|A_"] == json.dumps(refuted, sort_keys=True)
+
+
+def test_loading_put_lines_encodes_no_verdict(tmp_path, monkeypatch):
+    verdicts = {
+        "a|A_|A_": {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}},
+        "b|A_|A_": {"arrows": True, "witness": None},
+    }
+    cache_file = tmp_path / "cache.json"
+    writer = ResultCache(cache_file)
+    for key, verdict in verdicts.items():
+        writer.put(key, verdict)
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
+    cache = ResultCache(cache_file)
+    assert not [obj for obj in encoded if isinstance(obj, dict)]
+    assert {key: cache.get(key) for key in verdicts} == verdicts
+
+
 def _open_cache(path):
     """A fresh ResultCache on path, and whether loading it warned."""
     with warnings.catch_warnings(record=True) as caught:
