@@ -17,11 +17,19 @@ copy masks and copy lists behind each verdict are kept in one record per
 host (arrowing._host), so the pattern pairs of a sweep build each once. Verdicts
 are memoized in an append-only cache file, one JSON object per line, keyed
 by the literal g6 triple; keys are not canonicalized, so an
-isomorphic-but-relabeled query is simply a miss. A sweep emits the pattern
-pair's g6 strings once, and a Catalog keeps each host's g6 string beside
-its scan order, so building a key emits nothing. A host with no copy of g
-is refuted all red without a search, and its check is that its list of g
-copies is empty (arrowing._refute). A process that has loaded a cache log
+isomorphic-but-relabeled query is simply a miss. A sweep with a cache
+emits the pattern pair's g6 strings once, and a Catalog keeps each host's
+g6 string beside its scan order, so building a key emits nothing; a sweep
+without one emits none. A host with no copy of g is refuted all red
+without a search, and its check is that its list of g copies is empty
+(arrowing._refute). A sweep without a cache goes further and decides only
+the hosts that hold both g and h: a Catalog keeps, per order and pattern,
+a bitmask over scan positions of the hosts that hold an induced copy, each
+bit read from one embedder search (Catalog.holders), and every other host
+is refuted by one color, all red with no g or all blue with no h, on the
+check of that search finding no copy. A sweep with a cache still decides
+every host, so the cache gets a verdict for each. A process that has
+loaded a cache log
 parses only the lines appended to it since, so repeated sweeps on one
 growing cache do not re-read it whole. A Catalog counts an order it has
 parsed as present without looking at its file again.
@@ -36,7 +44,7 @@ from pathlib import Path
 
 from .arrowing import NotFoundBelow, _fault, _host, _refute, _witness_json, _witness_sets
 from .errors import ArrowheadError, CatalogError, PreconditionError
-from .graphs import Graph, emit_graph6, parse_graph6
+from .graphs import Graph, _bits, emit_graph6, find_induced_embedding, parse_graph6
 
 DEFAULT_ORDER_CAP = 7
 
@@ -46,13 +54,15 @@ class Catalog:
 
     Each file is read, parsed and checked once per instance, when first
     asked for; a file changed or removed on disk after that is not read
-    again, and its order still counts as present.
+    again, and its order still counts as present. The holder masks of an
+    order are kept beside its scan order, one per pattern asked about.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self._graphs: dict[int, tuple[Graph, ...]] = {}
         self._scans: dict[int, tuple[tuple[Graph, str], ...]] = {}
+        self._holders: dict[tuple[int, Graph], int] = {}
 
     def path_for(self, order: int) -> Path:
         return self.directory / f"n{order}.g6"
@@ -84,6 +94,21 @@ class Catalog:
             entries.sort(key=lambda e: (e[0].edge_count(), e[1]))
             self._scans[order] = tuple(entries)
         return self._scans[order]
+
+    def holders(self, order: int, pattern: Graph) -> int:
+        """Bitmask over scan(order) positions: bit i is set when the i-th
+        host holds an induced copy of pattern, by one embedder search per
+        host. Built on the first ask and kept; it builds no host record, so
+        it evicts none."""
+        key = (order, pattern)
+        mask = self._holders.get(key)
+        if mask is None:
+            mask = self._holders[key] = sum(
+                1 << i
+                for i, (f, _) in enumerate(self.scan(order))
+                if find_induced_embedding(f, pattern) is not None
+            )
+        return mask
 
     def _parse(self, order: int) -> tuple[Graph, ...]:
         path = self.path_for(order)
@@ -238,13 +263,14 @@ def _decide(
     g: Graph,
     h: Graph,
     cache: ResultCache | None,
-    pair: tuple[str, str],
+    pair: tuple[str, str] | None,
     f6: str | None = None,
 ) -> bool:
     """Arrowing verdict for one host, through the cache when one is given.
 
     pair holds the g6 strings of g and h, which form the cache key's tail;
-    f6, f's g6 string, is its head, emitted here when not given.
+    f6, f's g6 string, is its head, emitted here when not given. Neither is
+    read without a cache.
 
     A verdict the cache does not settle comes from one _refute call, which
     checks the refuting coloring on its edge bitsets; a cache stores it as
@@ -271,27 +297,56 @@ def _decide(
 
 
 def _scan_order(g, h, catalog, order, cache, pair):
-    """(g6 of the first arrowing graph or None, count confirmed non-arrowing)."""
-    nonarrows = 0
-    for f, f6 in catalog.scan(order):
+    """g6 of the order's first arrowing graph, or None when none arrows.
+
+    With a cache every host of the order up to that graph goes through
+    _decide, so the cache gets a verdict for each. Without one only the
+    hosts that hold both g and h (catalog.holders) are decided. Every other
+    host is refuted by one color: all red when it holds no g, else all
+    blue, as it holds no h. That coloring's check is the embedder search
+    the holder bit was read from, which found no copy: the check _refute
+    makes for a host with no g, whose embedder copy list is empty.
+    """
+    scan = catalog.scan(order)
+    if cache is None:
+        positions = _bits(catalog.holders(order, g) & catalog.holders(order, h))
+    else:
+        positions = range(len(scan))
+    for i in positions:
+        f, f6 = scan[i]
         if _decide(f, g, h, cache, pair, f6):
-            return f6, nonarrows
-        nonarrows += 1
-    return None, nonarrows
+            return f6
+    return None
 
 
 @dataclass(frozen=True, slots=True)
 class IRResult:
-    pair: tuple[str, str]
+    """The least arrowing order of the catalog for the pattern pair (g, h).
+
+    g and h are the caller's graphs; their g6 pair and the orders checked
+    (1 to value) are derived on access, so a result holds no strings or
+    tuples of its own.
+    """
+
+    g: Graph
+    h: Graph
     value: int
     witness_arrowing_graph: str
     nonarrow_witnesses_verified: int
-    checked_orders: tuple[int, ...]
+
+    @property
+    def pair(self) -> tuple[str, str]:
+        return emit_graph6(self.g), emit_graph6(self.h)
+
+    @property
+    def checked_orders(self) -> tuple[int, ...]:
+        return tuple(range(1, self.value + 1))
 
     def to_json_dict(self) -> dict:
+        g6, h6 = self.pair
         return {
-            "g": self.pair[0],
-            "h": self.pair[1],
+            "g": g6,
+            "h": h6,
             "ir": self.value,
             "witness": self.witness_arrowing_graph,
             "checked_orders": list(self.checked_orders),
@@ -315,21 +370,14 @@ def ir_exact(
             "(search cost roughly doubles per edge)"
         )
     catalog.require_orders(n_max)
-    pair = (emit_graph6(g), emit_graph6(h))
-    checked: list[int] = []
-    prev_nonarrows = 0
+    # the g6 pair is the tail of every cache key; a sweep without a cache needs none
+    pair = None if cache is None else (emit_graph6(g), emit_graph6(h))
+    nonarrows = 0  # the hosts of the order below, each refuted by a checked coloring
     for order in range(1, n_max + 1):
-        found, nonarrows = _scan_order(g, h, catalog, order, cache, pair)
-        checked.append(order)
+        found = _scan_order(g, h, catalog, order, cache, pair)
         if found is not None:
-            return IRResult(
-                pair,
-                order,
-                found,
-                prev_nonarrows,
-                tuple(checked),
-            )
-        prev_nonarrows = nonarrows
+            return IRResult(g, h, order, found, nonarrows)
+        nonarrows = len(catalog.scan(order))
     return NotFoundBelow(n_max)
 
 

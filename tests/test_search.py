@@ -1,6 +1,7 @@
 import json
 import random
 import warnings
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from arrowhead.search import (
     ir_exact,
     ir_verify_value,
 )
+
+from .oracles import brute_induced_copies
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -693,6 +696,19 @@ def test_ir_result_json_shape(catalog):
     }
 
 
+def test_ir_result_holds_the_callers_graphs(catalog):
+    # a result keeps no strings or tuples of its own: the g6 pair and the
+    # checked orders are derived on access
+    assert [f.name for f in fields(IRResult)] == [
+        "g", "h", "value", "witness_arrowing_graph", "nonarrow_witnesses_verified",
+    ]
+    g, h = matching(2), complete(2)
+    res = ir_exact(g, h, catalog, n_max=4)
+    assert res.g is g and res.h is h
+    assert res.pair == ("C`", "A_")
+    assert res.checked_orders == (1, 2, 3, 4)
+
+
 def test_ir_not_found_below(catalog):
     res = ir_exact(complete(3), complete(3), catalog, n_max=5)
     assert isinstance(res, NotFoundBelow)
@@ -749,6 +765,82 @@ def test_ir_sweep_matches_the_benchmark_reference(catalog):
             assert res == NotFoundBelow(6), item
         else:
             assert (res.value, res.witness_arrowing_graph) == (item["ir"], item["witness"]), item
+
+
+def test_holder_bits_match_the_oracle(catalog, sweep_patterns):
+    for order in range(1, 7):
+        scan = catalog.scan(order)
+        for pattern in sweep_patterns:
+            mask = catalog.holders(order, pattern)
+            assert mask >> len(scan) == 0
+            for i, (host, _) in enumerate(scan):
+                assert bool(mask >> i & 1) == bool(brute_induced_copies(host, pattern)), (host, pattern)
+
+
+def test_hosts_outside_the_holders_are_refuted_by_one_color(catalog):
+    # all red on a host with no g, else all blue, as it has no h
+    panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
+    for order in range(1, 7):
+        scan = catalog.scan(order)
+        for g, h in product(panel, repeat=2):
+            has_g = catalog.holders(order, g)
+            skipped = ~(has_g & catalog.holders(order, h))
+            for i, (host, _) in enumerate(scan):
+                if skipped >> i & 1:
+                    color = "blue" if has_g >> i & 1 else "red"
+                    witness = EdgeColoring.monochrome(host, color)
+                    assert verify_witness(host, witness, g, h) is None, (host, g, h)
+
+
+def test_cacheless_and_cached_sweeps_agree(catalog, tmp_path):
+    items = json.loads(REFERENCE.read_text())["ir"][::13]
+    assert any(item["ir"] is None or item["ir"] > 5 for item in items)
+    assert any(item["ir"] is not None and item["ir"] <= 5 for item in items)
+    for n, item in enumerate(items):
+        g, h = parse_graph6(item["g6"]), parse_graph6(item["h6"])
+        bare = ir_exact(g, h, catalog, n_max=5)
+        cached = ir_exact(g, h, catalog, n_max=5, cache=ResultCache(tmp_path / f"{n}.json"))
+        assert bare == cached, item
+        if isinstance(bare, IRResult):
+            assert bare.nonarrow_witnesses_verified == cached.nonarrow_witnesses_verified
+            assert bare.to_json_dict() == cached.to_json_dict()
+
+
+def test_cacheless_sweep_decides_only_hosts_holding_both(catalog, monkeypatch):
+    for order in range(1, 7):
+        catalog.scan(order)  # a first scan emits each host's g6 once
+    refuted = []
+    real_refute = search._refute
+
+    def counted_refute(host, g, h, induced):
+        refuted.append(host.f)
+        return real_refute(host, g, h, induced)
+
+    emitted = []
+
+    def counted_emit(graph):
+        emitted.append(graph)
+        return emit_graph6(graph)
+
+    monkeypatch.setattr(search, "_refute", counted_refute)
+    monkeypatch.setattr(search, "emit_graph6", counted_emit)
+    monkeypatch.setattr(graphs, "emit_graph6", counted_emit)
+    g, h = path(4), complete(3)
+    assert ir_exact(g, h, catalog, n_max=6) == NotFoundBelow(6)
+    assert refuted and emitted == []
+    assert all(brute_induced_copies(f, g) and brute_induced_copies(f, h) for f in refuted)
+    both = [catalog.holders(order, g) & catalog.holders(order, h) for order in range(1, 7)]
+    assert len(refuted) == sum(bin(mask).count("1") for mask in both) < sum(CATALOG_COUNTS[k] for k in range(1, 7))
+
+
+def test_cached_sweep_writes_one_line_per_host(catalog, tmp_path):
+    cache_file = tmp_path / "ir.json"
+    assert ir_exact(path(4), complete(3), catalog, n_max=5, cache=ResultCache(cache_file)) == NotFoundBelow(5)
+    lines = cache_file.read_text().splitlines()
+    assert len(lines) == sum(CATALOG_COUNTS[k] for k in range(1, 6))
+    tail = f"|{emit_graph6(path(4))}|{emit_graph6(complete(3))}"
+    hosts = [f6 for order in range(1, 6) for _, f6 in catalog.scan(order)]
+    assert [next(iter(json.loads(line))) for line in lines] == [f6 + tail for f6 in hosts]
 
 
 # ---------------------------------------------------------------------------
