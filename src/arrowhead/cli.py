@@ -50,9 +50,14 @@ def parse_graph_arg(text: str) -> Graph:
         except ValueError as exc:
             raise PreconditionError(f"bad symbolic graph {text!r}: {exc}") from exc
         return disjoint_union([base] * copies) if copies > 1 else base
-    p = Path(text)
-    if p.is_file():
-        for line in p.read_text().splitlines():
+    # os.path.isfile, unlike Path.is_file, is False for a name too long for
+    # the file system, such as a large graph's graph6 string
+    if os.path.isfile(text):
+        try:
+            lines = Path(text).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PreconditionError(f"cannot read graph file {text}: {exc}") from exc
+        for line in lines:
             line = line.strip()
             if line:
                 return parse_graph6(line)
@@ -164,9 +169,9 @@ def cmd_verify(args) -> int:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     try:
-        data = json.loads(Path(args.coloring).read_text())
-    except json.JSONDecodeError as exc:
-        raise ColoringMismatchError(f"coloring file is not valid JSON: {exc}") from exc
+        data = json.loads(Path(args.coloring).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ColoringMismatchError(f"coloring file {args.coloring} is not readable JSON: {exc}") from exc
     coloring = EdgeColoring.from_json_dict(data)
     violation = verify_witness(f, coloring, g, h)
     result = {

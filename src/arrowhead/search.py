@@ -2,37 +2,23 @@
 
 A catalog is a directory of files n1.g6, n2.g6, ... holding one graph6 line
 per isomorphism class of each order. A Catalog parses each file once and
-keeps its scan order, and bundled_catalog() hands out one shared instance,
-so repeated sweeps pay neither again. ir_exact walks orders from 1 upward and
-inside an order walks graphs by ascending (edge count, graph6), so sparse
-hosts fail fast and the answer never depends on file line order. Each
-non-arrowing verdict rests on a refuting coloring that is re-verified on
-its edge bitsets, against per-host lists of the copies of g and h that the
-embedder builds: arrowing checks every one its search finds, and a cached
-one is read back into edge bitsets and put through the same check
-(arrowing._fault) on every hit before it is believed. A sweep makes no
-ArrowingResult, no EdgeColoring and no neighbour rows; a cache stores the
-refuting coloring as sorted [u, v] lists written from the bitsets. The
-copy masks and copy lists behind each verdict are kept in one record per
-host (arrowing._host), so the pattern pairs of a sweep build each once. Verdicts
-are memoized in an append-only cache file, one JSON object per line, keyed
-by the literal g6 triple; keys are not canonicalized, so an
-isomorphic-but-relabeled query is simply a miss. A sweep with a cache
-emits the pattern pair's g6 strings once, and a Catalog keeps each host's
-g6 string beside its scan order, so building a key emits nothing; a sweep
-without one emits none. A host with no copy of g is refuted all red
-without a search, and its check is that its list of g copies is empty
-(arrowing._refute). A sweep without a cache goes further and decides only
-the hosts that hold both g and h: a Catalog keeps, per order and pattern,
-a bitmask over scan positions of the hosts that hold an induced copy, each
-bit read from one embedder search (Catalog.holders), and every other host
-is refuted by one color, all red with no g or all blue with no h, on the
-check of that search finding no copy. A sweep with a cache still decides
-every host, so the cache gets a verdict for each. A process that has
-loaded a cache log
-parses only the lines appended to it since, so repeated sweeps on one
-growing cache do not re-read it whole. A Catalog counts an order it has
-parsed as present without looking at its file again.
+keeps each order's scan order, ascending by (edge count, graph6 line), with
+each host's graph6 line beside it; bundled_catalog() hands out one shared
+instance. ir_exact walks orders from 1 upward and each order in scan order,
+so sparse hosts fail fast and the answer never depends on file line order.
+
+Every non-arrowing verdict rests on a refuting coloring checked on its edge
+bitsets against the host's copy lists (arrowing._refute and _fault). A
+sweep without a cache decides only the hosts that hold both g and h
+(Catalog.holders); every other host is refuted by one color, all red with
+no g or all blue with no h, checked by the embedder search that set its
+holder bit. A sweep with a cache decides every host, so the cache gets a
+verdict for each, and a cached refuting coloring is read back into edge
+bitsets and put through the same check on every hit before it is believed.
+
+The cache is an append-only log of {key: verdict} lines keyed by the
+literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
+relabeled query is a miss.
 """
 from __future__ import annotations
 
@@ -114,8 +100,12 @@ class Catalog:
         path = self.path_for(order)
         if not path.is_file():
             raise CatalogError(f"catalog gap: {path} does not exist")
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CatalogError(f"cannot read {path}: {exc}") from exc
         out = []
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
@@ -170,11 +160,14 @@ class ResultCache:
     are a function of the file's current bytes alone, so a rewritten,
     truncated or re-created file loads exactly as a first read would. Each
     instance folds into its own dict, so a put reaches later loads only
-    through the file. Verdicts are held as JSON text and parsed by get, so
-    the remembered log costs about its size on disk, not several times that
-    in parsed witnesses. A put encodes its verdict once, sorted by key, and
-    that text is both the entry and the body of its log line; loading such
-    a line keeps that text as written instead of encoding it again.
+    through the file.
+
+    An entry is the JSON text of a one-key object {key: verdict}, parsed by
+    get, so the remembered log costs about its size on disk, not several
+    times that in parsed witnesses. A put's entry is its log line. Each
+    loaded line is parsed on its own, so a line that holds one one-key
+    object is that object's text and is kept as written; any other line
+    form is encoded again, one entry per key.
     """
 
     def __init__(self, path):
@@ -196,17 +189,16 @@ class ResultCache:
             if not data.startswith(known):
                 known, folded = b"", {}
             folded = dict(folded)
-            lines = [line for line in data[len(known):].decode().splitlines() if line.strip()]
-            # one parse for all new lines, each line its own array of values:
-            # per-line json.loads is markedly slower
-            for line, values in zip(lines, json.loads("[[" + "],[".join(lines) + "]]")):
+            for line in data[len(known):].decode().splitlines():
+                values = json.loads("[" + line + "]") if line.strip() else []
                 for raw in values:
                     if not isinstance(raw, dict):
                         raise ValueError("cache line must be a JSON object")
                     for key, entry in raw.items():
                         if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
                             raise ValueError(f"malformed cache entry for {key!r}")
-                        folded[key] = _verdict_text(line, values, key, entry)
+                        one = len(values) == 1 and len(raw) == 1
+                        folded[key] = line if one else json.dumps({key: entry})
             if data.endswith(b"\n"):
                 _last_log = (data, folded)
             self._data = dict(folded)
@@ -216,13 +208,12 @@ class ResultCache:
 
     def get(self, key: str) -> dict | None:
         text = self._data.get(key)
-        return None if text is None else json.loads(text)
+        return None if text is None else json.loads(text)[key]
 
     def put(self, key: str, verdict: dict) -> None:
-        text = self._data[key] = json.dumps(verdict, sort_keys=True)
+        text = self._data[key] = json.dumps({key: verdict}, sort_keys=True)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # the bytes of json.dumps({key: verdict}, sort_keys=True), verdict encoded once
-        line = "{" + json.dumps(key) + ": " + text + "}\n"
+        line = text + "\n"
         with open(self.path, "a+b") as log:
             _flock(log)
             log.seek(max(log.seek(0, 2) - 1, 0))
@@ -235,42 +226,9 @@ def _key(f6: str, pair: tuple[str, str]) -> str:
     return f"{f6}|{pair[0]}|{pair[1]}"
 
 
-def _verdict_text(line: str, values: list, key: str, entry: dict) -> str:
-    """JSON text of the entry for key, read from a log line that parsed to values.
-
-    A line that holds one value in put's one-key form, {"<key>": <verdict>},
-    keeps its verdict's text as written, sliced after the key. Every colon
-    outside a JSON string follows a key, so a line with no more colons than
-    the entry and its witness have keys, plus its own, holds no other key
-    (nor this one twice), and the slice is one value. Any other line's entry
-    is encoded again.
-    """
-    head = "{" + json.dumps(key) + ": "
-    witness = entry.get("witness")
-    keys = 1 + len(entry) + (len(witness) if type(witness) is dict else 0)
-    if (
-        len(values) == 1
-        and line.startswith(head)
-        and line.endswith("}")
-        and line.count(":") == keys
-    ):
-        return line[len(head):-1]
-    return json.dumps(entry)
-
-
-def _decide(
-    f: Graph,
-    g: Graph,
-    h: Graph,
-    cache: ResultCache | None,
-    pair: tuple[str, str] | None,
-    f6: str | None = None,
-) -> bool:
-    """Arrowing verdict for one host, through the cache when one is given.
-
-    pair holds the g6 strings of g and h, which form the cache key's tail;
-    f6, f's g6 string, is its head, emitted here when not given. Neither is
-    read without a cache.
+def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | None) -> bool:
+    """Arrowing verdict for one host, through the cache under key when one
+    is given.
 
     A verdict the cache does not settle comes from one _refute call, which
     checks the refuting coloring on its edge bitsets; a cache stores it as
@@ -281,7 +239,6 @@ def _decide(
     """
     host = _host(f)
     if cache is not None:
-        key = _key(emit_graph6(f) if f6 is None else f6, pair)
         hit = cache.get(key)
         if hit is not None:
             if hit["arrows"]:
@@ -314,7 +271,7 @@ def _scan_order(g, h, catalog, order, cache, pair):
         positions = range(len(scan))
     for i in positions:
         f, f6 = scan[i]
-        if _decide(f, g, h, cache, pair, f6):
+        if _decide(f, g, h, cache, None if cache is None else _key(f6, pair)):
             return f6
     return None
 

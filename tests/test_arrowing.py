@@ -247,7 +247,9 @@ def test_every_witness_reverifies(catalog):
 
 @st.composite
 def mask_families(draw):
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(0, 14))
+    if not n:  # no edges, no copies
+        return 0, [], []
     mask = st.lists(st.integers(0, n - 1), min_size=1, max_size=6).map(
         lambda idx: sum(1 << i for i in set(idx))
     )
@@ -285,6 +287,8 @@ def test_search_matches_plain_dfs(family):
     assert leaves == (witness is not None) and prunes >= 0
     if red_units & blue_units:
         assert (witness, leaves, prunes) == (None, 0, 1)
+    if not n:  # the empty coloring refutes, found at the root
+        assert (witness, leaves, prunes) == ((0, 0), 1, 0)
 
 
 def _oracle_result(host, g, h, induced):

@@ -4,7 +4,7 @@ import pytest
 
 from arrowhead.cli import main, parse_graph_arg
 from arrowhead.errors import PreconditionError
-from arrowhead.graphs import complete, cycle, matching, parse_graph6, path, star
+from arrowhead.graphs import complete, cycle, emit_graph6, matching, parse_graph6, path, star
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "elapsed_ms"}
 
@@ -43,6 +43,20 @@ def test_graph_arg_file_and_literal(tmp_path):
     empty.write_text("\n")
     with pytest.raises(PreconditionError, match="empty"):
         parse_graph_arg(str(empty))
+
+
+def test_graph_literal_longer_than_a_file_name():
+    # order 60's graph6 line is 296 bytes, past the usual 255-byte name limit
+    assert parse_graph_arg(emit_graph6(path(60))) == path(60)
+
+
+def test_unreadable_graph_file_is_exit_1(capsys, tmp_path):
+    f = tmp_path / "host.g6"
+    f.write_bytes(b"B\xff\n")
+    code, env, err = run_cli(capsys, ["arrows", "--f", str(f), "--g", "K2", "--h", "K2"])
+    assert code == 1
+    assert env is None
+    assert "error: cannot read graph file" in err
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +119,22 @@ def test_verify_rejects_malformed_json(capsys, tmp_path):
     assert code == 1
     assert env is None
     assert "error:" in err and "JSON" in err
+
+
+@pytest.mark.parametrize(
+    "content", [None, b'{"n": 3, "red": [], "blue": []}\xff'], ids=["missing", "not-utf8"]
+)
+def test_verify_rejects_unreadable_coloring_file(capsys, tmp_path, content):
+    # a missing file, and one that is not UTF-8
+    coloring = tmp_path / "coloring.json"
+    if content is not None:
+        coloring.write_bytes(content)
+    code, env, err = run_cli(
+        capsys, ["verify", "--f", "K3", "--coloring", str(coloring), "--g", "K3", "--h", "K3"]
+    )
+    assert code == 1
+    assert env is None
+    assert "error: coloring file" in err and "is not readable JSON" in err
 
 
 def test_verify_rejects_wrong_host_coloring(capsys, tmp_path):
@@ -243,6 +273,18 @@ def test_ir_calls_in_one_process_keep_their_own_caches(capsys, tmp_path, monkeyp
 
     assert keys(written) and all(key.endswith("|C`|A_") for key in keys(written))
     assert keys(second.read_bytes()) and all(key.endswith("|Bg|A_") for key in keys(second.read_bytes()))
+
+
+def test_unreadable_catalog_file_is_exit_1(capsys, tmp_path):
+    (tmp_path / "n1.g6").write_text("@\n")
+    (tmp_path / "n2.g6").write_bytes(b"A_\n\xff\n")
+    code, env, err = run_cli(
+        capsys,
+        ["ir", "--g", "K2", "--h", "K2", "--catalog", str(tmp_path), "--n-max", "2", "--no-cache"],
+    )
+    assert code == 1
+    assert env is None
+    assert "error: cannot read" in err and "n2.g6" in err
 
 
 def test_no_cache_runs_are_deterministic(capsys):

@@ -205,9 +205,9 @@ def test_each_put_appends_one_line(tmp_path):
 
 
 def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
-    # A line in put's one-key form keeps its verdict's text as written; every
-    # other form is encoded again. Each must give the verdicts a per-line
-    # parse folds to, the last line for a key winning.
+    # A line that holds one one-key object is kept as written; every other
+    # form is encoded again. Each must give the verdicts a per-line parse
+    # folds to, the last line for a key winning.
     monkeypatch.setattr(search, "_last_log", (b"", {}))
     refuted = {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}}
     proved = {"arrows": True, "witness": None}
@@ -235,7 +235,18 @@ def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
     cache = ResultCache(cache_file)
     assert cache._data.keys() == expected.keys()
     assert {key: cache.get(key) for key in expected} == expected
-    assert cache._data["h\\|A_|A_"] == json.dumps(refuted, sort_keys=True)
+    assert cache._data["h\\|A_|A_"] == json.dumps({"h\\|A_|A_": refuted}, sort_keys=True)
+
+
+def test_a_log_whose_lines_are_not_each_json_is_dropped(tmp_path, monkeypatch):
+    # Joined into one array of arrays, these two lines parse as two one-key
+    # objects, the second a verdict for A_|A_|A_; alone, neither parses.
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text('{"k": {"arrows": true, "w": "\n"}}],[{"A_|A_|A_": {"arrows": true}}\n')
+    cache, warned = _open_cache(cache_file)
+    assert warned
+    assert cache.get("A_|A_|A_") is None
 
 
 def test_loading_put_lines_encodes_no_verdict(tmp_path, monkeypatch):
@@ -751,8 +762,7 @@ def test_cacheless_verdict_matches_strongly_arrows(catalog):
     panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
     for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
         for g, h in product(panel, repeat=2):
-            pair = (emit_graph6(g), emit_graph6(h))
-            assert _decide(host, g, h, None, pair) == strongly_arrows(host, g, h).arrows, (host, g, h)
+            assert _decide(host, g, h, None, None) == strongly_arrows(host, g, h).arrows, (host, g, h)
 
 
 def test_ir_sweep_matches_the_benchmark_reference(catalog):
