@@ -14,7 +14,6 @@ from arrowhead.coloring import (
 from arrowhead.constructions import (
     bound_report,
     lemma2_coloring,
-    required_subgraph_check,
     theorem1_coloring,
     theorem3_coloring,
     validate_trace,
@@ -69,7 +68,6 @@ def main() -> None:
     # The recipe refuses rather than hand back something uncertified.
     stubborn = parse_graph6("DBC")
     print("isolate-free recipe on DBC, alpha=3 omega=2")
-    print(f"  feasibility screen: {required_subgraph_check(stubborn, 3, 2)}")
     try:
         theorem3_coloring(stubborn, 3, 2)
     except ConstructionError as exc:

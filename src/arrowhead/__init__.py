@@ -32,7 +32,6 @@ from .constructions import (
     lemma2_coloring,
     lower_bound_connected,
     lower_bound_isolatefree,
-    required_subgraph_check,
     theorem1_coloring,
     theorem3_coloring,
     validate_trace,
@@ -73,10 +72,8 @@ from .search import (
     Catalog,
     IRResult,
     ResultCache,
-    ValueCheck,
     bundled_catalog,
     ir_exact,
-    ir_verify_value,
 )
 
 __version__ = "0.1.0"

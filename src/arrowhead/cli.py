@@ -77,7 +77,10 @@ def _print_envelope(command: str, inputs: dict, result: dict, started: float) ->
 
 def _write_out(out_path: str | None, payload: dict) -> None:
     if out_path:
-        Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+        try:
+            Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _open_cache(args) -> ResultCache | None:

@@ -435,49 +435,7 @@ def _certify_red_side(f: Graph, c: EdgeColoring, alpha: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# clique packing and the bound report
-
-def required_subgraph_check(f: Graph, alpha: int, omega: int) -> bool:
-    """Does f pack the disjoint cliques the extraction recipe consumes?
-
-    One clique of each size omega-j plus alpha-2 of size omega-j-1, for every
-    level j down to size 2, all vertex-disjoint.
-    """
-    if alpha < 2 or omega < 2:
-        raise PreconditionError("needs independence >= 2 and clique budget >= 2")
-    sizes: list[int] = []
-    for j in range(omega - 1):
-        sizes.append(omega - j)
-        sizes.extend([omega - j - 1] * (alpha - 2))
-    return _has_clique_packing(f, sizes)
-
-
-def _has_clique_packing(f: Graph, sizes: list[int]) -> bool:
-    if sum(sizes) > f.n:
-        return False
-    order = sorted(sizes, reverse=True)
-
-    def place(i: int, used: int, floor: int) -> bool:
-        if i == len(order):
-            return True
-        k = order[i]
-        avail = [v for v in range(f.n) if not used >> v & 1]
-        # interchangeable equal-size parts: force ascending anchors
-        anchor_floor = floor if i > 0 and order[i] == order[i - 1] else 0
-        for verts in combinations(avail, k):
-            if verts[0] < anchor_floor:
-                continue
-            if not is_clique(f, verts):
-                continue
-            mask = 0
-            for v in verts:
-                mask |= 1 << v
-            if place(i + 1, used | mask, verts[0]):
-                return True
-        return False
-
-    return place(0, 0, 0)
-
+# the bound report
 
 @dataclass(frozen=True)
 class Bound:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import Graph6Error, OrderLimitError
 
@@ -464,7 +464,6 @@ def check_embedding(
     host: Graph,
     pattern: Graph,
     emb: Embedding,
-    edge_predicate: Callable[[int, int], bool] | None = None,
     induced: bool = True,
 ) -> bool:
     """Definition-level validation of an embedding, independent of the search."""
@@ -481,8 +480,6 @@ def check_embedding(
             if induced and want != have:
                 return False
             if not induced and want and not have:
-                return False
-            if want and edge_predicate is not None and not edge_predicate(emb.map[a], emb.map[b]):
                 return False
     return True
 

@@ -69,12 +69,9 @@ class Catalog:
             self._graphs[order] = self._parse(order)
         return list(self._graphs[order])
 
-    def scan_order(self, order: int) -> tuple[Graph, ...]:
-        """The order's graphs by ascending (edge count, graph6 line)."""
-        return tuple(f for f, _ in self.scan(order))
-
     def scan(self, order: int) -> tuple[tuple[Graph, str], ...]:
-        """scan_order's graphs, each beside its graph6 line."""
+        """The order's graphs by ascending (edge count, graph6 line), each
+        beside its graph6 line."""
         if order not in self._scans:
             entries = [(f, emit_graph6(f)) for f in self.graphs(order)]
             entries.sort(key=lambda e: (e[0].edge_count(), e[1]))
@@ -152,7 +149,9 @@ class ResultCache:
     Loading folds the lines in order, so the last line for a key wins; an
     older single-object cache is a one-line log, whose missing final newline
     a put writes first. A corrupt or unreadable file is dropped whole with a
-    warning rather than half trusted.
+    warning rather than half trusted. A put that cannot write the file warns
+    once, and later puts of that instance keep their entries in memory only,
+    so an unwritable cache never stops a sweep or changes its answer.
 
     A process remembers the last newline-terminated log it loaded. When a
     file's bytes start with that log's bytes, only the lines after them are
@@ -173,6 +172,7 @@ class ResultCache:
     def __init__(self, path):
         self.path = Path(path)
         self._data: dict[str, str] = {}
+        self._writable = True
         self._load()
 
     @staticmethod
@@ -212,14 +212,20 @@ class ResultCache:
 
     def put(self, key: str, verdict: dict) -> None:
         text = self._data[key] = json.dumps({key: verdict}, sort_keys=True)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._writable:
+            return
         line = text + "\n"
-        with open(self.path, "a+b") as log:
-            _flock(log)
-            log.seek(max(log.seek(0, 2) - 1, 0))
-            if log.read(1) not in (b"", b"\n"):
-                line = "\n" + line
-            log.write(line.encode())
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a+b") as log:
+                _flock(log)
+                log.seek(max(log.seek(0, 2) - 1, 0))
+                if log.read(1) not in (b"", b"\n"):
+                    line = "\n" + line
+                log.write(line.encode())
+        except OSError as exc:
+            warnings.warn(f"not writing result cache {self.path}: {exc}")
+            self._writable = False
 
 
 def _key(f6: str, pair: tuple[str, str]) -> str:
@@ -337,33 +343,3 @@ def ir_exact(
         nonarrows = len(catalog.scan(order))
     return NotFoundBelow(n_max)
 
-
-@dataclass(frozen=True)
-class ValueCheck:
-    confirmed: bool
-    claimed: int
-    reason: str
-    counterexample: str | None
-
-
-def ir_verify_value(
-    g: Graph,
-    h: Graph,
-    claimed: int,
-    catalog: Catalog,
-    cache: ResultCache | None = None,
-    allow_large: bool = False,
-) -> ValueCheck:
-    """Check both halves of a claimed minimum: nothing smaller arrows, and
-    something of exactly the claimed order does. One ir_exact sweep to the
-    claimed order answers both."""
-    if claimed < 1:
-        raise PreconditionError("claimed value must be positive")
-    res = ir_exact(g, h, catalog, claimed, cache, allow_large)
-    if isinstance(res, NotFoundBelow):
-        return ValueCheck(False, claimed, f"no order-{claimed} host arrows the pair", None)
-    if res.value < claimed:
-        reason = f"an order-{res.value} host already arrows the pair"
-        return ValueCheck(False, claimed, reason, res.witness_arrowing_graph)
-    reason = f"minimal: first arrowing host at order {claimed} is {res.witness_arrowing_graph}"
-    return ValueCheck(True, claimed, reason, None)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -84,6 +85,22 @@ def test_arrows_negative_writes_witness(capsys, tmp_path):
     witness = env["result"]["witness"]
     assert witness is not None
     assert json.loads(out.read_text()) == witness
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arrows", "--f", "K5", "--g", "K3", "--h", "K3"],
+        ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"],
+        ["construct", "--method", "t1", "--f", "K5", "--alpha", "2", "--omega", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_exit_1(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "x.json"
+    code, env, err = run_cli(capsys, argv + ["--out", str(out)])
+    assert (code, env) == (1, None)
+    assert f"error: cannot write {out}" in err
 
 
 def test_arrows_witness_round_trips_through_verify(capsys, tmp_path):
@@ -273,6 +290,18 @@ def test_ir_calls_in_one_process_keep_their_own_caches(capsys, tmp_path, monkeyp
 
     assert keys(written) and all(key.endswith("|C`|A_") for key in keys(written))
     assert keys(second.read_bytes()) and all(key.endswith("|Bg|A_") for key in keys(second.read_bytes()))
+
+
+def test_unwritable_cache_gives_the_cacheless_answer(capsys, tmp_path):
+    argv = ["ir", "--g", "P4", "--h", "P3", "--n-max", "7"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, env, _ = run_cli(capsys, argv + ["--cache", str(tmp_path)])
+    messages = [str(w.message).split(" result cache ")[0] for w in caught]
+    assert messages == ["ignoring unreadable", "not writing"]
+    bare_code, bare, _ = run_cli(capsys, argv + ["--no-cache"])
+    assert (code, env["result"]) == (bare_code, bare["result"])
+    assert (code, env["result"]["ir"], env["result"]["witness"]) == (0, 7, "Fh_gG")
 
 
 def test_unreadable_catalog_file_is_exit_1(capsys, tmp_path):

@@ -25,7 +25,6 @@ from arrowhead.constructions import (
     lemma2_coloring,
     lower_bound_connected,
     lower_bound_isolatefree,
-    required_subgraph_check,
     theorem1_coloring,
     theorem3_coloring,
     validate_trace,
@@ -336,40 +335,6 @@ def test_isolatefree_formula_overclaims_at_budget_two(catalog):
     res = ir_exact(path(3), complete(2), catalog, n_max=4)
     assert res.value == 3
     assert res.value < lower_bound_isolatefree(2, 2)
-
-
-# ---------------------------------------------------------------------------
-# clique packing
-
-def test_required_packing_examples():
-    assert required_subgraph_check(complete(5), 2, 3)
-    assert not required_subgraph_check(cycle(5), 2, 3)
-    assert required_subgraph_check(complete(8), 3, 3)
-    assert not required_subgraph_check(complete(4), 2, 3)
-    with pytest.raises(PreconditionError):
-        required_subgraph_check(complete(5), 1, 3)
-
-
-def test_full_extractions_imply_packing(catalog):
-    """When the extraction recipe runs to the floor without an early exit and
-    the floor still holds one edge plus alpha-2 spare vertices, the cliques
-    it took are exactly the packing the check looks for."""
-    early = {"clique-free-all-blue", "extraction-stalled-rest-blue"}
-    for alpha, omega in ((2, 3), (3, 2)):
-        order = lower_bound_connected(alpha, omega) - 1
-        for host in catalog.graphs(order):
-            _, trace = theorem1_coloring(host, alpha, omega)
-            roles = {s.role for s in trace.steps}
-            if roles & early:
-                continue
-            floor = next(s.vertices for s in trace.steps if s.role == "floor-all-red")
-            sub = [v for v in floor]
-            has_edge = any(
-                host.has_edge(u, v) for i, u in enumerate(sub) for v in sub[i + 1:]
-            )
-            if not has_edge or len(sub) < 2 + (alpha - 2):
-                continue
-            assert required_subgraph_check(host, alpha, omega), emit_graph6(host)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from arrowhead.search import (
     _decide,
     bundled_catalog,
     ir_exact,
-    ir_verify_value,
 )
 
 from .oracles import brute_induced_copies
@@ -109,7 +108,7 @@ def test_catalog_files_parse_once_into_fresh_lists(tmp_path):
     first.clear()
     assert len(cat.graphs(2)) == 2
     assert cat.graphs(2) is not cat.graphs(2)
-    assert [g.edge_count() for g in cat.scan_order(2)] == [0, 1]
+    assert [f.edge_count() for f, _ in cat.scan(2)] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +144,17 @@ def test_corrupt_cache_is_dropped_with_warning(tmp_path):
     with pytest.warns(UserWarning):
         cache = ResultCache(cache_file)
     assert cache.get("k") is None
+
+
+def test_unwritable_cache_warns_once_and_keeps_its_entries(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResultCache(tmp_path)  # a directory: unreadable and unwritable
+        for g6 in ("@", "A_", "Bw", "C~"):
+            cache.put(f"{g6}|A_|A_", {"arrows": True, "witness": None})
+    writes = [w for w in caught if "not writing result cache" in str(w.message)]
+    assert len(writes) == 1
+    assert cache.get("C~|A_|A_") == {"arrows": True, "witness": None}
 
 
 def test_parallel_writers_keep_every_key(tmp_path):
@@ -852,33 +862,3 @@ def test_cached_sweep_writes_one_line_per_host(catalog, tmp_path):
     hosts = [f6 for order in range(1, 6) for _, f6 in catalog.scan(order)]
     assert [next(iter(json.loads(line))) for line in lines] == [f6 + tail for f6 in hosts]
 
-
-# ---------------------------------------------------------------------------
-# claimed-value verification
-
-def test_verify_value_confirms(catalog):
-    check = ir_verify_value(matching(2), complete(2), 4, catalog)
-    assert check.confirmed
-    assert check.claimed == 4
-    assert check.counterexample is None
-
-
-def test_verify_value_refutes_too_high(catalog):
-    check = ir_verify_value(matching(2), complete(2), 5, catalog)
-    assert not check.confirmed
-    assert "order-4" in check.reason
-    assert check.counterexample == "C`"
-
-
-def test_verify_value_refutes_too_low(catalog):
-    check = ir_verify_value(matching(2), complete(2), 3, catalog)
-    assert not check.confirmed
-    assert check.counterexample is None
-    assert "no order-3 host" in check.reason
-
-
-def test_verify_value_preconditions(catalog):
-    with pytest.raises(PreconditionError):
-        ir_verify_value(matching(2), complete(2), 0, catalog)
-    with pytest.raises(PreconditionError):
-        ir_verify_value(matching(2), complete(2), DEFAULT_ORDER_CAP + 1, catalog)
