@@ -61,12 +61,11 @@ pattern and kind, not per search.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import EdgeColoring, _intern
+from .coloring import EdgeColoring, _shared
 from .errors import PreconditionError
 from .graphs import Graph, _bits, _embeddings, complete
 
@@ -81,27 +80,14 @@ class ArrowingResult:
     (the root's forcing of one-edge copies among them), and branches closed
     by a symmetry cut. Both depend on the branching order and on the cuts,
     so treat them as diagnostics, not invariants. Equal results alive
-    at once are one object, so a caller keeping many holds each once.
+    at once are one object, held in coloring._shared's one table of equal
+    answers, so a caller keeping many holds each once.
     """
 
     arrows: bool
     witness: EdgeColoring | None
     colorings_explored: int
     prunes: int
-
-
-# (arrows, witness, colorings_explored, prunes) -> the live result; an entry
-# goes with its last reference.
-_RESULTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _result(arrows: bool, witness: EdgeColoring | None, leaves: int, prunes: int) -> ArrowingResult:
-    """The live result with these fields, made if none is."""
-    key = (arrows, witness, leaves, prunes)
-    res = _RESULTS.get(key)
-    if res is None:
-        res = _RESULTS[key] = ArrowingResult(arrows, witness, leaves, prunes)
-    return res
 
 
 @dataclass(frozen=True, slots=True)
@@ -532,10 +518,10 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
     host = _host(f)
     found, leaves, prunes = _refute(host, g, h, induced)
     if found is None:
-        return _result(True, None, leaves, prunes)
+        return _shared(ArrowingResult, True, None, leaves, prunes)
     red_set, blue_set = found
-    witness = _intern(f.n, _edge_rows(host, red_set), _edge_rows(host, blue_set))
-    return _result(False, witness, leaves, prunes)
+    witness = _shared(EdgeColoring, f.n, _edge_rows(host, red_set), _edge_rows(host, blue_set))
+    return _shared(ArrowingResult, False, witness, leaves, prunes)
 
 
 def strongly_arrows(f: Graph, g: Graph, h: Graph) -> ArrowingResult:

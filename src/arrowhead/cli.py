@@ -1,6 +1,9 @@
 """Command-line front door.
 
 One JSON envelope per invocation on stdout; human diagnostics go to stderr.
+Each cmd_* command returns its result and exit code and prints nothing;
+main alone times the call, echoes the inputs its subparser names, maps
+errors to exit 1 and prints the envelope.
 Exit codes partition outcomes: 0 for a positive answer (arrows, valid,
 certified, value found), 10 for a negative answer with certificate (does not
 arrow, nothing found below the cap), 11 for a rejected witness coloring, and
@@ -65,16 +68,6 @@ def parse_graph_arg(text: str) -> Graph:
     return parse_graph6(text)
 
 
-def _print_envelope(command: str, inputs: dict, result: dict, started: float) -> None:
-    envelope = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    print(json.dumps(envelope, indent=2))
-
-
 def _write_out(out_path: str | None, payload: dict) -> None:
     if out_path:
         try:
@@ -90,8 +83,7 @@ def _open_cache(args) -> ResultCache | None:
     return ResultCache(path)
 
 
-def cmd_arrows(args) -> int:
-    started = time.monotonic()
+def cmd_arrows(args) -> tuple[dict, int]:
     f = parse_graph_arg(args.f)
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
@@ -104,21 +96,25 @@ def cmd_arrows(args) -> int:
     }
     if witness is not None:
         _write_out(args.out, witness)
-    _print_envelope("arrows", {"f": args.f, "g": args.g, "h": args.h}, result, started)
-    return 0 if res.arrows else 10
+    return result, 0 if res.arrows else 10
 
 
-def cmd_bounds(args) -> int:
-    started = time.monotonic()
+def cmd_bounds(args) -> tuple[dict, int]:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     report = bound_report(g, h, ramsey_budget=args.ramsey_budget)
-    _print_envelope("bounds", {"g": args.g, "h": args.h}, report.to_json_dict(), started)
-    return 0
+    return report.to_json_dict(), 0
 
 
-def cmd_construct(args) -> int:
-    started = time.monotonic()
+# method -> (recipe, the arguments it takes after the host --f)
+_RECIPES = {
+    "t1": (theorem1_coloring, ("alpha", "omega")),
+    "l2": (lemma2_coloring, ("omega",)),
+    "t3": (theorem3_coloring, ("alpha", "omega")),
+}
+
+
+def cmd_construct(args) -> tuple[dict, int]:
     method = args.method
     if method == "ch":
         if not args.g or not args.h:
@@ -130,18 +126,12 @@ def cmd_construct(args) -> int:
         if not args.f:
             raise PreconditionError(f"method {method} needs --f")
         host = parse_graph_arg(args.f)
-        if method == "t1":
-            if args.alpha is None or args.omega is None:
-                raise PreconditionError("method t1 needs --alpha and --omega")
-            coloring, trace = theorem1_coloring(host, args.alpha, args.omega)
-        elif method == "l2":
-            if args.omega is None:
-                raise PreconditionError("method l2 needs --omega")
-            coloring, trace = lemma2_coloring(host, args.omega)
-        else:
-            if args.alpha is None or args.omega is None:
-                raise PreconditionError("method t3 needs --alpha and --omega")
-            coloring, trace = theorem3_coloring(host, args.alpha, args.omega)
+        recipe, names = _RECIPES[method]
+        values = [getattr(args, name) for name in names]
+        if None in values:
+            needed = " and ".join(f"--{name}" for name in names)
+            raise PreconditionError(f"method {method} needs {needed}")
+        coloring, trace = recipe(host, *values)
     result = {
         "certified": True,
         "method": trace.method,
@@ -150,24 +140,10 @@ def cmd_construct(args) -> int:
         "trace": trace.to_json_dict(),
     }
     _write_out(args.out, coloring.to_json_dict())
-    inputs = {
-        key: value
-        for key, value in (
-            ("f", args.f),
-            ("g", args.g),
-            ("h", args.h),
-            ("alpha", args.alpha),
-            ("omega", args.omega),
-            ("method", method),
-        )
-        if value is not None
-    }
-    _print_envelope("construct", inputs, result, started)
-    return 0
+    return result, 0
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args) -> tuple[dict, int]:
     f = parse_graph_arg(args.f)
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
@@ -175,6 +151,10 @@ def cmd_verify(args) -> int:
         data = json.loads(Path(args.coloring).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ColoringMismatchError(f"coloring file {args.coloring} is not readable JSON: {exc}") from exc
+    n = data.get("n") if isinstance(data, dict) else None
+    # refuse an order past the host's before one row per declared vertex is built
+    if type(n) is int and n > f.n:
+        raise ColoringMismatchError(f"coloring is for order {n}, host has order {f.n}")
     coloring = EdgeColoring.from_json_dict(data)
     violation = verify_witness(f, coloring, g, h)
     result = {
@@ -183,31 +163,23 @@ def cmd_verify(args) -> int:
         if violation is None
         else {"color": violation.color, "vertices": list(violation.embedding.map)},
     }
-    _print_envelope(
-        "verify", {"f": args.f, "coloring": args.coloring, "g": args.g, "h": args.h}, result, started
-    )
-    return 0 if violation is None else 11
+    return result, 0 if violation is None else 11
 
 
-def cmd_ir(args) -> int:
-    started = time.monotonic()
+def cmd_ir(args) -> tuple[dict, int]:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     catalog = Catalog(args.catalog) if args.catalog else bundled_catalog()
     cache = _open_cache(args)
     res = ir_exact(g, h, catalog, n_max=args.n_max, cache=cache, allow_large=args.allow_large)
     if isinstance(res, NotFoundBelow):
-        result = {"g": emit_graph6(g), "h": emit_graph6(h), "ir": None, "n_max": res.n_max}
-        _print_envelope("ir", {"g": args.g, "h": args.h, "n_max": args.n_max}, result, started)
-        return 10
+        return {"g": emit_graph6(g), "h": emit_graph6(h), "ir": None, "n_max": res.n_max}, 10
     result = res.to_json_dict()
     _write_out(args.out, result)
-    _print_envelope("ir", {"g": args.g, "h": args.h, "n_max": args.n_max}, result, started)
-    return 0
+    return result, 0
 
 
-def cmd_ramsey(args) -> int:
-    started = time.monotonic()
+def cmd_ramsey(args) -> tuple[dict, int]:
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     value = ramsey_number_exact(g, h, args.n_max)
@@ -218,8 +190,7 @@ def cmd_ramsey(args) -> int:
         "ramsey": value if found else None,
         "n_max": args.n_max,
     }
-    _print_envelope("ramsey", {"g": args.g, "h": args.h, "n_max": args.n_max}, result, started)
-    return 0 if found else 10
+    return result, 0 if found else 10
 
 
 @lru_cache(maxsize=1)
@@ -237,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="red pattern")
     p.add_argument("--h", required=True, help="blue pattern")
     p.add_argument("--out", help="also write the witness coloring JSON here")
-    p.set_defaults(func=cmd_arrows)
+    p.set_defaults(func=cmd_arrows, echo=("f", "g", "h"))
 
     p = sub.add_parser("bounds", help="report every applicable lower bound for a pair")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--ramsey-budget", type=int, default=6, help="largest complete host tried for the exact classical value")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, echo=("g", "h"))
 
     p = sub.add_parser("construct", help="build and certify a witness coloring")
     p.add_argument("--method", required=True, choices=["ch", "t1", "l2", "t3"])
@@ -253,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, help="red-side independence target")
     p.add_argument("--omega", type=int, help="blue-side clique budget")
     p.add_argument("--out", help="also write the coloring JSON here")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, echo=("f", "g", "h", "alpha", "omega", "method"))
 
     p = sub.add_parser("verify", help="check a witness coloring against a pattern pair")
     p.add_argument("--f", required=True)
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, echo=("f", "coloring", "g", "h"))
 
     p = sub.add_parser("ir", help="exact minimum arrowing order by catalog sweep")
     p.add_argument("--g", required=True)
@@ -271,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help=f"cache file (default ${CACHE_ENV} or ./{DEFAULT_CACHE})")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out", help="also write the result JSON here")
-    p.set_defaults(func=cmd_ir)
+    p.set_defaults(func=cmd_ir, echo=("g", "h", "n_max"))
 
     p = sub.add_parser("ramsey", help="exact classical value on complete hosts")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--n-max", type=int, default=6)
-    p.set_defaults(func=cmd_ramsey)
+    p.set_defaults(func=cmd_ramsey, echo=("g", "h", "n_max"))
 
     return parser
 
@@ -285,11 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        result, code = args.func(args)
     except ArrowheadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    envelope = {
+        "command": args.command,
+        "inputs": {key: getattr(args, key) for key in args.echo if getattr(args, key) is not None},
+        "result": result,
+        "elapsed_ms": int((time.monotonic() - started) * 1000),
+    }
+    print(json.dumps(envelope, indent=2))
+    return code
 
 
 def console_main() -> None:

@@ -67,22 +67,23 @@ class EdgeColoring:
         """The coloring with these red and blue pairs, each pair taken
         unordered. A loop, a pair colored twice or a vertex outside
         0..host_order-1 raises ColoringMismatchError. Equal colorings alive
-        at once are one object, so a caller that keeps the same answer many
-        times holds it once."""
+        at once are one object, held in the one table of equal answers
+        (_shared), so a caller that keeps the same answer many times holds
+        it once."""
         r = _rows_of(host_order, red)
         b = _rows_of(host_order, blue)
         overlap = _pairs(map(int.__and__, r, b))
         if overlap:
             raise ColoringMismatchError(f"edges colored twice: {overlap}")
-        return _intern(host_order, r, b)
+        return _shared(EdgeColoring, host_order, r, b)
 
     @staticmethod
     def monochrome(host: Graph, color: str) -> "EdgeColoring":
         empty = (0,) * host.n
         if color == RED:
-            return _intern(host.n, host.adj, empty)
+            return _shared(EdgeColoring, host.n, host.adj, empty)
         if color == BLUE:
-            return _intern(host.n, empty, host.adj)
+            return _shared(EdgeColoring, host.n, empty, host.adj)
         raise ValueError(f"unknown color {color!r}")
 
     @property
@@ -102,7 +103,7 @@ class EdgeColoring:
         return None
 
     def swapped(self) -> "EdgeColoring":
-        return _intern(self.host_order, self.blue_rows, self.red_rows)
+        return _shared(EdgeColoring, self.host_order, self.blue_rows, self.red_rows)
 
     def check_against(self, host: Graph) -> None:
         """Raise unless this coloring covers exactly the edges of host."""
@@ -163,18 +164,20 @@ class EdgeColoring:
         return EdgeColoring.of(n, sides[RED], sides[BLUE])
 
 
-# (host_order, red_rows, blue_rows) -> the live EdgeColoring with those
-# fields; an entry goes when its coloring is no longer referenced.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (make, *args) -> the live make(*args): the one table behind equal
+# colorings, arrowing results and bound reports; an entry goes when its
+# value is no longer referenced.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _intern(host_order: int, red_rows: tuple[int, ...], blue_rows: tuple[int, ...]) -> EdgeColoring:
-    """The live coloring with these disjoint sides' rows, made if none is."""
-    key = (host_order, red_rows, blue_rows)
-    c = _INTERNED.get(key)
-    if c is None:
-        c = _INTERNED[key] = EdgeColoring(host_order, red_rows, blue_rows)
-    return c
+def _shared(make, *args):
+    """The live make(*args), made if none is, so equal answers alive at
+    once are one object."""
+    key = (make, *args)
+    value = _SHARED.get(key)
+    if value is None:
+        value = _SHARED[key] = make(*args)
+    return value
 
 
 @dataclass(frozen=True)

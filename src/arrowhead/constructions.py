@@ -19,13 +19,13 @@ ConstructionError from it means no certifiable coloring exists at all.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import combinations
 
 from .arrowing import NotFoundBelow, ramsey_number_exact
 from .coloring import (
     EdgeColoring,
+    _shared,
     blue_clique_free,
     red_component_independence_ok,
     red_isolatefree_independence_ok,
@@ -192,8 +192,8 @@ def theorem1_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
     avail = (1 << f.n) - 1
     for level in range(omega, 2, -1):
         rest = avail
-        for idx, size in enumerate([level] + [level - 1] * (alpha - 2)):
-            clique = lex_least_clique(f, size, within=rest)
+        for idx in range(alpha - 1):
+            clique = lex_least_clique(f, level if idx == 0 else level - 1, within=rest)
             if clique is None:
                 break
             steps.append(TraceStep(f"K^{idx}", clique, KIND_DISJOINT_CLIQUE))
@@ -462,21 +462,18 @@ class BoundReport:
         }
 
 
-# (pair, ramsey_budget) -> the live report; an entry goes with its last reference.
-_REPORTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def bound_report(g: Graph, h: Graph, ramsey_budget: int = 6) -> BoundReport:
     """Every lower bound on the induced value this library knows, with the
     reasons the inapplicable ones do not fire. Equal reports alive at once
-    are one object, so a caller keeping many holds each once, and a call
-    whose report is alive returns it without searching again."""
+    are one object, held in coloring._shared's one table of equal answers,
+    so a caller keeping many holds each once, and a call whose report is
+    alive returns it without searching again."""
     if g.edge_count() == 0 or h.edge_count() == 0:
         raise PreconditionError("patterns must have at least one edge")
-    key = ((emit_graph6(g), emit_graph6(h)), ramsey_budget)
-    report = _REPORTS.get(key)
-    if report is not None:
-        return report
+    return _shared(_bound_report, g, h, ramsey_budget)
+
+
+def _bound_report(g: Graph, h: Graph, ramsey_budget: int) -> BoundReport:
     alpha = independence_number(g)
     omega = clique_number(h)
     connected = is_connected(g)
@@ -525,5 +522,4 @@ def bound_report(g: Graph, h: Graph, ramsey_budget: int = 6) -> BoundReport:
         reason = "first pattern has an isolated vertex" if not isolatefree else "independence below 2"
         bounds.append(Bound("T3", None, False, reason))
     best = max(b.value for b in bounds if b.applicable)
-    report = _REPORTS[key] = BoundReport(key[0], tuple(bounds), best)
-    return report
+    return BoundReport((emit_graph6(g), emit_graph6(h)), tuple(bounds), best)

@@ -61,6 +61,61 @@ def test_unreadable_graph_file_is_exit_1(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the envelope
+
+VALID = {"n": 3, "red": [[0, 1]], "blue": [[0, 2], [1, 2]]}
+ALL_RED = {"n": 3, "red": [[0, 1], [0, 2], [1, 2]], "blue": []}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, exit_code",
+    [
+        (["arrows", "--f", "K6", "--g", "K3", "--h", "K3"], {"f": "K6", "g": "K3", "h": "K3"}, 0),
+        (["arrows", "--f", "K5", "--g", "K3", "--h", "K3"], {"f": "K5", "g": "K3", "h": "K3"}, 10),
+        (["bounds", "--g", "P4", "--h", "K3", "--ramsey-budget", "5"], {"g": "P4", "h": "K3"}, 0),
+        (
+            ["construct", "--method", "t1", "--f", "K5", "--alpha", "2", "--omega", "3"],
+            {"f": "K5", "alpha": 2, "omega": 3, "method": "t1"},
+            0,
+        ),
+        (
+            ["construct", "--h", "K3", "--method", "ch", "--g", "P3"],
+            {"g": "P3", "h": "K3", "method": "ch"},
+            0,
+        ),
+        (
+            ["verify", "--f", "K3", "--coloring", "valid.json", "--g", "K3", "--h", "K3"],
+            {"f": "K3", "coloring": "valid.json", "g": "K3", "h": "K3"},
+            0,
+        ),
+        (
+            ["verify", "--f", "K3", "--coloring", "all-red.json", "--g", "K3", "--h", "K3"],
+            {"f": "K3", "coloring": "all-red.json", "g": "K3", "h": "K3"},
+            11,
+        ),
+        (["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"], {"g": "2K2", "h": "K2", "n_max": 4}, 0),
+        (["ir", "--no-cache", "--g", "K3", "--h", "K3", "--n-max", "5"], {"g": "K3", "h": "K3", "n_max": 5}, 10),
+        (["ramsey", "--g", "K3", "--h", "K3", "--n-max", "7"], {"g": "K3", "h": "K3", "n_max": 7}, 0),
+        (["ramsey", "--n-max", "5", "--g", "K3", "--h", "K3"], {"g": "K3", "h": "K3", "n_max": 5}, 10),
+    ],
+    ids=[
+        "arrows-0", "arrows-10", "bounds-0", "construct-t1-0", "construct-ch-0",
+        "verify-0", "verify-11", "ir-0", "ir-10", "ramsey-0", "ramsey-10",
+    ],
+)
+def test_every_command_echoes_its_inputs_in_one_envelope(capsys, tmp_path, monkeypatch, argv, inputs, exit_code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "valid.json").write_text(json.dumps(VALID))
+    (tmp_path / "all-red.json").write_text(json.dumps(ALL_RED))
+    code, env, err = run_cli(capsys, argv)
+    assert (code, err) == (exit_code, "")
+    assert list(env) == ["command", "inputs", "result", "elapsed_ms"]
+    assert env["command"] == argv[0]
+    # the echo keeps its key order, and leaves out arguments not given
+    assert list(env["inputs"].items()) == list(inputs.items())
+
+
+# ---------------------------------------------------------------------------
 # arrows
 
 def test_arrows_positive(capsys):
@@ -152,6 +207,17 @@ def test_verify_rejects_unreadable_coloring_file(capsys, tmp_path, content):
     assert code == 1
     assert env is None
     assert "error: coloring file" in err and "is not readable JSON" in err
+
+
+def test_verify_refuses_a_declared_order_past_the_host(capsys, tmp_path):
+    # refused before one row per declared vertex is built
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**12, "red": [], "blue": []}))
+    code, env, err = run_cli(
+        capsys, ["verify", "--f", "K3", "--coloring", str(huge), "--g", "K2", "--h", "K2"]
+    )
+    assert (code, env) == (1, None)
+    assert err == f"error: coloring is for order {10**12}, host has order 3\n"
 
 
 def test_verify_rejects_wrong_host_coloring(capsys, tmp_path):

@@ -161,6 +161,14 @@ def test_extraction_sweep_certifies_at_maximal_order(catalog):
             validate_trace(host, trace)
 
 
+def test_extraction_with_a_huge_alpha_stops_at_the_first_stall():
+    # the clique sizes are taken one at a time, not listed alpha - 1 long
+    c, trace = theorem1_coloring(complete(5), 10**12, 3)
+    assert (c, trace) == theorem1_coloring(complete(5), 4, 3)
+    roles = [s.role for s in trace.steps]
+    assert roles == ["K^0", "K^1", "extraction-stalled-rest-blue"]
+
+
 def test_extraction_three_two_uses_disjoint_pairs():
     # alpha=3, omega=2 on K_3: floor case reddens everything immediately
     c, trace = theorem1_coloring(complete(3), 3, 2)
