@@ -23,12 +23,12 @@ Every refuting coloring the search returns is checked against copy lists
 that share no code with the masks: the embedder lists each copy of a
 pattern once, as an edge bitset. A coloring refutes when no copy of g lies
 inside its red edges and no copy of h inside its blue ones, so each check
-is one bit test per copy, not an embedding search per coloring; a
-witness read back from a result cache is turned into edge bitsets and
-goes through the same check (_fault). A host
-with no copy of g needs no search: coloring every edge red refutes it, and
-that is the least refuting coloring, the one the search reaches first; its
-check is that the host's list of g copies is empty.
+is one bit test per copy, not an embedding search per coloring; a result
+cache stores a witness as its two edge bitsets, and one read back goes
+through the same check (_fault). A host with no copy of g needs no search:
+coloring every edge red refutes it, and that is the least refuting
+coloring, the one the search reaches first; its check is that the host's
+list of g copies is empty.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -107,9 +107,8 @@ class _Host:
     """What the search and its check derive from one host f. Built with the
     record: edges (f's edges busiest first, the order of every edge bitset),
     n_edges and rebuilds (edges make up f.adj); the rest through get, on
-    first ask, since a host settled without a search reads neither its twin
-    swaps nor, outside a cache hit, its edge bits. The edge bits and the
-    copy lists share no code with the subset tables and masks.
+    first ask, since a host settled without a search does not read its twin
+    swaps. The copy lists share no code with the subset tables and masks.
     """
 
     def __init__(self, f: Graph):
@@ -132,11 +131,6 @@ class _Host:
 @lru_cache(maxsize=_SWEEP_HOSTS)
 def _host(f: Graph) -> _Host:
     return _Host(f)
-
-
-def _edge_bits(host: _Host) -> dict[tuple[int, int], int]:
-    """(u, v) -> edge bit of f, u < v, to read stored witnesses."""
-    return {e: 1 << i for i, e in enumerate(host.edges)}
 
 
 def _twin_swaps(host: _Host) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
@@ -467,51 +461,6 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
         if fault is not None:
             raise AssertionError(fault)
     return found, leaves, prunes
-
-
-def _witness_sets(host: _Host, data) -> tuple[int, int] | None:
-    """(red_set, blue_set) of a stored witness of f, as edge bitsets in
-    host.edges index, or None when it is malformed.
-
-    The witness is {"n": f.n, "red": pairs, "blue": pairs}, each pair an
-    [int, int] list [u, v] that is an edge of f with u < v, and no pair
-    named twice on one side; None is returned for exactly the JSON that
-    EdgeColoring.from_json_dict plus check_against would reject, short of
-    an edge on both sides or one on neither, which _fault finds.
-    """
-    if type(data) is not dict or data.keys() != {"n", "red", "blue"}:
-        return None
-    n = data["n"]
-    if type(n) is not int or n != host.f.n:
-        return None
-    bits = host.get(_edge_bits)
-    sides = []
-    for pairs in (data["red"], data["blue"]):
-        if type(pairs) is not list:
-            return None
-        side = 0
-        for pair in pairs:
-            if type(pair) is not list or len(pair) != 2:
-                return None
-            u, v = pair
-            # True and 1.0 would match the key 1
-            if type(u) is not int or type(v) is not int:
-                return None
-            bit = bits.get((u, v), 0)
-            if not bit or side & bit:
-                return None
-            side |= bit
-        sides.append(side)
-    return sides[0], sides[1]
-
-
-def _witness_json(host: _Host, red_set: int, blue_set: int) -> dict:
-    """The stored witness of the coloring of f with these edge bitsets:
-    {"n": f.n, "red": pairs, "blue": pairs}, each side its sorted [u, v]
-    lists, u < v."""
-    edges = host.edges
-    red, blue = (sorted(list(edges[i]) for i in _bits(side)) for side in (red_set, blue_set))
-    return {"n": host.f.n, "red": red, "blue": blue}
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:

@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import ArrowheadError, ColoringMismatchError, PreconditionError
 from .graphs import Graph, complete, cycle, disjoint_union, emit_graph6, parse_graph6, path, star
-from .search import Catalog, ResultCache, bundled_catalog, ir_exact
+from .search import DEFAULT_ORDER_CAP, Catalog, ResultCache, bundled_catalog, ir_exact
 
 DEFAULT_CACHE = "ir-cache.json"
 CACHE_ENV = "ARROWHEAD_CACHE"
@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--catalog", help="catalog directory (default: bundled, orders 1-7)")
-    p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--allow-large", action="store_true", help="permit sweeps beyond order 7")
+    p.add_argument("--n-max", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--allow-large", action="store_true", help=f"permit sweeps beyond order {DEFAULT_ORDER_CAP}")
     p.add_argument("--cache", help=f"cache file (default ${CACHE_ENV} or ./{DEFAULT_CACHE})")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out", help="also write the result JSON here")

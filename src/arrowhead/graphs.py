@@ -185,17 +185,6 @@ def independence_number(g: Graph) -> int:
     return clique_number(complement(g))
 
 
-def _greedy_color_count(g: Graph, order: list[int]) -> int:
-    colors: dict[int, int] = {}
-    for v in order:
-        taken = {colors[u] for u in g.neighbors(v) if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return 1 + max(colors.values(), default=-1)
-
-
 def _colorable(g: Graph, k: int, order: list[int]) -> bool:
     colors = [-1] * g.n
 
@@ -221,29 +210,15 @@ def _colorable(g: Graph, k: int, order: list[int]) -> bool:
 
 
 def chromatic_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    low = clique_number(g)
-    high = _greedy_color_count(g, order)
-    for k in range(low, high):
-        if _colorable(g, k, order):
-            return k
-    return high
+    k = clique_number(g)
+    while not _colorable(g, k, order):
+        k += 1
+    return k
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return len(components(g)) <= 1
 
 
 def has_isolated_vertex(g: Graph) -> bool:

@@ -13,12 +13,14 @@ sweep without a cache decides only the hosts that hold both g and h
 (Catalog.holders); every other host is refuted by one color, all red with
 no g or all blue with no h, checked by the embedder search that set its
 holder bit. A sweep with a cache decides every host, so the cache gets a
-verdict for each, and a cached refuting coloring is read back into edge
-bitsets and put through the same check on every hit before it is believed.
+verdict for each, and a cached refuting coloring, stored as those edge
+bitsets, is put through the same check on every hit before it is believed.
 
 The cache is an append-only log of {key: verdict} lines keyed by the
 literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
-relabeled query is a miss.
+relabeled query is a miss. A verdict is {"arrows": true, "witness": null}
+or {"arrows": false, "witness": {"blue": B, "red": R}}, where bit i of the
+ints R and B is the host's i-th edge in arrowing._host(f).edges order.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _fault, _host, _refute, _witness_json, _witness_sets
+from .arrowing import NotFoundBelow, _fault, _host, _refute
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, _bits, emit_graph6, find_induced_embedding, parse_graph6
 
@@ -237,11 +239,11 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | 
     is given.
 
     A verdict the cache does not settle comes from one _refute call, which
-    checks the refuting coloring on its edge bitsets; a cache stores it as
-    JSON written from them. A cached NotArrows entry is believed only when
-    its stored witness parses into edge bitsets (_witness_sets) and they
-    pass _refute's check (_fault), on every hit; anything suspect is
-    recomputed and overwritten.
+    checks the refuting coloring on its edge bitsets; a cache stores those
+    two ints as the witness {"red": R, "blue": B}. A cached NotArrows entry
+    is believed only when its witness is that form, both ints (not bools),
+    and they pass _refute's check (_fault), on every hit; anything suspect,
+    an older pair-list witness among it, is recomputed and overwritten.
     """
     host = _host(f)
     if cache is not None:
@@ -249,12 +251,18 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | 
         if hit is not None:
             if hit["arrows"]:
                 return True
-            sides = _witness_sets(host, hit.get("witness"))
-            if sides is not None and _fault(host, g, h, True, *sides) is None:
+            stored = hit.get("witness")
+            if (
+                type(stored) is dict
+                and stored.keys() == {"red", "blue"}
+                and type(stored["red"]) is int
+                and type(stored["blue"]) is int
+                and _fault(host, g, h, True, stored["red"], stored["blue"]) is None
+            ):
                 return False
     found = _refute(host, g, h, True)[0]
     if cache is not None:
-        witness = None if found is None else _witness_json(host, *found)
+        witness = None if found is None else {"red": found[0], "blue": found[1]}
         cache.put(key, {"arrows": found is None, "witness": witness})
     return found is None
 

@@ -1,16 +1,18 @@
 import json
 import random
+import tempfile
 import warnings
 from dataclasses import fields
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowhead import arrowing, coloring, graphs, search
-from arrowhead.arrowing import NotFoundBelow, _fault, _host, _witness_sets, strongly_arrows
+from arrowhead.arrowing import NotFoundBelow, _host, _refute, strongly_arrows
 from arrowhead.coloring import EdgeColoring, verify_witness
 from arrowhead.errors import ArrowheadError, CatalogError, PreconditionError
 from arrowhead.graphs import (
@@ -430,49 +432,47 @@ def _refuted(witness):
 
 
 def _red_copy_of_g(host, w):
-    if find_induced_embedding(host, path(4)) is not None:
-        return _refuted({"n": w["n"], "red": sorted(w["red"] + w["blue"]), "blue": []})
+    if w["blue"] and find_induced_embedding(host, path(4)) is not None:
+        return _refuted({"red": w["red"] | w["blue"], "blue": 0})
 
 
 def _blue_copy_of_h(host, w):
-    if find_induced_embedding(host, complete(3)) is not None:
-        return _refuted({"n": w["n"], "red": [], "blue": sorted(w["red"] + w["blue"])})
+    if w["red"] and find_induced_embedding(host, complete(3)) is not None:
+        return _refuted({"red": 0, "blue": w["red"] | w["blue"]})
 
 
-def _pair_on_a_non_edge(host, w):
-    gaps = [[u, v] for u in range(host.n) for v in range(u + 1, host.n) if not host.has_edge(u, v)]
-    if gaps:
-        return _refuted({**w, "red": w["red"] + gaps[:1]})
-
-
-def _pair_repeated_in_one_side(host, w):
-    if w["red"]:
-        return _refuted({**w, "red": w["red"] + w["red"][:1]})
+def _bit_past_the_edges(host, w):
+    if w["red"] and w["blue"]:
+        # every edge is colored, so red | blue is all ones and one more is past them
+        return _refuted({**w, "red": w["red"] | ((w["red"] | w["blue"]) + 1)})
 
 
 def _edge_on_both_sides(host, w):
     if w["red"]:
-        return _refuted({**w, "blue": w["blue"] + w["red"][:1]})
+        return _refuted({**w, "blue": w["blue"] | (w["red"] & -w["red"])})
 
 
-def _order_off_by_one(host, w):
-    return _refuted({**w, "n": w["n"] + 1})
+def _edge_on_neither_side(host, w):
+    if w["red"] and w["blue"]:
+        return _refuted({**w, "red": w["red"] & (w["red"] - 1)})
 
 
-def _boolean_vertex(host, w):
-    # [0, v] or [1, v] with a JSON boolean for the 0 or 1: the same edge to
-    # Python, but not an integer pair
+def _negative_int(host, w):
+    # ~blue is red on every host edge, and on every bit past them too
+    if w["red"] and w["blue"]:
+        return _refuted({**w, "red": ~w["blue"]})
+
+
+def _boolean_side(host, w):
+    # JSON true for a side of 1: the same int to Python, but not an int
     for side in ("red", "blue"):
-        for i, (u, v) in enumerate(w[side]):
-            if u < 2:
-                pairs = list(w[side])
-                pairs[i] = [bool(u), v]
-                return _refuted({**w, side: pairs})
+        if w[side] == 1:
+            return _refuted({**w, side: True})
 
 
-def _reversed_pair(host, w):
-    if w["red"]:
-        return _refuted({**w, "red": [w["red"][0][::-1]] + w["red"][1:]})
+def _old_pair_witness(host, w):
+    if w["red"] and w["blue"]:
+        return _refuted(strongly_arrows(host, path(4), complete(3)).witness.to_json_dict())
 
 
 def _witness_left_out(host, w):
@@ -481,8 +481,8 @@ def _witness_left_out(host, w):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_red_copy_of_g, _blue_copy_of_h, _pair_on_a_non_edge, _pair_repeated_in_one_side,
-     _edge_on_both_sides, _order_off_by_one, _boolean_vertex, _reversed_pair, _witness_left_out],
+    [_red_copy_of_g, _blue_copy_of_h, _bit_past_the_edges, _edge_on_both_sides,
+     _edge_on_neither_side, _negative_int, _boolean_side, _old_pair_witness, _witness_left_out],
     ids=lambda tamper: tamper.__name__.strip("_"),
 )
 def test_a_suspect_cached_witness_is_recomputed(tmp_path, catalog, tamper):
@@ -493,7 +493,7 @@ def test_a_suspect_cached_witness_is_recomputed(tmp_path, catalog, tamper):
     first = ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file))
     for key, entry in read_cache_log(cache_file).items():
         host = _host_of(key, g, h)
-        if not entry["arrows"] and entry["witness"]["red"] and entry["witness"]["blue"]:
+        if not entry["arrows"]:
             tampered = tamper(host, entry["witness"])
             if tampered is not None:
                 break
@@ -505,54 +505,47 @@ def test_a_suspect_cached_witness_is_recomputed(tmp_path, catalog, tamper):
 
     assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == first
     lines = cache_file.read_text().splitlines()
-    truth = strongly_arrows(host, g, h)
+    red, blue = _refute(_host(host), g, h, True)[0]
     assert lines[:-1] == before
     assert lines[-1] == json.dumps(
-        {key: {"arrows": False, "witness": truth.witness.to_json_dict()}}, sort_keys=True
+        {key: {"arrows": False, "witness": {"red": red, "blue": blue}}}, sort_keys=True
     )
 
 
-def _stored_witness_mutations(draw, host, data):
+def _stored_witness_mutations(draw, host, n_edges, data):
     """data with up to two malformed or misleading edits drawn."""
-    n = host.n
-    vertex = st.one_of(st.integers(-1, n + 1), st.booleans(), st.sampled_from([0.0, 1.0, "0", None]))
     for _ in range(draw(st.integers(0, 2))):
         side = draw(st.sampled_from(["red", "blue"]))
         other = "blue" if side == "red" else "red"
-        pairs = data.get(side)
-        if not isinstance(pairs, list):
+        value = data.get(side)
+        if type(value) is not int or type(data.get(other)) is not int:
             break
         edit = draw(st.sampled_from([
-            "drop", "move", "both", "repeat", "reverse", "vertex", "pair", "n",
-            "key", "side", "shape",
+            "drop", "move", "both", "set", "negate", "invert", "type", "key", "side",
         ]))
-        i = draw(st.integers(0, max(len(pairs) - 1, 0)))
-        pairs = list(pairs)
-        if edit == "drop" and pairs:
-            del pairs[i]
-        elif edit == "move" and pairs and isinstance(data.get(other), list):
-            data[other] = data[other] + [pairs.pop(i)]
-        elif edit == "both" and pairs and isinstance(data.get(other), list):
-            data[other] = data[other] + [pairs[i]]
-        elif edit == "repeat" and pairs:
-            pairs.append(pairs[i])
-        elif edit == "reverse" and pairs and isinstance(pairs[i], list):
-            pairs[i] = pairs[i][::-1]
-        elif edit == "vertex" and pairs and isinstance(pairs[i], list) and pairs[i]:
-            pairs[i] = [draw(vertex)] + pairs[i][1:]
-        elif edit == "pair":
-            pairs.append([draw(vertex), draw(vertex)])
-        elif edit == "n":
-            data["n"] = draw(st.one_of(st.integers(n - 1, n + 1), st.booleans(), st.just(str(n))))
+        bit = 1 << draw(st.integers(0, n_edges))  # n_edges: the first bit past the edges
+        if edit == "drop":
+            value &= ~bit
+        elif edit == "move":
+            data[other] |= value & bit
+            value &= ~bit
+        elif edit == "both":
+            data[other] |= value & bit
+        elif edit == "set":
+            value |= bit
+        elif edit == "negate":
+            value = -value
+        elif edit == "invert":
+            value = ~data[other]
+        elif edit == "type":
+            value = draw(st.sampled_from([bool(value), float(value), str(value), [value]]))
         elif edit == "key":
-            data.pop(draw(st.sampled_from(["n", "red", "blue"])), None)
+            data.pop(draw(st.sampled_from(["red", "blue"])), None)
             if draw(st.booleans()):
-                data["extra"] = 0
+                data["n"] = host.n
         elif edit == "side":
-            pairs = draw(st.sampled_from([None, {}, "", 0]))
-        elif edit == "shape" and pairs:
-            pairs[i] = draw(st.sampled_from([[], [0], [0, 1, 2], (0, 1), "01", {"0": 1}, [[0], 1]]))
-        data[side] = pairs
+            value = draw(st.sampled_from([None, {}, "", []]))
+        data[side] = value
     return data
 
 
@@ -564,14 +557,16 @@ JSON_SCALARS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patterns, data):
-    # The cached-hit check (parse to edge bitsets, then _fault) against the
-    # reference pair EdgeColoring.from_json_dict + verify_witness, on stored
-    # witnesses that are real, recoloured, edited or arbitrary JSON.
+    # A planted NotArrows entry is accepted by _decide when it answers
+    # without calling _refute. The reference is verify_witness on the
+    # coloring decoded through host.edges, for stored witnesses that are
+    # real, recoloured, edited, in the old pair form or arbitrary JSON.
     host = data.draw(st.sampled_from([f for order in range(1, 7) for f in catalog.graphs(order)]))
     g = data.draw(st.sampled_from(sweep_patterns))
     h = data.draw(st.sampled_from(sweep_patterns))
-    start = data.draw(st.sampled_from(["witness", "recoloured", "json"]))
-    truth = strongly_arrows(host, g, h)
+    start = data.draw(st.sampled_from(["witness", "recoloured", "pairs", "json"]))
+    edges = _host(host).edges
+    found = _refute(_host(host), g, h, True)[0]
     if start == "json":
         stored = data.draw(st.recursive(
             JSON_SCALARS,
@@ -580,28 +575,41 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
             max_leaves=12,
         ))
     else:
-        if start == "witness" and truth.witness is not None:
-            stored = truth.witness.to_json_dict()
+        if start == "witness" and found is not None:
+            red, blue = found
         else:
-            red = data.draw(st.lists(st.booleans(), min_size=host.edge_count(), max_size=host.edge_count()))
-            edges = [list(e) for e in sorted(host.edges())]
+            red = data.draw(st.integers(0, (1 << len(edges)) - 1))
+            blue = red ^ ((1 << len(edges)) - 1)
+        stored = {"red": red, "blue": blue}
+        if start == "pairs":
             stored = {
                 "n": host.n,
-                "red": [e for e, r in zip(edges, red) if r],
-                "blue": [e for e, r in zip(edges, red) if not r],
+                "red": [list(e) for i, e in enumerate(edges) if red >> i & 1],
+                "blue": [list(e) for i, e in enumerate(edges) if blue >> i & 1],
             }
-        stored = _stored_witness_mutations(data.draw, host, stored)
+        stored = _stored_witness_mutations(data.draw, host, len(edges), stored)
 
-    record = _host(host)
-    sides = _witness_sets(record, stored)
-    accepted = sides is not None and _fault(record, g, h, True, *sides) is None
-    try:
-        expected = verify_witness(host, EdgeColoring.from_json_dict(stored), g, h) is None
-    except ArrowheadError:
-        expected = False
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        search, "_refute", wraps=search._refute
+    ) as refute:
+        cache = ResultCache(Path(tmp) / "cache.json")
+        cache.put("planted", {"arrows": False, "witness": stored})
+        assert _decide(host, g, h, cache, "planted") == (found is None)
+    accepted = not refute.called
+    expected = False
+    if (
+        type(stored) is dict
+        and stored.keys() == {"red", "blue"}
+        and all(type(v) is int and 0 <= v < 1 << len(edges) for v in stored.values())
+    ):
+        red, blue = ([e for i, e in enumerate(edges) if stored[side] >> i & 1] for side in ("red", "blue"))
+        try:
+            expected = verify_witness(host, EdgeColoring.of(host.n, red, blue), g, h) is None
+        except ArrowheadError:
+            pass
     assert accepted == expected
     if accepted:
-        assert truth.witness is not None
+        assert found is not None
 
 
 def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog, fresh_hosts):
@@ -649,8 +657,40 @@ def test_stored_witnesses_are_the_cacheless_colorings(tmp_path, catalog):
     cache_file = tmp_path / "cache.json"
     ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file))
     for key, entry in read_cache_log(cache_file).items():
-        truth = strongly_arrows(_host_of(key, g, h), g, h)
-        assert entry == {"arrows": truth.arrows, "witness": truth.witness and truth.witness.to_json_dict()}
+        host = _host_of(key, g, h)
+        truth = strongly_arrows(host, g, h)
+        witness = entry["witness"]
+        if witness is not None:
+            assert witness.keys() == {"red", "blue"}
+            edges = _host(host).edges
+            red, blue = ([e for i, e in enumerate(edges) if witness[side] >> i & 1] for side in ("red", "blue"))
+            witness = EdgeColoring.of(host.n, red, blue)
+        assert entry.keys() == {"arrows", "witness"}
+        assert (entry["arrows"], witness) == (truth.arrows, truth.witness)
+
+
+def test_old_pair_witnesses_are_recomputed_once(tmp_path, catalog):
+    # A log written when witnesses were stored as sorted [u, v] pair lists:
+    # every such witness fails the hit check, so the first replay recomputes
+    # it and appends its bitset form, and the second replay appends nothing.
+    g, h = path(4), complete(3)
+    cache_file = tmp_path / "cache.json"
+    first = ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file))
+    lines = []
+    for line in cache_file.read_text().splitlines():
+        (key, entry), = json.loads(line).items()
+        if not entry["arrows"]:
+            entry["witness"] = strongly_arrows(_host_of(key, g, h), g, h).witness.to_json_dict()
+        lines.append(json.dumps({key: entry}, sort_keys=True))
+    cache_file.write_text("".join(line + "\n" for line in lines))
+    negatives = sum('"arrows": false' in line for line in lines)
+    assert negatives >= 40
+
+    counts = []
+    for _ in range(2):
+        assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == first
+        counts.append(len(cache_file.read_text().splitlines()))
+    assert counts == [len(lines) + negatives] * 2
 
 
 @pytest.mark.parametrize("key", ["Dx_|C~|Bw", "@|A_|A_", "k\\ey \"q\" \u00e9"])
@@ -680,7 +720,9 @@ def test_persisted_witnesses_all_verify(tmp_path, catalog):
             assert entry["witness"] is None
             continue
         host = parse_graph6(host_g6)
-        witness = EdgeColoring.from_json_dict(entry["witness"])
+        edges = _host(host).edges
+        red, blue = ([e for i, e in enumerate(edges) if entry["witness"][side] >> i & 1] for side in ("red", "blue"))
+        witness = EdgeColoring.of(host.n, red, blue)
         assert verify_witness(host, witness, g, h) is None
         checked += 1
     assert checked >= 10
