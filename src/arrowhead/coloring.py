@@ -1,12 +1,12 @@
 """Red/blue edge colorings, monochromatic-pattern detection, and certification.
 
 A coloring is total: every host edge is red or blue. It is stored as
-neighbour bitmask rows, the format of Graph.adj, which every check reads;
-vertex pairs appear only where a coloring is built from or read as pairs.
-Certification predicates state what a witness coloring must defeat. The
-red-side predicate looks at components of the red spanning subgraph as
-graphs in their own right (a red path P_3 has independence 2 even when its
-endpoints are adjacent in the host).
+neighbour bitmask rows, the format of Graph.adj, which the recipes paint and
+every check walks without building a graph; vertex pairs appear only where a
+coloring is built from or read as pairs. Certification predicates state what
+a witness coloring must defeat. The red-side predicate looks at components
+of the red spanning subgraph as graphs in their own right (a red path P_3
+has independence 2 even when its endpoints are adjacent in the host).
 """
 from __future__ import annotations
 
@@ -20,12 +20,10 @@ from .graphs import (
     Embedding,
     Graph,
     _bits,
+    _clique,
+    _components,
     check_embedding,
-    components,
     find_induced_embedding,
-    independence_number,
-    induced_subgraph,
-    lex_least_clique,
 )
 
 RED = "red"
@@ -65,16 +63,19 @@ class EdgeColoring:
     @staticmethod
     def of(host_order: int, red, blue) -> "EdgeColoring":
         """The coloring with these red and blue pairs, each pair taken
-        unordered. A loop, a pair colored twice or a vertex outside
-        0..host_order-1 raises ColoringMismatchError. Equal colorings alive
-        at once are one object, held in the one table of equal answers
-        (_shared), so a caller that keeps the same answer many times holds
-        it once."""
-        r = _rows_of(host_order, red)
-        b = _rows_of(host_order, blue)
-        overlap = _pairs(map(int.__and__, r, b))
-        if overlap:
-            raise ColoringMismatchError(f"edges colored twice: {overlap}")
+        unordered. A loop or a vertex outside 0..host_order-1 raises
+        ColoringMismatchError, and so does what from_rows refuses."""
+        return EdgeColoring.from_rows(host_order, _rows_of(host_order, red), _rows_of(host_order, blue))
+
+    @staticmethod
+    def from_rows(host_order: int, red_rows: Iterable[int], blue_rows: Iterable[int]) -> "EdgeColoring":
+        """The coloring with these red and blue neighbour rows, each as
+        Graph.adj holds rows; an edge colored twice raises
+        ColoringMismatchError. Equal colorings alive at once are one object,
+        held in the one table of equal answers (_shared)."""
+        r, b = tuple(red_rows), tuple(blue_rows)
+        if any(map(int.__and__, r, b)):
+            raise ColoringMismatchError(f"edges colored twice: {_pairs(map(int.__and__, r, b))}")
         return _shared(EdgeColoring, host_order, r, b)
 
     @staticmethod
@@ -231,15 +232,13 @@ def validate_violation(host: Graph, c: EdgeColoring, pattern: Graph, violation: 
 # certification predicates
 
 def red_component_independence_ok(host: Graph, c: EdgeColoring, alpha: int) -> bool:
-    """Every component of the red spanning subgraph has independence <= alpha-1."""
+    """Every component of the red spanning subgraph has independence <= alpha-1:
+    no alpha of its vertices are a clique of the red rows' complement."""
     if alpha < 2:
         raise PreconditionError("alpha must be at least 2")
     c.check_against(host)
-    red = c.red_graph()
-    for comp in components(red):
-        if independence_number(induced_subgraph(red, comp)) > alpha - 1:
-            return False
-    return True
+    apart = [~row for row in c.red_rows]
+    return all(_clique(apart, alpha, comp) is None for comp in _components(c.red_rows))
 
 
 def blue_clique_free(host: Graph, c: EdgeColoring, omega: int) -> bool:
@@ -247,7 +246,7 @@ def blue_clique_free(host: Graph, c: EdgeColoring, omega: int) -> bool:
     if omega < 2:
         raise PreconditionError("omega must be at least 2")
     c.check_against(host)
-    return lex_least_clique(c.blue_graph(), omega) is None
+    return _clique(c.blue_rows, omega, (1 << c.host_order) - 1) is None
 
 
 def red_isolatefree_independence_ok(host: Graph, c: EdgeColoring, alpha: int) -> bool:

@@ -12,6 +12,8 @@ Four recipes, identified by the method codes used in trace JSON:
 
 Every recipe returns an EdgeColoring plus a ConstructionTrace recording the
 cliques and sets it committed to, and certifies its output before returning.
+Recipes paint neighbour bitmask rows for EdgeColoring.from_rows: red inside
+host vertex masks (and a few named pairs in L2), blue on the host edges left.
 L2 backs off to a complete constrained search (method Fallback) when its
 literal case split fails to certify; at independence 2 that search is
 exhaustive over all colorings whose red components are cliques, so a
@@ -25,6 +27,7 @@ from itertools import combinations
 from .arrowing import NotFoundBelow, ramsey_number_exact
 from .coloring import (
     EdgeColoring,
+    _rows_of,
     _shared,
     blue_clique_free,
     red_component_independence_ok,
@@ -127,15 +130,20 @@ def chvatal_harary_bound(g: Graph, h: Graph) -> int:
 # ---------------------------------------------------------------------------
 # colorings
 
-def _with_rest_blue(f: Graph, red_pairs) -> EdgeColoring:
-    red = {(min(u, v), max(u, v)) for u, v in red_pairs}
-    blue = [e for e in f.edges() if e not in red]
-    return EdgeColoring.of(f.n, sorted(red), blue)
+def _with_rest_blue(f: Graph, red_rows) -> EdgeColoring:
+    """These rows red and every other host edge blue."""
+    return EdgeColoring.from_rows(f.n, red_rows, (a & ~r for a, r in zip(f.adj, red_rows)))
 
 
-def _edges_within(f: Graph, mask: int) -> list[tuple[int, int]]:
-    """Host edges with both ends in the vertex bitmask."""
-    return [(u, v) for v in _bits(mask) for u in _bits(f.adj[v] & mask & ((1 << v) - 1))]
+def _paint(f: Graph, verts, rows: list[int] | None = None) -> list[int]:
+    """rows (new, empty rows when None) with every host edge among the
+    vertices added, verts a vertex bitmask or a vertex tuple."""
+    mask = verts if isinstance(verts, int) else sum(1 << v for v in verts)
+    if rows is None:
+        rows = [0] * f.n
+    for v in _bits(mask):
+        rows[v] |= f.adj[v] & mask
+    return rows
 
 
 def _require_order(f: Graph, most: int) -> None:
@@ -160,15 +168,15 @@ def chvatal_harary_coloring(g: Graph, h: Graph) -> tuple[Graph, EdgeColoring, Co
     size = g.n - 1
     host = complete(n)
     steps = []
-    red: list[tuple[int, int]] = []
+    red = [0] * n
     for i in range(n // size):
         verts = tuple(range(i * size, (i + 1) * size))
         steps.append(TraceStep(f"red-block-{i}", verts, KIND_DISJOINT_CLIQUE))
-        red.extend(combinations(verts, 2))
+        _paint(host, verts, red)
     c = _with_rest_blue(host, red)
-    if find_induced_embedding(c.red_graph(), g, induced=False) is not None:
+    if find_induced_embedding(host, g, c.red_rows, induced=False) is not None:
         raise ConstructionError("clique-block coloring admits a red copy of the first pattern")
-    if find_induced_embedding(c.blue_graph(), h, induced=False) is not None:
+    if find_induced_embedding(host, h, c.blue_rows, induced=False) is not None:
         raise ConstructionError("clique-block coloring admits a blue copy of the second pattern")
     trace = ConstructionTrace(METHOD_CLIQUE_BLOCKS, tuple(steps))
     validate_trace(host, trace)
@@ -188,7 +196,7 @@ def theorem1_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
     """
     _require_order(f, lower_bound_connected(alpha, omega) - 1)
     steps: list[TraceStep] = []
-    red: list[tuple[int, int]] = []
+    red = [0] * f.n
     avail = (1 << f.n) - 1
     for level in range(omega, 2, -1):
         rest = avail
@@ -198,7 +206,7 @@ def theorem1_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
                 break
             steps.append(TraceStep(f"K^{idx}", clique, KIND_DISJOINT_CLIQUE))
             rest &= ~sum(1 << v for v in clique)
-        red += _edges_within(f, avail & ~rest)
+        _paint(f, avail & ~rest, red)
         if clique is None:
             # no further clique to extract, so the leftovers cannot complete
             # a blue clique either; stop here and let them go blue
@@ -211,7 +219,7 @@ def theorem1_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
         )
         avail = rest
     else:
-        red += _edges_within(f, avail)
+        _paint(f, avail, red)
         steps.append(TraceStep("floor-all-red", tuple(_bits(avail)), KIND_NOTE))
     c = _with_rest_blue(f, red)
     trace = ConstructionTrace(METHOD_CONNECTED, tuple(steps))
@@ -239,10 +247,10 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
     if t > omega:
         big = lex_least_clique(f, t)
         steps = [TraceStep("oversize-clique", big, KIND_DISJOINT_CLIQUE)]
-        return _literal_or_fallback(f, omega, combinations(big, 2), steps)
+        return _literal_or_fallback(f, omega, _paint(f, big), steps)
     if t < omega:
         steps = [TraceStep("clique-free-all-blue", tuple(range(f.n)), KIND_NOTE)]
-        return _literal_or_fallback(f, omega, [], steps)
+        return _literal_or_fallback(f, omega, [0] * f.n, steps)
 
     k1 = lex_least_clique(f, omega)
     k1set = set(k1)
@@ -264,7 +272,7 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
             note = "no-single-vertex-completion"
     if note is not None:
         steps.append(TraceStep(note, rest, KIND_NOTE))
-        return _literal_or_fallback(f, omega, combinations(k1, 2), steps)
+        return _literal_or_fallback(f, omega, _paint(f, k1), steps)
 
     mixed = [q for q in cliques_of_size(f, omega) if set(q) != k1set]
     s_best = max(len(set(q) & k1set) for q in mixed)
@@ -290,7 +298,7 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
         # spoils every omega-clique, and the red side is a pair of disjoint
         # edges whose host neighborhoods intersect inside K^3
         a = a_side[0]
-        return _literal_or_fallback(f, omega, [(a, b_side[0]), (c_side[0], c_side[1])], steps)
+        return _literal_or_fallback(f, omega, _rows_of(f.n, [(a, b_side[0]), (c_side[0], c_side[1])]), steps)
     if s >= 2:
         a = next(
             (x for x in a_side if is_clique(f, b_side + d_side + (x,))),
@@ -301,14 +309,14 @@ def lemma2_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, ConstructionTra
             c_side[0],
         )
         a1 = next(x for x in a_side if x != a)
-        return _literal_or_fallback(f, omega, [(a, a1), (a, b_side[0]), (cc, d_side[0])], steps)
+        return _literal_or_fallback(f, omega, _rows_of(f.n, [(a, a1), (a, b_side[0]), (cc, d_side[0])]), steps)
     return _fallback_coloring(f, omega)
 
 
-def _literal_or_fallback(f: Graph, omega: int, red_pairs, steps) -> tuple[EdgeColoring, ConstructionTrace]:
-    """The literal case's coloring (red_pairs red, the rest blue) when it
+def _literal_or_fallback(f: Graph, omega: int, red_rows, steps) -> tuple[EdgeColoring, ConstructionTrace]:
+    """The literal case's coloring (red_rows red, the rest blue) when it
     certifies, else the complete search."""
-    c = _with_rest_blue(f, red_pairs)
+    c = _with_rest_blue(f, red_rows)
     if not _certifies(f, c, 2, omega):
         return _fallback_coloring(f, omega)
     trace = ConstructionTrace(METHOD_TWO_CLIQUE, tuple(steps))
@@ -343,7 +351,9 @@ def _fallback_coloring(f: Graph, omega: int) -> tuple[EdgeColoring, Construction
     predicate exactly when its red components are cliques, i.e. when it
     paints the inside of a clique partition red and the rest blue."""
     for parts in _clique_partitions(f):
-        red = [e for p in parts for e in combinations(p, 2)]
+        red = [0] * f.n
+        for p in parts:
+            _paint(f, p, red)
         c = _with_rest_blue(f, red)
         if blue_clique_free(f, c, omega):
             steps = tuple(
@@ -382,17 +392,17 @@ def theorem3_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
     """
     _require_order(f, lower_bound_isolatefree(alpha, omega) - 1)
     steps: list[TraceStep] = []
-    red: set[tuple[int, int]] = set()
-    blue: set[tuple[int, int]] = set()
+    red = [0] * f.n
+    blue = [0] * f.n
     avail = (1 << f.n) - 1
     try:
         for level in range(alpha, 2, -1):
             clique = lex_least_clique(f, omega, within=avail)
             if clique is None:
-                blue.update(_edges_within(f, avail))
+                _paint(f, avail, blue)
                 steps.append(TraceStep("clique-free-all-blue", tuple(_bits(avail)), KIND_NOTE))
                 break
-            red.update(combinations(clique, 2))
+            _paint(f, clique, red)
             steps.append(TraceStep("K^0", clique, KIND_DISJOINT_CLIQUE))
             avail &= ~sum(1 << v for v in clique)
             steps.append(
@@ -402,8 +412,9 @@ def theorem3_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
             verts = tuple(_bits(avail))
             steps.append(TraceStep(f"delegate-omega-{omega}", verts, KIND_RECURSE))
             sub_coloring, sub_trace = lemma2_coloring(induced_subgraph(f, verts), omega)
-            red.update((verts[u], verts[v]) for u, v in sub_coloring.red)
-            blue.update((verts[u], verts[v]) for u, v in sub_coloring.blue)
+            for i, v in enumerate(verts):
+                red[v] |= sum(1 << verts[j] for j in _bits(sub_coloring.red_rows[i]))
+                blue[v] |= sum(1 << verts[j] for j in _bits(sub_coloring.blue_rows[i]))
             steps += [
                 TraceStep(s.role, tuple(verts[v] for v in s.vertices), s.kind) for s in sub_trace.steps
             ]
@@ -413,12 +424,11 @@ def theorem3_coloring(f: Graph, alpha: int, omega: int) -> tuple[EdgeColoring, C
         if independence_number(f) >= alpha:
             raise
         steps = [TraceStep("independence-short-all-red", tuple(range(f.n)), KIND_NOTE)]
-        red, blue = set(f.edges()), set()
-    leftover = [e for e in f.edges() if e not in red and e not in blue]
-    if leftover:
+        red, blue = list(f.adj), [0] * f.n
+    if any(a & ~(r | b) for a, r, b in zip(f.adj, red, blue)):
         steps.append(TraceStep("uncolored-to-red", (), KIND_NOTE))
-        red.update(leftover)
-    c = EdgeColoring.of(f.n, sorted(red), sorted(blue))
+        red = [r | (a & ~b) for a, r, b in zip(f.adj, red, blue)]
+    c = EdgeColoring.from_rows(f.n, red, blue)
     trace = ConstructionTrace(METHOD_ISOLATEFREE, tuple(steps))
     validate_trace(f, trace)
     if not blue_clique_free(f, c, omega):
@@ -478,46 +488,24 @@ def _bound_report(g: Graph, h: Graph, ramsey_budget: int) -> BoundReport:
     omega = clique_number(h)
     connected = is_connected(g)
     isolatefree = not has_isolated_vertex(g)
-    bounds = [
-        Bound(
-            "order",
-            max(g.n, h.n),
-            True,
-            "an arrowing host contains both patterns induced",
-        )
-    ]
+    bounds = [Bound("order", max(g.n, h.n), True, "an arrowing host contains both patterns induced")]
     r = ramsey_number_exact(g, h, ramsey_budget)
     if isinstance(r, NotFoundBelow):
-        bounds.append(
-            Bound("R", None, False, f"classical value not settled by order {ramsey_budget}")
-        )
+        bounds.append(Bound("R", None, False, f"classical value not settled by order {ramsey_budget}"))
     else:
         bounds.append(Bound("R", r, True, "exact classical value; the induced variant dominates it"))
     if connected:
         bounds.append(Bound("CH", chvatal_harary_bound(g, h), True, "clique-block coloring"))
     else:
         bounds.append(Bound("CH", None, False, "first pattern is disconnected"))
+    budgets = f"independence {alpha}, clique budget {omega}"
     if connected and alpha >= 2:
-        bounds.append(
-            Bound(
-                "T1",
-                lower_bound_connected(alpha, omega),
-                True,
-                f"connected pattern, independence {alpha}, clique budget {omega}",
-            )
-        )
+        bounds.append(Bound("T1", lower_bound_connected(alpha, omega), True, f"connected pattern, {budgets}"))
     else:
         reason = "first pattern is disconnected" if not connected else "independence below 2"
         bounds.append(Bound("T1", None, False, reason))
     if isolatefree and alpha >= 2:
-        bounds.append(
-            Bound(
-                "T3",
-                lower_bound_isolatefree(alpha, omega),
-                True,
-                f"isolate-free pattern, independence {alpha}, clique budget {omega}",
-            )
-        )
+        bounds.append(Bound("T3", lower_bound_isolatefree(alpha, omega), True, f"isolate-free pattern, {budgets}"))
     else:
         reason = "first pattern has an isolated vertex" if not isolatefree else "independence below 2"
         bounds.append(Bound("T3", None, False, reason))

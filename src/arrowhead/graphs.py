@@ -157,32 +157,20 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 # exact invariants
 
-def _max_clique_size(adj: tuple[int, ...], cand: int) -> int:
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if not cand:
-            best = size
-            return
-        v = (cand & -cand).bit_length() - 1
-        expand(size + 1, cand & adj[v])
-        rest = cand & ~(1 << v)
-        if size + rest.bit_count() > best:
-            expand(size, rest)
-
-    expand(0, cand)
-    return best
-
-
 def clique_number(g: Graph) -> int:
-    return _max_clique_size(g.adj, (1 << g.n) - 1)
+    return _clique_number(g.adj, g.n)
 
 
 def independence_number(g: Graph) -> int:
-    return clique_number(complement(g))
+    return _clique_number([~row for row in g.adj], g.n)
+
+
+def _clique_number(rows, n: int) -> int:
+    """Order of the largest clique of the graph on 0..n-1 with these rows."""
+    k = 0
+    while _clique(rows, k + 1, (1 << n) - 1) is not None:
+        k += 1
+    return k
 
 
 def _colorable(g: Graph, k: int, order: list[int]) -> bool:
@@ -227,22 +215,23 @@ def has_isolated_vertex(g: Graph) -> bool:
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by least vertex."""
-    out = []
-    seen = 0
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
+    return [list(_bits(comp)) for comp in _components(g.adj)]
+
+
+def _components(rows: tuple[int, ...]) -> Iterator[int]:
+    """Connected components of the graph with these neighbour rows, as
+    vertex bitmasks, ordered by least vertex."""
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
         while frontier:
             nxt = 0
             for u in _bits(frontier):
-                nxt |= g.adj[u]
+                nxt |= rows[u]
             frontier = nxt & ~comp
             comp |= frontier
-        seen |= comp
-        out.append(list(_bits(comp)))
-    return out
+        unseen &= ~comp
+        yield comp
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -258,24 +247,29 @@ def lex_least_clique(g: Graph, k: int, within: int | None = None) -> tuple[int, 
     """
     if k < 0:
         raise ValueError("clique size must be non-negative")
-    cand0 = (1 << g.n) - 1 if within is None else within
+    return _clique(g.adj, k, (1 << g.n) - 1 if within is None else within)
+
+
+def _clique(rows, k: int, cand: int) -> tuple[int, ...] | None:
+    """Lexicographically least k-clique inside the vertex bitmask cand of the
+    graph with these neighbour rows, or None. Only the bits above v of rows[v]
+    are read, so ~rows[v] serves as v's row in the complement."""
     out: list[int] = []
 
     def grow(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
+        # need >= 1; a vertex is tried only when enough of its neighbours are left
+        while cand.bit_count() >= need:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            out.append(v)
-            if grow(cand & g.adj[v], need - 1):
-                return True
-            out.pop()
+            nxt = cand & rows[v]
+            if nxt.bit_count() >= need - 1:
+                out.append(v)
+                if need == 1 or grow(nxt, need - 1):
+                    return True
+                out.pop()
         return False
 
-    return tuple(out) if grow(cand0, k) else None
+    return tuple(out) if k == 0 or grow(cand, k) else None
 
 
 def cliques_of_size(g: Graph, k: int, within: int | None = None) -> list[tuple[int, ...]]:

@@ -151,7 +151,9 @@ class ResultCache:
     Loading folds the lines in order, so the last line for a key wins; an
     older single-object cache is a one-line log, whose missing final newline
     a put writes first. A corrupt or unreadable file is dropped whole with a
-    warning rather than half trusted. A put that cannot write the file warns
+    warning rather than half trusted; the next put cuts off a torn last line
+    (_torn_line), which writers appending whole lines under the lock leave
+    only when one dies mid-append. A put that cannot write the file warns
     once, and later puts of that instance keep their entries in memory only,
     so an unwritable cache never stops a sweep or changes its answer.
 
@@ -190,17 +192,7 @@ class ResultCache:
             known, folded = _last_log
             if not data.startswith(known):
                 known, folded = b"", {}
-            folded = dict(folded)
-            for line in data[len(known):].decode().splitlines():
-                values = json.loads("[" + line + "]") if line.strip() else []
-                for raw in values:
-                    if not isinstance(raw, dict):
-                        raise ValueError("cache line must be a JSON object")
-                    for key, entry in raw.items():
-                        if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
-                            raise ValueError(f"malformed cache entry for {key!r}")
-                        one = len(values) == 1 and len(raw) == 1
-                        folded[key] = line if one else json.dumps({key: entry})
+            folded = _fold(data[len(known):], folded)
             if data.endswith(b"\n"):
                 _last_log = (data, folded)
             self._data = dict(folded)
@@ -223,11 +215,49 @@ class ResultCache:
                 _flock(log)
                 log.seek(max(log.seek(0, 2) - 1, 0))
                 if log.read(1) not in (b"", b"\n"):
-                    line = "\n" + line
+                    cut = _torn_line(log)
+                    if cut is None:
+                        line = "\n" + line
+                    else:
+                        log.truncate(cut)
                 log.write(line.encode())
         except OSError as exc:
             warnings.warn(f"not writing result cache {self.path}: {exc}")
             self._writable = False
+
+
+def _fold(data: bytes, folded: dict[str, str]) -> dict[str, str]:
+    """A copy of folded updated by the cache lines in data, in order;
+    ValueError for a line that is not one."""
+    folded = dict(folded)
+    for line in data.decode().splitlines():
+        values = json.loads("[" + line + "]") if line.strip() else []
+        for raw in values:
+            if not isinstance(raw, dict):
+                raise ValueError("cache line must be a JSON object")
+            for key, entry in raw.items():
+                if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
+                    raise ValueError(f"malformed cache entry for {key!r}")
+                one = len(values) == 1 and len(raw) == 1
+                folded[key] = line if one else json.dumps({key: entry})
+    return folded
+
+
+def _torn_line(log) -> int | None:
+    """Where the open log's last line starts if it is torn: not JSON, after
+    whole cache lines holding an entry. None for an old single-object file,
+    whose line is JSON, and for a file that is no cache log."""
+    log.seek(0)
+    data = log.read()
+    cut = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[cut:])
+    except ValueError:
+        try:
+            return cut if _fold(data[:cut], {}) else None
+        except ValueError:
+            pass
+    return None
 
 
 def _key(f6: str, pair: tuple[str, str]) -> str:

@@ -36,7 +36,7 @@ from arrowhead.graphs import (
 )
 
 from .conftest import random_graph
-from .oracles import PairColoring, brute_red_isolatefree_ok
+from .oracles import PairColoring, brute_clique, brute_independence, brute_red_isolatefree_ok
 
 
 def _split_random(host: Graph, rng: random.Random) -> EdgeColoring:
@@ -85,6 +85,14 @@ def test_of_rejects_overlap_and_loops():
         EdgeColoring.of(3, [(0, 1)], [(1, 0)])
     with pytest.raises(ColoringMismatchError):
         EdgeColoring.of(3, [(1, 1)], [])
+
+
+def test_from_rows_rejects_an_edge_on_both_sides():
+    # red 0-1, 1-2 and blue 1-2, 0-3: the pair (1, 2) is on both sides
+    with pytest.raises(ColoringMismatchError, match=r"edges colored twice: \[\(1, 2\)\]"):
+        EdgeColoring.from_rows(4, (0b0010, 0b0101, 0b0010, 0), (0b1000, 0b0100, 0b0010, 0b0001))
+    c = EdgeColoring.from_rows(3, [0b010, 0b001, 0], [0, 0b100, 0b010])
+    assert c is EdgeColoring.of(3, [(0, 1)], [(1, 2)])
 
 
 def test_monochrome_and_swapped():
@@ -389,6 +397,36 @@ def test_red_isolatefree_matches_brute_oracle(catalog):
                     assert got == brute_red_isolatefree_ok(host, c.blue, alpha), (host, c, alpha)
                     verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _red_components(host: Graph, c: EdgeColoring) -> list[Graph]:
+    """The components of c's red spanning subgraph, each as a Graph."""
+    red = c.red
+    left, comps = set(range(host.n)), []
+    while left:
+        comp, frontier = set(), {min(left)}
+        while frontier:
+            comp |= frontier
+            frontier = {w for u, v in red for w in (u, v) if {u, v} & frontier} - comp
+        left -= comp
+        verts = sorted(comp)
+        comps.append(Graph.from_edges(len(verts), [(verts.index(u), verts.index(v)) for u, v in red if u in comp]))
+    return comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9), st.randoms(use_true_random=False), st.integers(2, 5), st.integers(2, 6))
+def test_row_predicates_match_the_definitions(n, rng, alpha, omega):
+    """The rows-level certification predicates agree with their definitions
+    on random hosts of order <= 9 under random total colorings: no red
+    component of independence >= alpha, and no blue clique of size omega."""
+    host = random_graph(n, rng.random(), rng)
+    share = rng.random()
+    red = [e for e in host.edges() if rng.random() < share]
+    c = EdgeColoring.of(n, red, set(host.edges()) - set(red))
+    want_red = all(brute_independence(comp) <= alpha - 1 for comp in _red_components(host, c))
+    assert red_component_independence_ok(host, c, alpha) == want_red
+    assert blue_clique_free(host, c, omega) == (brute_clique(c.blue_graph()) < omega)
 
 
 def test_predicates_imply_no_mono_copies(catalog):

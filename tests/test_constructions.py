@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -37,6 +39,7 @@ from arrowhead.graphs import (
     disjoint_union,
     emit_graph6,
     find_subgraph_embedding,
+    is_connected,
     matching,
     parse_graph6,
     path,
@@ -420,6 +423,66 @@ def test_recipe_outcomes_pinned(catalog):
     assert (len(records), certified) == (2954, 2851)
     blob = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == RECIPE_OUTCOMES_SHA256
+
+
+LARGE_RECIPE_OUTCOMES_SHA256 = "35dc83ac925d27e7befa07b4cddcded207e61e579a8ed569b3397e5d509516de"
+
+
+def _seeded_graph(rng, orders, probs):
+    n = rng.randint(*orders)
+    p = rng.uniform(*probs)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _at_size_limit(rng, n, limit):
+    """One (alpha, omega) of 2..6 x 2..9, drawn among those whose recipe
+    size limit is the least one that admits a host of order n."""
+    grid = [(a, w) for a in range(2, 7) for w in range(2, 10)]
+    least = min(limit(a, w) for a, w in grid if limit(a, w) >= n)
+    return rng.choice([(a, w) for a, w in grid if limit(a, w) == least])
+
+
+def _clique_block_pair(rng):
+    """Patterns (g, h) whose clique-block host has order 10 to 16."""
+    while True:
+        g = _seeded_graph(rng, (3, 6), (0.4, 0.9))
+        h = _seeded_graph(rng, (3, 7), (0.5, 0.95))
+        if g.edge_count() and h.edge_count() and is_connected(g):
+            if 10 <= chvatal_harary_bound(g, h) - 1 <= 16:
+                return g, h
+
+
+def test_recipe_outcomes_pinned_above_order_six():
+    """T1, T3, L2 and CH on 40 seeded random hosts of order 10 to 16, each
+    recipe's alpha and omega at the least size limit that admits the host:
+    colorings, traces and refusal texts pinned as one digest."""
+    records = []
+    for i in range(40):
+        rng = random.Random(f"recipes-large:{i}")
+        f = _seeded_graph(rng, (10, 16), (0.3, 0.9))
+        a1, w1 = _at_size_limit(rng, f.n, lambda a, w: lower_bound_connected(a, w) - 1)
+        a3, w3 = _at_size_limit(rng, f.n, lambda a, w: lower_bound_isolatefree(a, w) - 1)
+        w2 = (f.n + 2) // 2
+        g, h = _clique_block_pair(rng)
+        f6 = emit_graph6(f)
+        calls = [
+            ("T1", (a1, w1, f6), lambda: theorem1_coloring(f, a1, w1)),
+            ("T3", (a3, w3, f6), lambda: theorem3_coloring(f, a3, w3)),
+            ("L2", (w2, f6), lambda: lemma2_coloring(f, w2)),
+            ("CH", (emit_graph6(g), emit_graph6(h)), lambda: chvatal_harary_coloring(g, h)[1:]),
+        ]
+        for name, args, recipe in calls:
+            try:
+                c, trace = recipe()
+            except ConstructionError as exc:
+                outcome = [type(exc).__name__, str(exc)]
+            else:
+                outcome = [c.to_json_dict(), trace.to_json_dict()]
+            records.append([i, name, args, outcome])
+    refused = sum(isinstance(r[3][0], str) for r in records)
+    assert (len(records), refused) == (160, 12)
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LARGE_RECIPE_OUTCOMES_SHA256
 
 
 # ---------------------------------------------------------------------------

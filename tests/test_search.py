@@ -202,6 +202,38 @@ def test_torn_last_line_drops_the_cache(tmp_path):
     assert cache.get("A_|A_|A_") is None
 
 
+def test_a_put_cuts_a_torn_last_line_off(tmp_path):
+    # a writer that died mid-append left a torn line: the load after it
+    # drops the file, the put after that cuts the torn line off, and from
+    # then on the file loads and grows one whole line per put
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}\n{"k": {"arr')
+    loaded = []
+    for g6 in ("Bw", "C~"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cache = ResultCache(cache_file)
+        loaded.append(len(cache._data))
+        cache.put(f"{g6}|A_|A_", {"arrows": True, "witness": None})
+    assert loaded == [0, 2]
+    lines = cache_file.read_text().split("\n")
+    assert lines[-1] == "" and len(lines[:-1]) == 3
+    assert [next(iter(json.loads(line))) for line in lines[:-1]] == ["A_|A_|A_", "Bw|A_|A_", "C~|A_|A_"]
+
+
+def test_a_put_keeps_the_last_line_of_a_text_file(tmp_path):
+    # a file that is not a cache log loses no line to a put, even one whose
+    # last line has no newline
+    cache_file = tmp_path / "notes.txt"
+    cache_file.write_text("first line\nlast line")
+    with pytest.warns(UserWarning, match="ignoring unreadable result cache"):
+        cache = ResultCache(cache_file)
+    cache.put("A_|A_|A_", {"arrows": True, "witness": None})
+    lines = cache_file.read_text().splitlines()
+    assert lines[:2] == ["first line", "last line"]
+    assert json.loads(lines[2]) == {"A_|A_|A_": {"arrows": True, "witness": None}}
+
+
 def test_each_put_appends_one_line(tmp_path):
     cache_file = tmp_path / "cache.json"
     cache = ResultCache(cache_file)
