@@ -136,9 +136,15 @@ def disjoint_union(parts: Iterable[Graph]) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabelled 0.. in the given order."""
+    """Subgraph induced on the given vertices, relabelled 0.. in the given
+    order; ValueError for a repeated vertex or one outside 0..n-1."""
     verts = list(vertices)
     pos = {v: i for i, v in enumerate(verts)}
+    if len(pos) < len(verts):
+        raise ValueError(f"repeated vertex in {verts}")
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for order {g.n}")
     rows = [0] * len(verts)
     for i, v in enumerate(verts):
         for w in _bits(g.adj[v]):
@@ -243,11 +249,16 @@ def lex_least_clique(g: Graph, k: int, within: int | None = None) -> tuple[int, 
     """Lexicographically least clique of size exactly k, or None.
 
     Cliques are ascending vertex tuples; within restricts the search to the
-    vertices of that bitmask.
+    vertices of that bitmask, ValueError when it is negative or has a bit
+    at or above g.n.
     """
     if k < 0:
         raise ValueError("clique size must be non-negative")
-    return _clique(g.adj, k, (1 << g.n) - 1 if within is None else within)
+    if within is None:
+        within = (1 << g.n) - 1
+    elif within < 0 or within >> g.n:
+        raise ValueError(f"vertex mask {within:#b} is not a subset of 0..{g.n - 1}")
+    return _clique(g.adj, k, within)
 
 
 def _clique(rows, k: int, cand: int) -> tuple[int, ...] | None:

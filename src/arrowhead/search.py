@@ -12,15 +12,18 @@ bitsets against the host's copy lists (arrowing._refute and _fault). A
 sweep without a cache decides only the hosts that hold both g and h
 (Catalog.holders); every other host is refuted by one color, all red with
 no g or all blue with no h, checked by the embedder search that set its
-holder bit. A sweep with a cache decides every host, so the cache gets a
-verdict for each, and a cached refuting coloring, stored as those edge
-bitsets, is put through the same check on every hit before it is believed.
+holder bit. A sweep with a cache decides every host up to the first that
+arrows. The cache holds refutations only, so it can make a sweep faster,
+never different.
 
 The cache is an append-only log of {key: verdict} lines keyed by the
 literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
-relabeled query is a miss. A verdict is {"arrows": true, "witness": null}
-or {"arrows": false, "witness": {"blue": B, "red": R}}, where bit i of the
-ints R and B is the host's i-th edge in arrowing._host(f).edges order.
+relabeled query is a miss. A sweep writes {"arrows": false, "witness":
+{"blue": B, "red": R}}, bit i of the ints R and B being the host's i-th
+edge in arrowing._host(f).edges order, for each host it refutes, and
+checks it again on every hit. It writes nothing for the arrowing host;
+any other line, an older log's {"arrows": true} among them, is decided
+afresh.
 """
 from __future__ import annotations
 
@@ -144,7 +147,8 @@ _last_log: tuple[bytes, dict[str, str]] = (b"", {})
 
 
 class ResultCache:
-    """Write-through memo of arrowing verdicts, kept as an append-only log.
+    """Write-through memo of verdicts, kept as an append-only log. It
+    judges none: _decide puts and believes only checked refutations.
 
     Each put appends one line, a JSON object {key: verdict}, under an flock
     on the cache file, so parallel sweeps sharing one cache lose no entries.
@@ -268,32 +272,27 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | 
     """Arrowing verdict for one host, through the cache under key when one
     is given.
 
-    A verdict the cache does not settle comes from one _refute call, which
-    checks the refuting coloring on its edge bitsets; a cache stores those
-    two ints as the witness {"red": R, "blue": B}. A cached NotArrows entry
-    is believed only when its witness is that form, both ints (not bools),
-    and they pass _refute's check (_fault), on every hit; anything suspect,
-    an older pair-list witness among it, is recomputed and overwritten.
+    The cache can make the verdict faster, never different. A hit is
+    believed only when its witness is {"red": R, "blue": B}, both ints (not
+    bools), and they pass _refute's check (_fault); it then answers False.
+    Anything else, a stored "arrows": true among it, goes to one _refute
+    call, and only a refuting coloring it finds is put, as those two ints.
     """
     host = _host(f)
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None:
-            if hit["arrows"]:
-                return True
-            stored = hit.get("witness")
-            if (
-                type(stored) is dict
-                and stored.keys() == {"red", "blue"}
-                and type(stored["red"]) is int
-                and type(stored["blue"]) is int
-                and _fault(host, g, h, True, stored["red"], stored["blue"]) is None
-            ):
-                return False
+        stored = None if hit is None else hit.get("witness")
+        if (
+            type(stored) is dict
+            and stored.keys() == {"red", "blue"}
+            and type(stored["red"]) is int
+            and type(stored["blue"]) is int
+            and _fault(host, g, h, True, stored["red"], stored["blue"]) is None
+        ):
+            return False
     found = _refute(host, g, h, True)[0]
-    if cache is not None:
-        witness = None if found is None else {"red": found[0], "blue": found[1]}
-        cache.put(key, {"arrows": found is None, "witness": witness})
+    if cache is not None and found is not None:
+        cache.put(key, {"arrows": False, "witness": {"red": found[0], "blue": found[1]}})
     return found is None
 
 
@@ -301,12 +300,13 @@ def _scan_order(g, h, catalog, order, cache, pair):
     """g6 of the order's first arrowing graph, or None when none arrows.
 
     With a cache every host of the order up to that graph goes through
-    _decide, so the cache gets a verdict for each. Without one only the
-    hosts that hold both g and h (catalog.holders) are decided. Every other
-    host is refuted by one color: all red when it holds no g, else all
-    blue, as it holds no h. That coloring's check is the embedder search
-    the holder bit was read from, which found no copy: the check _refute
-    makes for a host with no g, whose embedder copy list is empty.
+    _decide, so the cache gets a refutation for each host before it, and
+    none for it. Without one only the hosts that hold both g and h
+    (catalog.holders) are decided. Every other host is refuted by one
+    color: all red when it holds no g, else all blue, as it holds no h.
+    That coloring's check is the embedder search the holder bit was read
+    from, which found no copy: the check _refute makes for a host with no
+    g, whose embedder copy list is empty.
     """
     scan = catalog.scan(order)
     if cache is None:

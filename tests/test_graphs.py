@@ -105,6 +105,14 @@ def test_induced_subgraph_keeps_order():
     assert sub.edges() == [(1, 2)]
 
 
+@pytest.mark.parametrize("vertices", [[0, 0], [-1, 0], [3], [1, 2, 1]])
+def test_induced_subgraph_rejects_a_bad_vertex_list(vertices):
+    # a repeated vertex or one outside 0..n-1 is refused, as Graph.from_edges
+    # refuses such an edge, not read as some other vertex set
+    with pytest.raises(ValueError):
+        induced_subgraph(path(3), vertices)
+
+
 def test_relabel_is_isomorphism():
     rng = random.Random(2)
     for _ in range(20):
@@ -191,6 +199,13 @@ def test_is_clique_and_lex_least():
     assert lex_least_clique(cycle(4), 3) is None
     # candidate mask without vertex 0
     assert lex_least_clique(k4, 3, within=0b1110) == (1, 2, 3)
+    assert lex_least_clique(k4, 0, within=0) == ()
+
+
+@pytest.mark.parametrize("within", [0b11000, 0b1000, -1, -0b100])
+def test_lex_least_clique_rejects_a_mask_outside_the_vertices(within):
+    with pytest.raises(ValueError):
+        lex_least_clique(complete(3), 2, within=within)
 
 
 def test_cliques_of_size_enumerates_all():

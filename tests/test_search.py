@@ -747,17 +747,121 @@ def test_persisted_witnesses_all_verify(tmp_path, catalog):
     raw = read_cache_log(cache_file)
     checked = 0
     for key, entry in raw.items():
-        host_g6 = key.split("|")[0]
-        if entry["arrows"]:
-            assert entry["witness"] is None
-            continue
-        host = parse_graph6(host_g6)
+        # the sweep ends at C`, which arrows, and the log holds refutations only
+        assert entry["arrows"] is False
+        host = parse_graph6(key.split("|")[0])
         edges = _host(host).edges
         red, blue = ([e for i, e in enumerate(edges) if entry["witness"][side] >> i & 1] for side in ("red", "blue"))
         witness = EdgeColoring.of(host.n, red, blue)
         assert verify_witness(host, witness, g, h) is None
         checked += 1
     assert checked >= 10
+
+
+# Pattern pairs whose cached order-6 logs are tampered with below: the first
+# sweep finds nothing to order 6, the other two end at an arrowing host of
+# order 6.
+TAMPER_PAIRS = [(path(4), path(3)), (matching(2), complete(3)), (path(3), complete(3))]
+
+
+@pytest.fixture(scope="module")
+def order6_logs(catalog, tmp_path_factory):
+    """Per pair of TAMPER_PAIRS: g, h, the cache-less order-6 answer, a
+    cached order-6 sweep's log as (key, verdict) lines, and the cache keys
+    of every host to order 6."""
+    logs = []
+    for n, (g, h) in enumerate(TAMPER_PAIRS):
+        cache_file = tmp_path_factory.mktemp("logs") / f"{n}.json"
+        bare = ir_exact(g, h, catalog, n_max=6)
+        assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == bare
+        lines = [next(iter(json.loads(line).items())) for line in cache_file.read_text().splitlines()]
+        tail = f"|{emit_graph6(g)}|{emit_graph6(h)}"
+        keys = [f6 + tail for order in range(1, 7) for _, f6 in catalog.scan(order)]
+        logs.append((g, h, bare, lines, keys))
+    assert [isinstance(bare, IRResult) and bare.value for _, _, bare, _, _ in logs] == [False, 6, 6]
+    return logs
+
+
+def _edited_log(draw, lines, keys):
+    """lines, as (key, verdict) pairs, with one to four drawn edits."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["append", "flip", "int", "swap", "delete"]))
+        if edit == "append":
+            lines.append((draw(st.sampled_from(keys)), {"arrows": True, "witness": None}))
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        key, verdict = lines[i]
+        witness = verdict["witness"]
+        if edit == "flip":
+            lines[i] = (key, {**verdict, "arrows": True})
+        elif edit == "delete":
+            del lines[i : draw(st.integers(i + 1, len(lines)))]
+        elif witness is None:
+            continue
+        elif edit == "int":
+            side = draw(st.sampled_from(["red", "blue"]))
+            value = draw(st.integers(max_value=-1) | st.integers(min_value=1 << 64) | st.just(True))
+            lines[i] = (key, {**verdict, "witness": {**witness, side: value}})
+        else:
+            lines[i] = (key, {**verdict, "witness": {"red": witness["blue"], "blue": witness["red"]}})
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_no_cache_edit_changes_an_answer(catalog, order6_logs, data):
+    # A cached order-6 log with positive lines planted, lines flipped to
+    # positive, witness ints replaced or swapped, and lines deleted: the
+    # sweep on it gives the cache-less answer, and logs refutations only.
+    g, h, bare, lines, keys = data.draw(st.sampled_from(order6_logs))
+    edited = _edited_log(data.draw, lines, keys)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(search, "_last_log", (b"", {})):
+        cache_file = Path(tmp) / "cache.json"
+        cache_file.write_text("".join(json.dumps({k: v}, sort_keys=True) + "\n" for k, v in edited))
+        assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == bare
+        added = cache_file.read_text().splitlines()[len(edited):]
+    assert all(next(iter(json.loads(line).values()))["arrows"] is False for line in added)
+
+
+def test_a_planted_positive_line_does_not_change_the_answer(tmp_path, catalog):
+    # A line calling the edgeless order-4 host C? arrowing once made a
+    # cached IR(P4, P3) read 4 with witness C?. The line carries no
+    # refuting coloring to check, so C? is decided again and its
+    # refutation logged once.
+    g, h = path(4), path(3)
+    cache_file = tmp_path / "c.json"
+    first = ir_exact(g, h, catalog, n_max=7, cache=ResultCache(cache_file))
+    assert (first.value, first.witness_arrowing_graph) == (7, "Fh_gG")
+    with open(cache_file, "a") as log:
+        log.write('{"C?|Ch|Bg": {"arrows": true, "witness": null}}\n')
+    before = cache_file.read_text().splitlines()
+    for _ in range(2):
+        assert ir_exact(g, h, catalog, n_max=7, cache=ResultCache(cache_file)) == first
+    lines = cache_file.read_text().splitlines()
+    assert lines[:-1] == before
+    assert json.loads(lines[-1]) == {"C?|Ch|Bg": {"arrows": False, "witness": {"red": 0, "blue": 0}}}
+
+
+def test_a_positive_sweep_logs_its_refutations_only(tmp_path, catalog):
+    # One line per host refuted and none for the arrowing host, so a replay
+    # decides that host alone, with one _refute call, and appends nothing.
+    g, h = matching(2), complete(3)
+    cache_file = tmp_path / "cache.json"
+    first = ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file))
+    assert (first.value, first.witness_arrowing_graph) == (6, "EJaG")
+    scan = [f6 for order in range(1, 7) for _, f6 in catalog.scan(order)]
+    tail = f"|{emit_graph6(g)}|{emit_graph6(h)}"
+    log = [next(iter(json.loads(line).items())) for line in cache_file.read_text().splitlines()]
+    assert [key for key, _ in log] == [f6 + tail for f6 in scan[: scan.index("EJaG")]]
+    assert all(verdict["arrows"] is False for _, verdict in log)
+    data = cache_file.read_bytes()
+    with mock.patch.object(search, "_refute", wraps=search._refute) as refute:
+        assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == first
+    assert [call.args[0].f for call in refute.call_args_list] == [parse_graph6("EJaG")]
+    assert cache_file.read_bytes() == data
 
 
 # ---------------------------------------------------------------------------
