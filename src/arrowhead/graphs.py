@@ -155,8 +155,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Image of g under the permutation perm, where perm[v] is v's new label."""
+    """Image of g under the permutation perm, where perm[v] is v's new label;
+    ValueError unless perm is a permutation of 0..n-1."""
     p = list(perm)
+    if sorted(p) != list(range(g.n)):
+        raise ValueError(f"{p} is not a permutation of 0..{g.n - 1}")
     return Graph.from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])
 
 

@@ -23,7 +23,8 @@ relabeled query is a miss. A sweep writes {"arrows": false, "witness":
 edge in arrowing._host(f).edges order, for each host it refutes, and
 checks it again on every hit. It writes nothing for the arrowing host;
 any other line, an older log's {"arrows": true} among them, is decided
-afresh.
+afresh. _decide alone judges a line: one the loader cannot read is a
+miss, and one it can is believed only after _decide's check.
 """
 from __future__ import annotations
 
@@ -151,30 +152,27 @@ class ResultCache:
     judges none: _decide puts and believes only checked refutations.
 
     Each put appends one line, a JSON object {key: verdict}, under an flock
-    on the cache file, so parallel sweeps sharing one cache lose no entries.
-    Loading folds the lines in order, so the last line for a key wins; an
-    older single-object cache is a one-line log, whose missing final newline
-    a put writes first. A corrupt or unreadable file is dropped whole with a
-    warning rather than half trusted; the next put cuts off a torn last line
-    (_torn_line), which writers appending whole lines under the lock leave
-    only when one dies mid-append. A put that cannot write the file warns
-    once, and later puts of that instance keep their entries in memory only,
-    so an unwritable cache never stops a sweep or changes its answer.
+    on the cache file, so parallel sweeps sharing one cache lose no entries;
+    a file whose last byte is not a newline gets one first. Loading folds
+    the lines in order, so the last line for a key wins. A line that is not
+    valid UTF-8 or not one JSON object, a torn one among them, holds no
+    entry and costs only itself; a file that cannot be read loads empty
+    with a warning. A put that cannot write the file warns once, and later
+    puts of that instance keep their entries in memory only, so an
+    unwritable cache never stops a sweep or changes its answer.
 
     A process remembers the last newline-terminated log it loaded. When a
     file's bytes start with that log's bytes, only the lines after them are
-    parsed and checked; otherwise the whole file is. Either way the entries
-    are a function of the file's current bytes alone, so a rewritten,
-    truncated or re-created file loads exactly as a first read would. Each
-    instance folds into its own dict, so a put reaches later loads only
-    through the file.
+    parsed; otherwise the whole file is. Either way the entries are a
+    function of the file's current bytes alone, so a rewritten, truncated
+    or re-created file loads exactly as a first read would. Each instance
+    folds into its own dict, so a put reaches later loads only through the
+    file.
 
     An entry is the JSON text of a one-key object {key: verdict}, parsed by
     get, so the remembered log costs about its size on disk, not several
-    times that in parsed witnesses. A put's entry is its log line. Each
-    loaded line is parsed on its own, so a line that holds one one-key
-    object is that object's text and is kept as written; any other line
-    form is encoded again, one entry per key.
+    times that in parsed witnesses. A put's entry is its log line, and a
+    loaded one-key line is kept as written (_fold).
     """
 
     def __init__(self, path):
@@ -193,16 +191,16 @@ class ResultCache:
             return
         try:
             data = self.path.read_bytes()
-            known, folded = _last_log
-            if not data.startswith(known):
-                known, folded = b"", {}
-            folded = _fold(data[len(known):], folded)
-            if data.endswith(b"\n"):
-                _last_log = (data, folded)
-            self._data = dict(folded)
-        except (ValueError, OSError) as exc:
+        except OSError as exc:
             warnings.warn(f"ignoring unreadable result cache {self.path}: {exc}")
-            self._data = {}
+            return
+        known, folded = _last_log
+        if not data.startswith(known):
+            known, folded = b"", {}
+        folded = _fold(data[len(known):], folded)
+        if data.endswith(b"\n"):
+            _last_log = (data, folded)
+        self._data = dict(folded)
 
     def get(self, key: str) -> dict | None:
         text = self._data.get(key)
@@ -219,11 +217,7 @@ class ResultCache:
                 _flock(log)
                 log.seek(max(log.seek(0, 2) - 1, 0))
                 if log.read(1) not in (b"", b"\n"):
-                    cut = _torn_line(log)
-                    if cut is None:
-                        line = "\n" + line
-                    else:
-                        log.truncate(cut)
+                    line = "\n" + line
                 log.write(line.encode())
         except OSError as exc:
             warnings.warn(f"not writing result cache {self.path}: {exc}")
@@ -231,37 +225,22 @@ class ResultCache:
 
 
 def _fold(data: bytes, folded: dict[str, str]) -> dict[str, str]:
-    """A copy of folded updated by the cache lines in data, in order;
-    ValueError for a line that is not one."""
+    """A copy of folded updated by the cache lines in data, in order. A line
+    that is not valid UTF-8 or not one JSON object holds no entry; any other
+    gives one per key whose value is an object."""
     folded = dict(folded)
-    for line in data.decode().splitlines():
-        values = json.loads("[" + line + "]") if line.strip() else []
-        for raw in values:
-            if not isinstance(raw, dict):
-                raise ValueError("cache line must be a JSON object")
-            for key, entry in raw.items():
-                if not isinstance(entry, dict) or not isinstance(entry.get("arrows"), bool):
-                    raise ValueError(f"malformed cache entry for {key!r}")
-                one = len(values) == 1 and len(raw) == 1
-                folded[key] = line if one else json.dumps({key: entry})
-    return folded
-
-
-def _torn_line(log) -> int | None:
-    """Where the open log's last line starts if it is torn: not JSON, after
-    whole cache lines holding an entry. None for an old single-object file,
-    whose line is JSON, and for a file that is no cache log."""
-    log.seek(0)
-    data = log.read()
-    cut = data.rfind(b"\n") + 1
-    try:
-        json.loads(data[cut:])
-    except ValueError:
+    for line in data.split(b"\n"):
         try:
-            return cut if _fold(data[:cut], {}) else None
-        except ValueError:
-            pass
-    return None
+            text = line.decode()
+            raw = json.loads(text)
+        except (ValueError, RecursionError):
+            continue
+        if type(raw) is not dict:
+            continue
+        for key, entry in raw.items():
+            if type(entry) is dict:
+                folded[key] = text if len(raw) == 1 else json.dumps({key: entry})
+    return folded
 
 
 def _key(f6: str, pair: tuple[str, str]) -> str:

@@ -48,6 +48,23 @@ def brute_is_iso(a: Graph, b: Graph) -> bool:
     return False
 
 
+def brute_canonical_form(g: Graph) -> tuple[bool, ...]:
+    """The least adjacency code of g, over (u, v) pairs in lexicographic
+    order, among the relabellings that list its vertices by ascending
+    degree. Isomorphic graphs of one order, and only they, share it."""
+    by_degree: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_degree.setdefault(sum(g.has_edge(v, w) for w in range(g.n)), []).append(v)
+    pairs = list(combinations(range(g.n), 2))
+    return min(
+        tuple(g.has_edge(order[u], order[v]) for u, v in pairs)
+        for order in (
+            [v for block in blocks for v in block]
+            for blocks in product(*(permutations(vs) for _, vs in sorted(by_degree.items())))
+        )
+    )
+
+
 def brute_induced_copies(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
     """Vertex sets inducing the pattern, as sorted tuples, each listed once."""
     out = []

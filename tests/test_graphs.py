@@ -122,6 +122,14 @@ def test_relabel_is_isomorphism():
         assert brute_is_iso(g, relabel(g, perm))
 
 
+@pytest.mark.parametrize("perm", [[0, 1, 1], [1, 0], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1]])
+def test_relabel_rejects_a_perm_that_is_not_a_permutation(perm):
+    # a repeated, missing, extra or out-of-range label is refused, not read
+    # as some graph that is no image of g
+    with pytest.raises(ValueError):
+        relabel(Graph.from_edges(3, [(0, 1)]), perm)
+
+
 def test_equality_and_hash_are_on_the_labelled_structure():
     # the hash is kept on the instance after its first call; it must stay
     # that of the fields, and equality must not see it

@@ -34,7 +34,7 @@ from arrowhead.search import (
     ir_exact,
 )
 
-from .oracles import brute_induced_copies
+from .oracles import brute_canonical_form, brute_induced_copies
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -60,6 +60,23 @@ def test_bundled_catalog_counts(catalog):
         assert all(g.n == order for g in graphs)
         # one representative per class: exact duplicates would be a bug
         assert len({emit_graph6(g) for g in graphs}) == count
+
+
+def test_bundled_catalogs_are_pairwise_non_isomorphic(catalog):
+    # With the counts above, distinct canonical forms make each catalog hold
+    # every class once, so no relabelled duplicate hides a missing class.
+    # The form must not move under a relabelling, or distinct forms prove
+    # nothing: a shuffled copy of each graph keeps its form.
+    rng = random.Random(13)
+    for order in CATALOG_COUNTS:
+        forms = set()
+        for g in catalog.graphs(order):
+            perm = list(range(order))
+            rng.shuffle(perm)
+            form = brute_canonical_form(g)
+            assert brute_canonical_form(graphs.relabel(g, perm)) == form
+            forms.add(form)
+        assert len(forms) == CATALOG_COUNTS[order]
 
 
 def test_catalog_gap_reporting(tmp_path):
@@ -135,17 +152,22 @@ def test_cache_key_format():
     assert key == "Bw|Bg|C`"
 
 
-def test_corrupt_cache_is_dropped_with_warning(tmp_path):
+def test_a_corrupt_line_is_a_miss_without_a_warning(tmp_path):
+    # A line that is no JSON object holds no entry, and a key whose value is
+    # no object holds none; neither warns or costs the other lines. An
+    # object value is loaded as written, for _decide to judge.
     cache_file = tmp_path / "cache.json"
-    cache_file.write_text("{not json")
-    with pytest.warns(UserWarning, match="ignoring unreadable result cache"):
-        cache = ResultCache(cache_file)
-    assert cache.get("A_|A_|A_") is None
-
-    cache_file.write_text('{"k": {"arrows": "yes"}}')
-    with pytest.warns(UserWarning):
-        cache = ResultCache(cache_file)
-    assert cache.get("k") is None
+    cache_file.write_text(
+        "{not json\n"
+        '{"A_|A_|A_": {"arrows": true, "witness": null}}\n'
+        '{"j": "yes", "A_|A_|A_": 5}\n'
+        '{"k": {"arrows": "yes"}}'
+    )
+    cache, warned = _open_cache(cache_file)
+    assert not warned
+    assert cache._data.keys() == {"A_|A_|A_", "k"}
+    assert cache.get("A_|A_|A_") == {"arrows": True, "witness": None}
+    assert cache.get("k") == {"arrows": "yes"}
 
 
 def test_unwritable_cache_warns_once_and_keeps_its_entries(tmp_path):
@@ -183,7 +205,7 @@ def test_single_object_cache_still_loads(tmp_path):
 
 def test_put_after_a_single_object_without_final_newline(tmp_path):
     # an older cache may end without a newline; the put must not glue its
-    # object onto the last line, or the next load drops the whole cache
+    # object onto the last line, or the next load reads neither
     cache_file = tmp_path / "cache.json"
     cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}')
     ResultCache(cache_file).put("Bw|A_|A_", {"arrows": True, "witness": None})
@@ -194,40 +216,41 @@ def test_put_after_a_single_object_without_final_newline(tmp_path):
     assert reopened.get("Bw|A_|A_") == {"arrows": True, "witness": None}
 
 
-def test_torn_last_line_drops_the_cache(tmp_path):
+def test_a_torn_last_line_costs_only_itself(tmp_path):
     cache_file = tmp_path / "cache.json"
     cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}\n{"k": {"arr')
-    with pytest.warns(UserWarning, match="ignoring unreadable result cache"):
-        cache = ResultCache(cache_file)
-    assert cache.get("A_|A_|A_") is None
+    cache, warned = _open_cache(cache_file)
+    assert not warned
+    assert cache._data.keys() == {"A_|A_|A_"}
+    assert cache.get("A_|A_|A_") == {"arrows": True, "witness": None}
 
 
-def test_a_put_cuts_a_torn_last_line_off(tmp_path):
-    # a writer that died mid-append left a torn line: the load after it
-    # drops the file, the put after that cuts the torn line off, and from
-    # then on the file loads and grows one whole line per put
+def test_a_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
+    # a writer that died mid-append left a torn line: every load skips it,
+    # and the put after it keeps it and starts its own line, so the file
+    # grows one whole line per put and loses none
     cache_file = tmp_path / "cache.json"
-    cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}\n{"k": {"arr')
+    first, torn = '{"A_|A_|A_": {"arrows": true, "witness": null}}', '{"k": {"arr'
+    cache_file.write_text(first + "\n" + torn)
     loaded = []
     for g6 in ("Bw", "C~"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cache = ResultCache(cache_file)
-        loaded.append(len(cache._data))
+        cache, warned = _open_cache(cache_file)
+        assert not warned
+        loaded.append(sorted(cache._data))
         cache.put(f"{g6}|A_|A_", {"arrows": True, "witness": None})
-    assert loaded == [0, 2]
+    assert loaded == [["A_|A_|A_"], ["A_|A_|A_", "Bw|A_|A_"]]
     lines = cache_file.read_text().split("\n")
-    assert lines[-1] == "" and len(lines[:-1]) == 3
-    assert [next(iter(json.loads(line))) for line in lines[:-1]] == ["A_|A_|A_", "Bw|A_|A_", "C~|A_|A_"]
+    assert lines[:2] == [first, torn] and lines[-1] == "" and len(lines) == 5
+    assert [next(iter(json.loads(line))) for line in lines[2:-1]] == ["Bw|A_|A_", "C~|A_|A_"]
 
 
 def test_a_put_keeps_the_last_line_of_a_text_file(tmp_path):
-    # a file that is not a cache log loses no line to a put, even one whose
-    # last line has no newline
+    # a file that is not a cache log holds no entry and loses no line to a
+    # put, even one whose last line has no newline
     cache_file = tmp_path / "notes.txt"
     cache_file.write_text("first line\nlast line")
-    with pytest.warns(UserWarning, match="ignoring unreadable result cache"):
-        cache = ResultCache(cache_file)
+    cache, warned = _open_cache(cache_file)
+    assert not warned and cache._data == {}
     cache.put("A_|A_|A_", {"arrows": True, "witness": None})
     lines = cache_file.read_text().splitlines()
     assert lines[:2] == ["first line", "last line"]
@@ -250,8 +273,9 @@ def test_each_put_appends_one_line(tmp_path):
 
 def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
     # A line that holds one one-key object is kept as written; every other
-    # form is encoded again. Each must give the verdicts a per-line parse
-    # folds to, the last line for a key winning.
+    # object is encoded again, one entry per key whose value is an object,
+    # and a line that is not one JSON object holds none. Each must give the
+    # verdicts a per-line parse folds to, the last line for a key winning.
     monkeypatch.setattr(search, "_last_log", (b"", {}))
     refuted = {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}}
     proved = {"arrows": True, "witness": None}
@@ -264,7 +288,9 @@ def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
         json.dumps({"e|A_|A_": proved, "f|A_|A_": refuted}),
         # a key named twice: the last verdict counts
         '{"g|A_|A_": {"arrows": false}, "g|A_|A_": ' + json.dumps(proved) + "}",
-        # two values on one line
+        # a key whose value is no object, beside one whose value is
+        json.dumps({"l|A_|A_": proved, "m|A_|A_": 7}),
+        # two values on one line: no one object, so no entry
         json.dumps({"i|A_|A_": proved}) + ", {}",
         json.dumps({"j|A_|A_": proved}) + ", " + json.dumps({"k|A_|A_": refuted}),
         # an escaped key that names a|A_|A_ again
@@ -274,9 +300,14 @@ def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
     cache_file.write_text("\n".join(lines) + "\n")
     expected = {}
     for line in lines:
-        for raw in json.loads("[" + line + "]"):
-            expected.update(raw)
+        try:
+            raw = json.loads(line)
+        except ValueError:
+            continue
+        expected.update((key, entry) for key, entry in raw.items() if isinstance(entry, dict))
     cache = ResultCache(cache_file)
+    assert {"i|A_|A_", "j|A_|A_", "m|A_|A_"}.isdisjoint(expected)
+    assert expected["k|A_|A_"] == proved and expected["l|A_|A_"] == proved
     assert cache._data.keys() == expected.keys()
     assert {key: cache.get(key) for key in expected} == expected
     assert cache._data["h\\|A_|A_"] == json.dumps({"h\\|A_|A_": refuted}, sort_keys=True)
@@ -284,13 +315,14 @@ def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
 
 def test_a_log_whose_lines_are_not_each_json_is_dropped(tmp_path, monkeypatch):
     # Joined into one array of arrays, these two lines parse as two one-key
-    # objects, the second a verdict for A_|A_|A_; alone, neither parses.
+    # objects, the second a verdict for A_|A_|A_; alone, neither parses, so
+    # neither holds an entry, and the file loads empty without a warning.
     monkeypatch.setattr(search, "_last_log", (b"", {}))
     cache_file = tmp_path / "cache.json"
     cache_file.write_text('{"k": {"arrows": true, "w": "\n"}}],[{"A_|A_|A_": {"arrows": true}}\n')
     cache, warned = _open_cache(cache_file)
-    assert warned
-    assert cache.get("A_|A_|A_") is None
+    assert not warned
+    assert cache._data == {}
 
 
 def test_loading_put_lines_encodes_no_verdict(tmp_path, monkeypatch):
@@ -824,6 +856,65 @@ def test_no_cache_edit_changes_an_answer(catalog, order6_logs, data):
         assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == bare
         added = cache_file.read_text().splitlines()[len(edited):]
     assert all(next(iter(json.loads(line).values()))["arrows"] is False for line in added)
+
+
+def _unreadable_line(draw, text):
+    """A line that holds no entry, drawn from the damage a log can take;
+    text is a whole log line that it may be made from."""
+    kind = draw(st.sampled_from(["torn", "text", "utf8", "array", "scalar", "value", "deep"]))
+    if kind == "torn":
+        return text[: draw(st.integers(1, len(text) - 1))].encode()
+    if kind == "utf8":
+        at = draw(st.integers(0, len(text)))
+        return text[:at].encode() + b"\xff" + text[at:].encode()
+    if kind == "array":
+        return f"[{text}]".encode()
+    if kind == "value":
+        (key, _), = json.loads(text).items()
+        return json.dumps({key: draw(st.sampled_from([7, None, True, "x", [1, 2]]))}).encode()
+    if kind == "deep":
+        return b"[" * 100_000
+    if kind == "scalar":
+        return draw(st.sampled_from(["7", "-0.5e3", "null", "true", '"text"'])).encode()
+    return draw(st.sampled_from(["not json", "{", "}{", "", "  "])).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_unreadable_line_costs_only_itself(catalog, order6_logs, data):
+    # A cached order-6 log with unreadable lines inserted, some whole lines
+    # replaced by unreadable ones, and a torn last line with no newline:
+    # it loads as its intact lines alone, without a warning, and a replay
+    # gives the cache-less answer, deciding again only the hosts whose own
+    # line was damaged, and the arrowing host, which has no line.
+    g, h, bare, lines, _ = data.draw(st.sampled_from(order6_logs))
+    texts = [json.dumps({key: verdict}, sort_keys=True) for key, verdict in lines]
+    rows = [(text.encode(), key) for text, (key, _) in zip(texts, lines)]
+    damaged = set()
+    for _ in range(data.draw(st.integers(1, 6))):
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(rows)))
+            rows.insert(at, (_unreadable_line(data.draw, data.draw(st.sampled_from(texts))), None))
+            continue
+        at = data.draw(st.sampled_from([i for i, (_, key) in enumerate(rows) if key is not None]))
+        text, key = rows[at]
+        rows[at] = (_unreadable_line(data.draw, text.decode()), None)
+        damaged.add(key)
+    last = data.draw(st.sampled_from(texts))
+    torn = last[: data.draw(st.integers(1, len(last) - 1))].encode()
+    tail = f"|{emit_graph6(g)}|{emit_graph6(h)}"
+    arrowing = {bare.witness_arrowing_graph + tail} if isinstance(bare, IRResult) else set()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(search, "_last_log", (b"", {})):
+        garbled, intact = Path(tmp) / "garbled.json", Path(tmp) / "intact.json"
+        garbled.write_bytes(b"".join(line + b"\n" for line, _ in rows) + torn)
+        intact.write_bytes(b"".join(line + b"\n" for line, key in rows if key is not None))
+        cache, warned = _open_cache(garbled)
+        assert not warned
+        assert cache._data == ResultCache(intact)._data
+        with mock.patch.object(search, "_refute", wraps=search._refute) as refute:
+            assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(garbled)) == bare
+    refuted = [emit_graph6(call.args[0].f) + tail for call in refute.call_args_list]
+    assert sorted(refuted) == sorted(damaged | arrowing)
 
 
 def test_a_planted_positive_line_does_not_change_the_answer(tmp_path, catalog):
