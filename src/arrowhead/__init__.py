@@ -18,7 +18,6 @@ from .coloring import (
     find_mono_induced,
     red_component_independence_ok,
     red_isolatefree_independence_ok,
-    validate_violation,
     verify_witness,
 )
 from .constructions import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import ColoringMismatchError, PreconditionError
@@ -22,7 +21,6 @@ from .graphs import (
     _bits,
     _clique,
     _components,
-    check_embedding,
     find_induced_embedding,
 )
 
@@ -215,17 +213,6 @@ def verify_witness(host: Graph, c: EdgeColoring, g: Graph, h: Graph) -> Violatio
     """
     c.check_against(host)
     return _find_mono(host, c, g, RED) or _find_mono(host, c, h, BLUE)
-
-
-def validate_violation(host: Graph, c: EdgeColoring, pattern: Graph, violation: Violation) -> bool:
-    """Recheck a Violation from the definitions, independent of the finder."""
-    if not check_embedding(host, pattern, violation.embedding):
-        return False
-    image = violation.embedding.map
-    for a, b in combinations(sorted(image), 2):
-        if host.has_edge(a, b) and c.color_of(a, b) != violation.color:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -286,10 +286,9 @@ def _clique(rows, k: int, cand: int) -> tuple[int, ...] | None:
     return tuple(out) if k == 0 or grow(cand, k) else None
 
 
-def cliques_of_size(g: Graph, k: int, within: int | None = None) -> list[tuple[int, ...]]:
-    """All cliques of size exactly k inside the mask, in lexicographic order."""
-    allowed = list(range(g.n)) if within is None else list(_bits(within))
-    return [c for c in combinations(allowed, k) if is_clique(g, c)]
+def cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """All cliques of size exactly k, in lexicographic order."""
+    return [c for c in combinations(range(g.n), k) if is_clique(g, c)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
 relabeled query is a miss. A sweep writes {"arrows": false, "witness":
 {"blue": B, "red": R}}, bit i of the ints R and B being the host's i-th
 edge in arrowing._host(f).edges order, for each host it refutes, and
-checks it again on every hit. It writes nothing for the arrowing host;
-any other line, an older log's {"arrows": true} among them, is decided
-afresh. _decide alone judges a line: one the loader cannot read is a
-miss, and one it can is believed only after _decide's check.
+nothing for the arrowing host. The loader keeps such a line's two ints
+and drops any other entry, an older log's {"arrows": true} among them, so
+its host is decided afresh; _decide believes the two ints only after the
+check a fresh refutation passes.
 """
 from __future__ import annotations
 
@@ -141,24 +141,25 @@ def _flock(handle) -> None:
 
 
 # The bytes of the last newline-terminated cache log loaded in this process
-# and the entries folded from them. Folding stops at line ends, so any file
-# whose bytes start with these folds to these entries updated by its
+# and the refutations folded from them. Folding stops at line ends, so any
+# file whose bytes start with these folds to these entries updated by its
 # remaining lines, whichever path it was read from.
-_last_log: tuple[bytes, dict[str, str]] = (b"", {})
+_last_log: tuple[bytes, dict[str, tuple[int, int]]] = (b"", {})
 
 
 class ResultCache:
-    """Write-through memo of verdicts, kept as an append-only log. It
-    judges none: _decide puts and believes only checked refutations.
+    """Write-through memo of refutations, each the (red, blue) edge bitsets
+    of a coloring, kept as an append-only log. It checks none: _decide
+    puts only checked refutations and believes a hit only after checking it.
 
     Each put appends one line, a JSON object {key: verdict}, under an flock
     on the cache file, so parallel sweeps sharing one cache lose no entries;
     a file whose last byte is not a newline gets one first. Loading folds
-    the lines in order, so the last line for a key wins. A line that is not
-    valid UTF-8 or not one JSON object, a torn one among them, holds no
-    entry and costs only itself; a file that cannot be read loads empty
-    with a warning. A put that cannot write the file warns once, and later
-    puts of that instance keep their entries in memory only, so an
+    the lines in order (_fold), so the last line for a key wins. A line
+    that is not valid UTF-8 or not one JSON object, a torn one among them,
+    holds no entry and costs only itself; a file that cannot be read loads
+    empty with a warning. A put that cannot write the file warns once, and
+    later puts of that instance keep their entries in memory only, so an
     unwritable cache never stops a sweep or changes its answer.
 
     A process remembers the last newline-terminated log it loaded. When a
@@ -168,22 +169,13 @@ class ResultCache:
     or re-created file loads exactly as a first read would. Each instance
     folds into its own dict, so a put reaches later loads only through the
     file.
-
-    An entry is the JSON text of a one-key object {key: verdict}, parsed by
-    get, so the remembered log costs about its size on disk, not several
-    times that in parsed witnesses. A put's entry is its log line, and a
-    loaded one-key line is kept as written (_fold).
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._data: dict[str, str] = {}
+        self._data: dict[str, tuple[int, int]] = {}
         self._writable = True
         self._load()
-
-    @staticmethod
-    def key(f: Graph, g: Graph, h: Graph) -> str:
-        return _key(emit_graph6(f), (emit_graph6(g), emit_graph6(h)))
 
     def _load(self) -> None:
         global _last_log
@@ -202,15 +194,15 @@ class ResultCache:
             _last_log = (data, folded)
         self._data = dict(folded)
 
-    def get(self, key: str) -> dict | None:
-        text = self._data.get(key)
-        return None if text is None else json.loads(text)[key]
+    def get(self, key: str) -> tuple[int, int] | None:
+        return self._data.get(key)
 
-    def put(self, key: str, verdict: dict) -> None:
-        text = self._data[key] = json.dumps({key: verdict}, sort_keys=True)
+    def put(self, key: str, refutation: tuple[int, int]) -> None:
+        self._data[key] = red, blue = refutation
         if not self._writable:
             return
-        line = text + "\n"
+        verdict = {"arrows": False, "witness": {"red": red, "blue": blue}}
+        line = json.dumps({key: verdict}, sort_keys=True) + "\n"
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as log:
@@ -224,27 +216,34 @@ class ResultCache:
             self._writable = False
 
 
-def _fold(data: bytes, folded: dict[str, str]) -> dict[str, str]:
+def _fold(data: bytes, folded: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:
     """A copy of folded updated by the cache lines in data, in order. A line
-    that is not valid UTF-8 or not one JSON object holds no entry; any other
-    gives one per key whose value is an object."""
+    that is not valid UTF-8 or not one JSON object holds no entry. In any
+    other, each key whose value is an object gets that object's witness as
+    (red, blue) when it is {"red": R, "blue": B}, both ints (not bools), and
+    loses its entry otherwise."""
     folded = dict(folded)
     for line in data.split(b"\n"):
         try:
-            text = line.decode()
-            raw = json.loads(text)
+            raw = json.loads(line.decode())
         except (ValueError, RecursionError):
             continue
         if type(raw) is not dict:
             continue
         for key, entry in raw.items():
-            if type(entry) is dict:
-                folded[key] = text if len(raw) == 1 else json.dumps({key: entry})
+            if type(entry) is not dict:
+                continue
+            stored = entry.get("witness")
+            if (
+                type(stored) is dict
+                and stored.keys() == {"red", "blue"}
+                and type(stored["red"]) is int
+                and type(stored["blue"]) is int
+            ):
+                folded[key] = stored["red"], stored["blue"]
+            else:
+                folded.pop(key, None)
     return folded
-
-
-def _key(f6: str, pair: tuple[str, str]) -> str:
-    return f"{f6}|{pair[0]}|{pair[1]}"
 
 
 def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | None) -> bool:
@@ -252,30 +251,22 @@ def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | 
     is given.
 
     The cache can make the verdict faster, never different. A hit is
-    believed only when its witness is {"red": R, "blue": B}, both ints (not
-    bools), and they pass _refute's check (_fault); it then answers False.
-    Anything else, a stored "arrows": true among it, goes to one _refute
-    call, and only a refuting coloring it finds is put, as those two ints.
+    believed only when it passes _refute's check (_fault); it then answers
+    False. A miss or a failed check goes to one _refute call, and only a
+    refuting coloring it finds is put.
     """
     host = _host(f)
     if cache is not None:
         hit = cache.get(key)
-        stored = None if hit is None else hit.get("witness")
-        if (
-            type(stored) is dict
-            and stored.keys() == {"red", "blue"}
-            and type(stored["red"]) is int
-            and type(stored["blue"]) is int
-            and _fault(host, g, h, True, stored["red"], stored["blue"]) is None
-        ):
+        if hit is not None and _fault(host, g, h, True, *hit) is None:
             return False
     found = _refute(host, g, h, True)[0]
     if cache is not None and found is not None:
-        cache.put(key, {"arrows": False, "witness": {"red": found[0], "blue": found[1]}})
+        cache.put(key, found)
     return found is None
 
 
-def _scan_order(g, h, catalog, order, cache, pair):
+def _scan_order(g, h, catalog, order, cache, tail):
     """g6 of the order's first arrowing graph, or None when none arrows.
 
     With a cache every host of the order up to that graph goes through
@@ -294,7 +285,7 @@ def _scan_order(g, h, catalog, order, cache, pair):
         positions = range(len(scan))
     for i in positions:
         f, f6 = scan[i]
-        if _decide(f, g, h, cache, None if cache is None else _key(f6, pair)):
+        if _decide(f, g, h, cache, None if cache is None else f6 + tail):
             return f6
     return None
 
@@ -350,11 +341,11 @@ def ir_exact(
             "(search cost roughly doubles per edge)"
         )
     catalog.require_orders(n_max)
-    # the g6 pair is the tail of every cache key; a sweep without a cache needs none
-    pair = None if cache is None else (emit_graph6(g), emit_graph6(h))
+    # every cache key is f6|g6|h6; a sweep without a cache needs none
+    tail = None if cache is None else f"|{emit_graph6(g)}|{emit_graph6(h)}"
     nonarrows = 0  # the hosts of the order below, each refuted by a checked coloring
     for order in range(1, n_max + 1):
-        found = _scan_order(g, h, catalog, order, cache, pair)
+        found = _scan_order(g, h, catalog, order, cache, tail)
         if found is not None:
             return IRResult(g, h, order, found, nonarrows)
         nonarrows = len(catalog.scan(order))

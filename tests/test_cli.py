@@ -33,6 +33,8 @@ def test_symbolic_graph_names():
 def test_symbolic_rejects_impossible_cycle():
     with pytest.raises(PreconditionError, match="C2"):
         parse_graph_arg("C2")
+    with pytest.raises(PreconditionError, match="bad copy count"):
+        parse_graph_arg("0K2")
 
 
 def test_graph_arg_file_and_literal(tmp_path):
@@ -270,6 +272,9 @@ def test_construct_missing_flags(capsys):
     code, _, err = run_cli(capsys, ["construct", "--method", "ch", "--g", "P3"])
     assert code == 1
     assert "--h" in err
+    code, _, err = run_cli(capsys, ["construct", "--method", "t1", "--alpha", "2", "--omega", "3"])
+    assert code == 1
+    assert "method t1 needs --f" in err
 
 
 def test_construct_size_guard_maps_to_error_exit(capsys):

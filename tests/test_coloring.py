@@ -11,18 +11,15 @@ from arrowhead.coloring import (
     BLUE,
     RED,
     EdgeColoring,
-    Violation,
     blue_clique_free,
     find_mono_induced,
     red_component_independence_ok,
     red_isolatefree_independence_ok,
-    validate_violation,
     verify_witness,
 )
 from arrowhead.constructions import _certify_red_side
 from arrowhead.errors import ColoringMismatchError, ConstructionError, PreconditionError
 from arrowhead.graphs import (
-    Embedding,
     Graph,
     clique_number,
     complement,
@@ -232,6 +229,7 @@ def test_find_mono_induced_basics():
     assert hit.color == RED
     assert hit.embedding.map == (0, 1, 2)
     assert find_mono_induced(k3, c, complete(3), BLUE) is None
+    assert find_mono_induced(k3, c, path(3), RED) is None  # K3 has no induced path
     with pytest.raises(ValueError):
         find_mono_induced(k3, c, complete(3), "green")
 
@@ -257,28 +255,6 @@ def test_verify_witness_reports_red_first():
     c = EdgeColoring.of(3, [(0, 1)], [(0, 2), (1, 2)])
     hit = verify_witness(k3, c, complete(2), complete(2))
     assert hit is not None and hit.color == RED
-
-
-def test_validate_violation_accepts_and_rejects():
-    k3 = complete(3)
-    c = EdgeColoring.monochrome(k3, RED)
-    hit = find_mono_induced(k3, c, path(3), RED)
-    assert hit is None  # K3 has no induced path
-    hit = find_mono_induced(k3, c, complete(3), RED)
-    assert validate_violation(k3, c, complete(3), hit)
-    # tampered color: those edges are not blue
-    assert not validate_violation(k3, c, complete(3), Violation(BLUE, hit.embedding))
-    # tampered image: not a valid embedding
-    assert not validate_violation(k3, c, complete(3), Violation(RED, Embedding(3, (0, 1, 1))))
-    # right shape, wrong pattern
-    assert not validate_violation(k3, c, path(3), Violation(RED, Embedding(3, (0, 1, 2))))
-
-
-def test_violation_interior_must_be_monochromatic():
-    host = complete(3)
-    c = EdgeColoring.of(3, [(0, 1), (1, 2)], [(0, 2)])
-    emb = Embedding(3, (0, 1, 2))
-    assert not validate_violation(host, c, complete(3), Violation(RED, emb))
 
 
 # ---------------------------------------------------------------------------

@@ -133,96 +133,105 @@ def test_catalog_files_parse_once_into_fresh_lists(tmp_path):
 # ---------------------------------------------------------------------------
 # result cache
 
+def refutation_line(key, witness) -> str:
+    """The log line a put writes for key, with any JSON value as its witness."""
+    return json.dumps({key: {"arrows": False, "witness": witness}}, sort_keys=True)
+
+
 def test_cache_round_trip(tmp_path):
     cache_file = tmp_path / "cache.json"
     cache = ResultCache(cache_file)
-    key = ResultCache.key(complete(2), complete(2), complete(2))
+    key = "A_|A_|A_"
     assert cache.get(key) is None
-    cache.put(key, {"arrows": True, "witness": None})
-    assert cache.get(key) == {"arrows": True, "witness": None}
+    cache.put(key, (1, 0))
+    assert cache.get(key) == (1, 0)
 
     reloaded = ResultCache(cache_file)
-    assert reloaded.get(key) == {"arrows": True, "witness": None}
+    assert reloaded.get(key) == (1, 0)
     raw = json.loads(cache_file.read_text())
-    assert raw == {"A_|A_|A_": {"arrows": True, "witness": None}}
+    assert raw == {"A_|A_|A_": {"arrows": False, "witness": {"red": 1, "blue": 0}}}
 
 
-def test_cache_key_format():
-    key = ResultCache.key(complete(3), path(3), matching(2))
-    assert key == "Bw|Bg|C`"
+def test_cache_key_format(tmp_path, catalog):
+    # a key is the literal g6 triple f|g|h, here of K3, P3 and 2K2
+    cache_file = tmp_path / "cache.json"
+    ir_exact(path(3), matching(2), catalog, n_max=4, cache=ResultCache(cache_file))
+    keys = list(read_cache_log(cache_file))
+    scan = [f6 for order in range(1, 5) for _, f6 in catalog.scan(order)]
+    assert keys == [f6 + "|Bg|C`" for f6 in scan[: len(keys)]]
+    assert "Bw|Bg|C`" in keys
 
 
 def test_a_corrupt_line_is_a_miss_without_a_warning(tmp_path):
     # A line that is no JSON object holds no entry, and a key whose value is
-    # no object holds none; neither warns or costs the other lines. An
-    # object value is loaded as written, for _decide to judge.
+    # no object holds none; neither warns or costs the other lines. A key
+    # whose value is an object without a two-int witness loses its entry.
     cache_file = tmp_path / "cache.json"
     cache_file.write_text(
         "{not json\n"
-        '{"A_|A_|A_": {"arrows": true, "witness": null}}\n'
-        '{"j": "yes", "A_|A_|A_": 5}\n'
-        '{"k": {"arrows": "yes"}}'
+        + refutation_line("A_|A_|A_", {"red": 1, "blue": 0}) + "\n"
+        + refutation_line("k", {"red": 0, "blue": 1}) + "\n"
+        + '{"j": "yes", "A_|A_|A_": 5}\n'
+        + '{"k": {"arrows": "yes"}}'
     )
     cache, warned = _open_cache(cache_file)
     assert not warned
-    assert cache._data.keys() == {"A_|A_|A_", "k"}
-    assert cache.get("A_|A_|A_") == {"arrows": True, "witness": None}
-    assert cache.get("k") == {"arrows": "yes"}
+    assert cache._data == {"A_|A_|A_": (1, 0)}
+    assert cache.get("k") is None and cache.get("j") is None
 
 
 def test_unwritable_cache_warns_once_and_keeps_its_entries(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cache = ResultCache(tmp_path)  # a directory: unreadable and unwritable
-        for g6 in ("@", "A_", "Bw", "C~"):
-            cache.put(f"{g6}|A_|A_", {"arrows": True, "witness": None})
+        for i, g6 in enumerate(("@", "A_", "Bw", "C~")):
+            cache.put(f"{g6}|A_|A_", (i, 0))
     writes = [w for w in caught if "not writing result cache" in str(w.message)]
     assert len(writes) == 1
-    assert cache.get("C~|A_|A_") == {"arrows": True, "witness": None}
+    assert cache.get("C~|A_|A_") == (3, 0)
 
 
 def test_parallel_writers_keep_every_key(tmp_path):
     cache_file = tmp_path / "cache.json"
     first, second = ResultCache(cache_file), ResultCache(cache_file)
-    first.put("A_|A_|A_", {"arrows": True, "witness": None})
-    second.put("Bw|A_|A_", {"arrows": True, "witness": None})
+    first.put("A_|A_|A_", (1, 0))
+    second.put("Bw|A_|A_", (0, 7))
     merged = ResultCache(cache_file)
-    assert merged.get("A_|A_|A_") == {"arrows": True, "witness": None}
-    assert merged.get("Bw|A_|A_") == {"arrows": True, "witness": None}
+    assert merged.get("A_|A_|A_") == (1, 0)
+    assert merged.get("Bw|A_|A_") == (0, 7)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
 
 def test_single_object_cache_still_loads(tmp_path):
     cache_file = tmp_path / "cache.json"
     cache_file.write_text(
-        '{"A_|A_|A_": {"arrows": true, "witness": null}, '
-        '"Bw|A_|A_": {"arrows": true, "witness": null}}\n'
+        '{"A_|A_|A_": {"arrows": false, "witness": {"blue": 0, "red": 1}}, '
+        '"Bw|A_|A_": {"arrows": false, "witness": {"blue": 5, "red": 2}}}\n'
     )
     cache = ResultCache(cache_file)
-    assert cache.get("A_|A_|A_") == {"arrows": True, "witness": None}
-    assert cache.get("Bw|A_|A_") == {"arrows": True, "witness": None}
+    assert cache.get("A_|A_|A_") == (1, 0)
+    assert cache.get("Bw|A_|A_") == (2, 5)
 
 
 def test_put_after_a_single_object_without_final_newline(tmp_path):
     # an older cache may end without a newline; the put must not glue its
     # object onto the last line, or the next load reads neither
     cache_file = tmp_path / "cache.json"
-    cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}')
-    ResultCache(cache_file).put("Bw|A_|A_", {"arrows": True, "witness": None})
+    cache_file.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}))
+    ResultCache(cache_file).put("Bw|A_|A_", (0, 7))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reopened = ResultCache(cache_file)
-    assert reopened.get("A_|A_|A_") == {"arrows": True, "witness": None}
-    assert reopened.get("Bw|A_|A_") == {"arrows": True, "witness": None}
+    assert reopened.get("A_|A_|A_") == (1, 0)
+    assert reopened.get("Bw|A_|A_") == (0, 7)
 
 
 def test_a_torn_last_line_costs_only_itself(tmp_path):
     cache_file = tmp_path / "cache.json"
-    cache_file.write_text('{"A_|A_|A_": {"arrows": true, "witness": null}}\n{"k": {"arr')
+    cache_file.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}) + '\n{"k": {"arr')
     cache, warned = _open_cache(cache_file)
     assert not warned
-    assert cache._data.keys() == {"A_|A_|A_"}
-    assert cache.get("A_|A_|A_") == {"arrows": True, "witness": None}
+    assert cache._data == {"A_|A_|A_": (1, 0)}
 
 
 def test_a_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
@@ -230,14 +239,14 @@ def test_a_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
     # and the put after it keeps it and starts its own line, so the file
     # grows one whole line per put and loses none
     cache_file = tmp_path / "cache.json"
-    first, torn = '{"A_|A_|A_": {"arrows": true, "witness": null}}', '{"k": {"arr'
+    first, torn = refutation_line("A_|A_|A_", {"red": 1, "blue": 0}), '{"k": {"arr'
     cache_file.write_text(first + "\n" + torn)
     loaded = []
     for g6 in ("Bw", "C~"):
         cache, warned = _open_cache(cache_file)
         assert not warned
         loaded.append(sorted(cache._data))
-        cache.put(f"{g6}|A_|A_", {"arrows": True, "witness": None})
+        cache.put(f"{g6}|A_|A_", (0, 7))
     assert loaded == [["A_|A_|A_"], ["A_|A_|A_", "Bw|A_|A_"]]
     lines = cache_file.read_text().split("\n")
     assert lines[:2] == [first, torn] and lines[-1] == "" and len(lines) == 5
@@ -251,10 +260,10 @@ def test_a_put_keeps_the_last_line_of_a_text_file(tmp_path):
     cache_file.write_text("first line\nlast line")
     cache, warned = _open_cache(cache_file)
     assert not warned and cache._data == {}
-    cache.put("A_|A_|A_", {"arrows": True, "witness": None})
+    cache.put("A_|A_|A_", (1, 0))
     lines = cache_file.read_text().splitlines()
     assert lines[:2] == ["first line", "last line"]
-    assert json.loads(lines[2]) == {"A_|A_|A_": {"arrows": True, "witness": None}}
+    assert json.loads(lines[2]) == {"A_|A_|A_": {"arrows": False, "witness": {"red": 1, "blue": 0}}}
 
 
 def test_each_put_appends_one_line(tmp_path):
@@ -262,39 +271,45 @@ def test_each_put_appends_one_line(tmp_path):
     cache = ResultCache(cache_file)
     keys = [f"{g6}|A_|A_" for g6 in ("@", "A_", "Bw", "C~")]
     for i, key in enumerate(keys):
-        cache.put(key, {"arrows": i % 2 == 0, "witness": None})
-    cache.put(keys[0], {"arrows": False, "witness": None})
+        cache.put(key, (i, i % 2))
+    cache.put(keys[0], (0, 1))
     lines = cache_file.read_text().splitlines()
     assert len(lines) == len(keys) + 1
-    assert json.loads(lines[0]) == {keys[0]: {"arrows": True, "witness": None}}
+    assert json.loads(lines[0]) == {keys[0]: {"arrows": False, "witness": {"red": 0, "blue": 0}}}
     # the last line for a key wins on reload
-    assert ResultCache(cache_file).get(keys[0]) == {"arrows": False, "witness": None}
+    assert ResultCache(cache_file).get(keys[0]) == (0, 1)
 
 
 def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
-    # A line that holds one one-key object is kept as written; every other
-    # object is encoded again, one entry per key whose value is an object,
-    # and a line that is not one JSON object holds none. Each must give the
-    # verdicts a per-line parse folds to, the last line for a key winning.
+    # Each key whose value is an object takes that object's witness when it
+    # is two ints named red and blue, and loses its entry otherwise; a line
+    # that is not one JSON object holds none. Every line form must give the
+    # refutations a per-line parse folds to, the last line for a key winning.
     monkeypatch.setattr(search, "_last_log", (b"", {}))
-    refuted = {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}}
+    refuted = {"arrows": False, "witness": {"blue": 6, "red": 1}}
     proved = {"arrows": True, "witness": None}
-    put_form = {"a|A_|A_": refuted, "h\\|A_|A_": refuted, "k|A_|A_": proved}
+    pairs = {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}}
+    put_form = {"a|A_|A_": refuted, "h\\|A_|A_": refuted, "k|A_|A_": refuted, "p|A_|A_": refuted}
     lines = [json.dumps({key: verdict}, sort_keys=True) for key, verdict in put_form.items()] + [
         json.dumps({"b|A_|A_": refuted}, separators=(",", ":")),
         json.dumps({"c|A_|A_": refuted}).replace(": ", " :  "),
-        json.dumps({"d|A_|A_": proved}) + "  ",
+        json.dumps({"d|A_|A_": refuted}) + "  ",
         # a legacy multi-key object
-        json.dumps({"e|A_|A_": proved, "f|A_|A_": refuted}),
+        json.dumps({"e|A_|A_": refuted, "f|A_|A_": refuted}),
         # a key named twice: the last verdict counts
-        '{"g|A_|A_": {"arrows": false}, "g|A_|A_": ' + json.dumps(proved) + "}",
+        '{"g|A_|A_": {"arrows": false}, "g|A_|A_": ' + json.dumps(refuted) + "}",
         # a key whose value is no object, beside one whose value is
-        json.dumps({"l|A_|A_": proved, "m|A_|A_": 7}),
+        json.dumps({"l|A_|A_": refuted, "m|A_|A_": 7, "a|A_|A_": 7}),
         # two values on one line: no one object, so no entry
-        json.dumps({"i|A_|A_": proved}) + ", {}",
-        json.dumps({"j|A_|A_": proved}) + ", " + json.dumps({"k|A_|A_": refuted}),
-        # an escaped key that names a|A_|A_ again
-        '{"\\u0061|A_|A_": ' + json.dumps(proved) + "}",
+        json.dumps({"i|A_|A_": refuted}) + ", {}",
+        json.dumps({"j|A_|A_": refuted}) + ", " + json.dumps({"k|A_|A_": proved}),
+        # an escaped key that names b|A_|A_ again, with another witness
+        '{"\\u0062|A_|A_": {"witness": {"red": 3, "blue": 0}}}',
+        # no refutation: a positive line, the old pair form, a third key, a bool side
+        json.dumps({"p|A_|A_": proved}),
+        json.dumps({"e|A_|A_": {"witness": {"blue": 6, "n": 3, "red": 1}}}),
+        json.dumps({"q|A_|A_": refuted, "d|A_|A_": pairs}),
+        json.dumps({"c|A_|A_": {"witness": {"red": True, "blue": 6}}}),
     ]
     cache_file = tmp_path / "cache.json"
     cache_file.write_text("\n".join(lines) + "\n")
@@ -304,13 +319,22 @@ def test_every_log_line_form_loads_the_verdicts_it_holds(tmp_path, monkeypatch):
             raw = json.loads(line)
         except ValueError:
             continue
-        expected.update((key, entry) for key, entry in raw.items() if isinstance(entry, dict))
+        for key, entry in raw.items():
+            if isinstance(entry, dict):
+                w = entry.get("witness")
+                if isinstance(w, dict) and sorted(w) == ["blue", "red"] and all(
+                    isinstance(v, int) and not isinstance(v, bool) for v in w.values()
+                ):
+                    expected[key] = (w["red"], w["blue"])
+                else:
+                    expected.pop(key, None)
+    assert sorted(expected) == [
+        "a|A_|A_", "b|A_|A_", "f|A_|A_", "g|A_|A_", "h\\|A_|A_", "k|A_|A_", "l|A_|A_", "q|A_|A_"
+    ]
+    assert expected["b|A_|A_"] == (3, 0) and expected["k|A_|A_"] == (1, 6)
     cache = ResultCache(cache_file)
-    assert {"i|A_|A_", "j|A_|A_", "m|A_|A_"}.isdisjoint(expected)
-    assert expected["k|A_|A_"] == proved and expected["l|A_|A_"] == proved
-    assert cache._data.keys() == expected.keys()
+    assert cache._data == expected
     assert {key: cache.get(key) for key in expected} == expected
-    assert cache._data["h\\|A_|A_"] == json.dumps({"h\\|A_|A_": refuted}, sort_keys=True)
 
 
 def test_a_log_whose_lines_are_not_each_json_is_dropped(tmp_path, monkeypatch):
@@ -326,21 +350,18 @@ def test_a_log_whose_lines_are_not_each_json_is_dropped(tmp_path, monkeypatch):
 
 
 def test_loading_put_lines_encodes_no_verdict(tmp_path, monkeypatch):
-    verdicts = {
-        "a|A_|A_": {"arrows": False, "witness": {"blue": [[1, 2]], "n": 3, "red": [[0, 1]]}},
-        "b|A_|A_": {"arrows": True, "witness": None},
-    }
+    refutations = {"a|A_|A_": (1, 6), "b|A_|A_": (0, 0)}
     cache_file = tmp_path / "cache.json"
     writer = ResultCache(cache_file)
-    for key, verdict in verdicts.items():
-        writer.put(key, verdict)
+    for key, refutation in refutations.items():
+        writer.put(key, refutation)
     monkeypatch.setattr(search, "_last_log", (b"", {}))
     encoded = []
     dumps = json.dumps
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
     cache = ResultCache(cache_file)
-    assert not [obj for obj in encoded if isinstance(obj, dict)]
-    assert {key: cache.get(key) for key in verdicts} == verdicts
+    assert encoded == []
+    assert {key: cache.get(key) for key in refutations} == refutations
 
 
 def _open_cache(path):
@@ -361,11 +382,13 @@ def test_incremental_log_load_matches_a_full_parse(tmp_path, monkeypatch, seed):
     monkeypatch.setattr(search, "_last_log", (b"", {}))
 
     def entry():
-        return f"{rng.randrange(10)}|A_|A_", {"arrows": rng.random() < 0.5, "witness": None}
+        return f"{rng.randrange(10)}|A_|A_", (rng.randrange(4), rng.randrange(4))
 
     def line():
-        key, verdict = entry()
-        return json.dumps({key: verdict}, sort_keys=True) + "\n"
+        # a positive line drops its key's entry
+        key, (red, blue) = entry()
+        witness = None if rng.random() < 0.3 else {"red": red, "blue": blue}
+        return refutation_line(key, witness) + "\n"
 
     def data():
         return cache_file.read_bytes() if cache_file.exists() else b""
@@ -420,7 +443,10 @@ def test_incremental_log_load_matches_a_full_parse(tmp_path, monkeypatch, seed):
         cache_file.write_text("".join(line() for _ in range(rng.randrange(1, 4))))
 
     def single_object():
-        folded = dict(entry() for _ in range(rng.randrange(1, 4)))
+        folded = {
+            key: {"arrows": False, "witness": {"red": red, "blue": blue}}
+            for key, (red, blue) in (entry() for _ in range(rng.randrange(1, 4)))
+        }
         cache_file.write_text(json.dumps(folded, sort_keys=True))
 
     actions = [put, put, put_then_restore, append, append, rewrite_same_length,
@@ -621,10 +647,11 @@ JSON_SCALARS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patterns, data):
-    # A planted NotArrows entry is accepted by _decide when it answers
-    # without calling _refute. The reference is verify_witness on the
-    # coloring decoded through host.edges, for stored witnesses that are
-    # real, recoloured, edited, in the old pair form or arbitrary JSON.
+    # A planted log line is accepted when _decide answers without calling
+    # _refute, so the loader's shape test and _fault are judged together.
+    # The reference is verify_witness on the coloring decoded through
+    # host.edges, for stored witnesses that are real, recoloured, edited, in
+    # the old pair form or arbitrary JSON.
     host = data.draw(st.sampled_from([f for order in range(1, 7) for f in catalog.graphs(order)]))
     g = data.draw(st.sampled_from(sweep_patterns))
     h = data.draw(st.sampled_from(sweep_patterns))
@@ -656,9 +683,9 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         search, "_refute", wraps=search._refute
     ) as refute:
-        cache = ResultCache(Path(tmp) / "cache.json")
-        cache.put("planted", {"arrows": False, "witness": stored})
-        assert _decide(host, g, h, cache, "planted") == (found is None)
+        cache_file = Path(tmp) / "cache.json"
+        cache_file.write_text(refutation_line("planted", stored) + "\n")
+        assert _decide(host, g, h, ResultCache(cache_file), "planted") == (found is None)
     accepted = not refute.called
     expected = False
     if (
@@ -716,6 +743,25 @@ def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog
     assert not hasattr(search, "verify_witness") and not hasattr(search, "EdgeColoring")
 
 
+def test_a_cached_replay_decodes_no_json(tmp_path, monkeypatch, catalog):
+    # The log is parsed once, when it loads; a hit is the stored pair of
+    # bitsets itself, so a replay that hits on every host decodes nothing.
+    g, h = path(4), path(3)
+    cache_file = tmp_path / "cache.json"
+    first = ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file))
+    assert first == NotFoundBelow(6)
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    cache = ResultCache(cache_file)
+    assert len(cache._data) == sum(len(catalog.scan(order)) for order in range(1, 7))
+    data = cache_file.read_bytes()
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(search.json, "loads", lambda *a, **kw: decoded.append(a) or loads(*a, **kw))
+    assert ir_exact(g, h, catalog, n_max=6, cache=cache) == first
+    assert decoded == []
+    assert cache_file.read_bytes() == data
+
+
 def test_stored_witnesses_are_the_cacheless_colorings(tmp_path, catalog):
     g, h = path(4), complete(3)
     cache_file = tmp_path / "cache.json"
@@ -761,15 +807,15 @@ def test_old_pair_witnesses_are_recomputed_once(tmp_path, catalog):
 def test_put_line_is_the_sorted_json_of_one_entry(tmp_path, key):
     cache_file = tmp_path / "cache.json"
     cache = ResultCache(cache_file)
-    verdicts = [
-        {"witness": {"red": [[0, 1]], "n": 3, "blue": [[0, 2], [1, 2]]}, "arrows": False},
-        {"arrows": True, "witness": None},
-    ]
-    for verdict in verdicts:
-        cache.put(key, verdict)
-    expected = "".join(json.dumps({key: v}, sort_keys=True) + "\n" for v in verdicts)
+    refutations = [(1, 6), (0, 0)]
+    for refutation in refutations:
+        cache.put(key, refutation)
+    expected = "".join(
+        json.dumps({key: {"witness": {"red": r, "blue": b}, "arrows": False}}, sort_keys=True) + "\n"
+        for r, b in refutations
+    )
     assert cache_file.read_bytes() == expected.encode()
-    assert cache.get(key) == verdicts[-1]
+    assert cache.get(key) == refutations[-1]
 
 
 def test_persisted_witnesses_all_verify(tmp_path, catalog):
