@@ -21,10 +21,12 @@ literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
 relabeled query is a miss. A sweep writes {"arrows": false, "witness":
 {"blue": B, "red": R}}, bit i of the ints R and B being the host's i-th
 edge in arrowing._host(f).edges order, for each host it refutes, and
-nothing for the arrowing host. The loader keeps such a line's two ints
-and drops any other entry, an older log's {"arrows": true} among them, so
-its host is decided afresh; _decide believes the two ints only after the
-check a fresh refutation passes.
+nothing for the arrowing host. It appends each order's new refutations in
+one locked write when the order ends, so a run killed mid-order loses only
+that order's new lines, never an answer. The loader keeps such a line's
+two ints and drops any other entry, an older log's {"arrows": true} among
+them, so its host is decided afresh; _decide believes the two ints only
+after the check a fresh refutation passes.
 """
 from __future__ import annotations
 
@@ -149,18 +151,23 @@ _last_log: tuple[bytes, dict[str, tuple[int, int]]] = (b"", {})
 
 class ResultCache:
     """Write-through memo of refutations, each the (red, blue) edge bitsets
-    of a coloring, kept as an append-only log. It checks none: _decide
-    puts only checked refutations and believes a hit only after checking it.
+    of a coloring, kept as an append-only log. It checks none: a sweep puts
+    only checked refutations, and _decide believes a hit only after
+    checking it.
 
-    Each put appends one line, a JSON object {key: verdict}, under an flock
-    on the cache file, so parallel sweeps sharing one cache lose no entries;
-    a file whose last byte is not a newline gets one first. Loading folds
-    the lines in order (_fold), so the last line for a key wins. A line
-    that is not valid UTF-8 or not one JSON object, a torn one among them,
-    holds no entry and costs only itself; a file that cannot be read loads
-    empty with a warning. A put that cannot write the file warns once, and
-    later puts of that instance keep their entries in memory only, so an
-    unwritable cache never stops a sweep or changes its answer.
+    A put takes a mapping {key: (red, blue)} and appends one line per
+    entry, a JSON object {key: verdict}, in the mapping's order, in one
+    write under an flock on the cache file, so parallel sweeps sharing one
+    cache lose no entries; a file whose last byte is not a newline gets one
+    first. A sweep puts each order's new refutations at once, so a run
+    killed mid-order loses only that order's new lines, never an answer.
+    Loading folds the lines in order (_fold), so the last line for a key
+    wins. A line that is not valid UTF-8 or not one JSON object, a torn one
+    among them, holds no entry and costs only itself; a missing file loads
+    empty, and one that cannot be read loads empty with a warning. A put
+    that cannot write the file warns once, and later puts of that instance
+    keep their entries in memory only, so an unwritable cache never stops a
+    sweep or changes its answer.
 
     A process remembers the last newline-terminated log it loaded. When a
     file's bytes start with that log's bytes, only the lines after them are
@@ -179,10 +186,10 @@ class ResultCache:
 
     def _load(self) -> None:
         global _last_log
-        if not self.path.exists():
-            return
         try:
             data = self.path.read_bytes()
+        except FileNotFoundError:
+            return
         except OSError as exc:
             warnings.warn(f"ignoring unreadable result cache {self.path}: {exc}")
             return
@@ -197,20 +204,23 @@ class ResultCache:
     def get(self, key: str) -> tuple[int, int] | None:
         return self._data.get(key)
 
-    def put(self, key: str, refutation: tuple[int, int]) -> None:
-        self._data[key] = red, blue = refutation
+    def put(self, entries: dict[str, tuple[int, int]]) -> None:
+        self._data.update(entries)
         if not self._writable:
             return
-        verdict = {"arrows": False, "witness": {"red": red, "blue": blue}}
-        line = json.dumps({key: verdict}, sort_keys=True) + "\n"
+        text = "".join(
+            json.dumps({key: {"arrows": False, "witness": {"red": red, "blue": blue}}}, sort_keys=True)
+            + "\n"
+            for key, (red, blue) in entries.items()
+        )
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as log:
                 _flock(log)
                 log.seek(max(log.seek(0, 2) - 1, 0))
                 if log.read(1) not in (b"", b"\n"):
-                    line = "\n" + line
-                log.write(line.encode())
+                    text = "\n" + text
+                log.write(text.encode())
         except OSError as exc:
             warnings.warn(f"not writing result cache {self.path}: {exc}")
             self._writable = False
@@ -246,24 +256,18 @@ def _fold(data: bytes, folded: dict[str, tuple[int, int]]) -> dict[str, tuple[in
     return folded
 
 
-def _decide(f: Graph, g: Graph, h: Graph, cache: ResultCache | None, key: str | None) -> bool:
-    """Arrowing verdict for one host, through the cache under key when one
-    is given.
+def _decide(f: Graph, g: Graph, h: Graph, hit: tuple[int, int] | None):
+    """A checked refutation of host f as (red, blue) edge bitsets, or None
+    when f arrows (g, h).
 
-    The cache can make the verdict faster, never different. A hit is
-    believed only when it passes _refute's check (_fault); it then answers
-    False. A miss or a failed check goes to one _refute call, and only a
-    refuting coloring it finds is put.
+    hit, a cached refutation or None, can make the answer faster, never
+    different: it is returned itself when it passes _refute's check
+    (_fault). Otherwise one _refute call decides f.
     """
     host = _host(f)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None and _fault(host, g, h, True, *hit) is None:
-            return False
-    found = _refute(host, g, h, True)[0]
-    if cache is not None and found is not None:
-        cache.put(key, found)
-    return found is None
+    if hit is not None and _fault(host, g, h, True, *hit) is None:
+        return hit
+    return _refute(host, g, h, True)[0]
 
 
 def _scan_order(g, h, catalog, order, cache, tail):
@@ -271,23 +275,35 @@ def _scan_order(g, h, catalog, order, cache, tail):
 
     With a cache every host of the order up to that graph goes through
     _decide, so the cache gets a refutation for each host before it, and
-    none for it. Without one only the hosts that hold both g and h
-    (catalog.holders) are decided. Every other host is refuted by one
-    color: all red when it holds no g, else all blue, as it holds no h.
-    That coloring's check is the embedder search the holder bit was read
-    from, which found no copy: the check _refute makes for a host with no
-    g, whose embedder copy list is empty.
+    none for it. The refutations the cache lacked are put in one write when
+    the order ends, by a return or an exception. Without a cache only the
+    hosts that hold both g and h (catalog.holders) are decided. Every other
+    host is refuted by one color: all red when it holds no g, else all
+    blue, as it holds no h. That coloring's check is the embedder search
+    the holder bit was read from, which found no copy: the check _refute
+    makes for a host with no g, whose embedder copy list is empty.
     """
     scan = catalog.scan(order)
     if cache is None:
-        positions = _bits(catalog.holders(order, g) & catalog.holders(order, h))
-    else:
-        positions = range(len(scan))
-    for i in positions:
-        f, f6 = scan[i]
-        if _decide(f, g, h, cache, None if cache is None else f6 + tail):
-            return f6
-    return None
+        for i in _bits(catalog.holders(order, g) & catalog.holders(order, h)):
+            f, f6 = scan[i]
+            if _decide(f, g, h, None) is None:
+                return f6
+        return None
+    fresh = {}
+    try:
+        for f, f6 in scan:
+            key = f6 + tail
+            hit = cache.get(key)
+            found = _decide(f, g, h, hit)
+            if found is None:
+                return f6
+            if found is not hit:  # a believed hit comes back as itself
+                fresh[key] = found
+        return None
+    finally:
+        if fresh:  # a put of nothing would still open and lock the log
+            cache.put(fresh)
 
 
 @dataclass(frozen=True, slots=True)

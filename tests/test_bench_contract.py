@@ -26,6 +26,6 @@ def test_every_traced_name_resolves():
 def test_cache_path_is_the_file_put_writes(tmp_path):
     # the tracer sizes the cache by os.path.getsize(cache.path) after each put
     cache = ResultCache(tmp_path / "cache.json")
-    cache.put("A_|A_|A_", (1, 0))
+    cache.put({"A_|A_|A_": (1, 0)})
     assert list(tmp_path.iterdir()) == [cache.path]
     assert cache.path.stat().st_size > 0

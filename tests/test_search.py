@@ -143,7 +143,7 @@ def test_cache_round_trip(tmp_path):
     cache = ResultCache(cache_file)
     key = "A_|A_|A_"
     assert cache.get(key) is None
-    cache.put(key, (1, 0))
+    cache.put({key: (1, 0)})
     assert cache.get(key) == (1, 0)
 
     reloaded = ResultCache(cache_file)
@@ -185,20 +185,32 @@ def test_unwritable_cache_warns_once_and_keeps_its_entries(tmp_path):
         warnings.simplefilter("always")
         cache = ResultCache(tmp_path)  # a directory: unreadable and unwritable
         for i, g6 in enumerate(("@", "A_", "Bw", "C~")):
-            cache.put(f"{g6}|A_|A_", (i, 0))
+            cache.put({f"{g6}|A_|A_": (i, 0)})
     writes = [w for w in caught if "not writing result cache" in str(w.message)]
     assert len(writes) == 1
     assert cache.get("C~|A_|A_") == (3, 0)
 
 
 def test_parallel_writers_keep_every_key(tmp_path):
+    # two instances on one file take turns, one entry or several per put;
+    # each put appends its lines after the other's, so every key survives
     cache_file = tmp_path / "cache.json"
     first, second = ResultCache(cache_file), ResultCache(cache_file)
-    first.put("A_|A_|A_", (1, 0))
-    second.put("Bw|A_|A_", (0, 7))
+    puts = [
+        (first, {"A_|A_|A_": (1, 0)}),
+        (second, {"Bw|A_|A_": (0, 7)}),
+        (first, {f"{g6}|Bw|A_": (i, 1) for i, g6 in enumerate(("@", "A_", "Bw"))}),
+        (second, {f"{g6}|Bw|Bw": (2, i) for i, g6 in enumerate(("C~", "Bo"))}),
+        (first, {"Ch|Bw|Bw": (3, 3), "A_|A_|A_": (0, 1)}),
+    ]
+    expected = {}
+    for writer, entries in puts:
+        writer.put(entries)
+        expected.update(entries)
     merged = ResultCache(cache_file)
-    assert merged.get("A_|A_|A_") == (1, 0)
-    assert merged.get("Bw|A_|A_") == (0, 7)
+    assert merged._data == expected
+    assert merged.get("A_|A_|A_") == (0, 1)
+    assert len(cache_file.read_text().splitlines()) == sum(len(entries) for _, entries in puts)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
 
@@ -218,7 +230,7 @@ def test_put_after_a_single_object_without_final_newline(tmp_path):
     # object onto the last line, or the next load reads neither
     cache_file = tmp_path / "cache.json"
     cache_file.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}))
-    ResultCache(cache_file).put("Bw|A_|A_", (0, 7))
+    ResultCache(cache_file).put({"Bw|A_|A_": (0, 7)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reopened = ResultCache(cache_file)
@@ -246,7 +258,7 @@ def test_a_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
         cache, warned = _open_cache(cache_file)
         assert not warned
         loaded.append(sorted(cache._data))
-        cache.put(f"{g6}|A_|A_", (0, 7))
+        cache.put({f"{g6}|A_|A_": (0, 7)})
     assert loaded == [["A_|A_|A_"], ["A_|A_|A_", "Bw|A_|A_"]]
     lines = cache_file.read_text().split("\n")
     assert lines[:2] == [first, torn] and lines[-1] == "" and len(lines) == 5
@@ -260,7 +272,7 @@ def test_a_put_keeps_the_last_line_of_a_text_file(tmp_path):
     cache_file.write_text("first line\nlast line")
     cache, warned = _open_cache(cache_file)
     assert not warned and cache._data == {}
-    cache.put("A_|A_|A_", (1, 0))
+    cache.put({"A_|A_|A_": (1, 0)})
     lines = cache_file.read_text().splitlines()
     assert lines[:2] == ["first line", "last line"]
     assert json.loads(lines[2]) == {"A_|A_|A_": {"arrows": False, "witness": {"red": 1, "blue": 0}}}
@@ -271,8 +283,8 @@ def test_each_put_appends_one_line(tmp_path):
     cache = ResultCache(cache_file)
     keys = [f"{g6}|A_|A_" for g6 in ("@", "A_", "Bw", "C~")]
     for i, key in enumerate(keys):
-        cache.put(key, (i, i % 2))
-    cache.put(keys[0], (0, 1))
+        cache.put({key: (i, i % 2)})
+    cache.put({keys[0]: (0, 1)})
     lines = cache_file.read_text().splitlines()
     assert len(lines) == len(keys) + 1
     assert json.loads(lines[0]) == {keys[0]: {"arrows": False, "witness": {"red": 0, "blue": 0}}}
@@ -354,7 +366,7 @@ def test_loading_put_lines_encodes_no_verdict(tmp_path, monkeypatch):
     cache_file = tmp_path / "cache.json"
     writer = ResultCache(cache_file)
     for key, refutation in refutations.items():
-        writer.put(key, refutation)
+        writer.put({key: refutation})
     monkeypatch.setattr(search, "_last_log", (b"", {}))
     encoded = []
     dumps = json.dumps
@@ -362,6 +374,42 @@ def test_loading_put_lines_encodes_no_verdict(tmp_path, monkeypatch):
     cache = ResultCache(cache_file)
     assert encoded == []
     assert {key: cache.get(key) for key in refutations} == refutations
+
+
+def test_a_put_appends_its_entries_in_order_in_one_locked_write(tmp_path, monkeypatch):
+    # after a torn last line: one newline, then one line per entry in the
+    # mapping's order, all under one flock
+    cache_file = tmp_path / "cache.json"
+    torn = '{"k": {"arr'
+    cache_file.write_text(torn)
+    locks = []
+    real_flock = search._flock
+    monkeypatch.setattr(search, "_flock", lambda handle: locks.append(handle) or real_flock(handle))
+    entries = {"C~|A_|A_": (0, 7), "A_|A_|A_": (1, 0), "Bw|A_|A_": (2, 5)}
+    ResultCache(cache_file).put(entries)
+    assert len(locks) == 1
+    lines = cache_file.read_text().split("\n")
+    assert lines[0] == torn and lines[-1] == ""
+    assert lines[1:-1] == [
+        refutation_line(key, {"red": red, "blue": blue}) for key, (red, blue) in entries.items()
+    ]
+
+
+def test_a_cache_file_gone_before_its_read_loads_empty_silently(tmp_path, monkeypatch):
+    # the file is removed between the constructor's call and its one read:
+    # a missing file, so no entry and no warning
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}) + "\n")
+
+    def vanished(self):
+        raise FileNotFoundError(2, "No such file or directory", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", vanished)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResultCache(cache_file)
+    assert [str(w.message) for w in caught] == []
+    assert cache._data == {}
 
 
 def _open_cache(path):
@@ -394,11 +442,11 @@ def test_incremental_log_load_matches_a_full_parse(tmp_path, monkeypatch, seed):
         return cache_file.read_bytes() if cache_file.exists() else b""
 
     def put():
-        current.put(*entry())
+        current.put(dict([entry()]))
 
     def put_then_restore():
         before = data()
-        current.put(*entry())
+        current.put(dict([entry()]))
         cache_file.write_bytes(before)
 
     def append():
@@ -685,7 +733,8 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
     ) as refute:
         cache_file = Path(tmp) / "cache.json"
         cache_file.write_text(refutation_line("planted", stored) + "\n")
-        assert _decide(host, g, h, ResultCache(cache_file), "planted") == (found is None)
+        decided = _decide(host, g, h, ResultCache(cache_file).get("planted"))
+    assert (decided is None) == (found is None)
     accepted = not refute.called
     expected = False
     if (
@@ -809,7 +858,7 @@ def test_put_line_is_the_sorted_json_of_one_entry(tmp_path, key):
     cache = ResultCache(cache_file)
     refutations = [(1, 6), (0, 0)]
     for refutation in refutations:
-        cache.put(key, refutation)
+        cache.put({key: refutation})
     expected = "".join(
         json.dumps({key: {"witness": {"red": r, "blue": b}, "arrows": False}}, sort_keys=True) + "\n"
         for r, b in refutations
@@ -1087,7 +1136,7 @@ def test_cacheless_verdict_matches_strongly_arrows(catalog):
     panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
     for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
         for g, h in product(panel, repeat=2):
-            assert _decide(host, g, h, None, None) == strongly_arrows(host, g, h).arrows, (host, g, h)
+            assert (_decide(host, g, h, None) is None) == strongly_arrows(host, g, h).arrows, (host, g, h)
 
 
 def test_ir_sweep_matches_the_benchmark_reference(catalog):
@@ -1177,3 +1226,51 @@ def test_cached_sweep_writes_one_line_per_host(catalog, tmp_path):
     hosts = [f6 for order in range(1, 6) for _, f6 in catalog.scan(order)]
     assert [next(iter(json.loads(line))) for line in lines] == [f6 + tail for f6 in hosts]
 
+
+
+def test_a_cached_sweep_locks_the_log_once_per_order(catalog, tmp_path, monkeypatch):
+    # each order's new refutations go out in one locked append: five orders,
+    # five locks for the 52 lines, and none for a replay that only hits
+    locks = []
+    real_flock = search._flock
+    monkeypatch.setattr(search, "_flock", lambda handle: locks.append(handle) or real_flock(handle))
+    cache_file = tmp_path / "ir.json"
+    g, h = path(4), complete(3)
+    assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == NotFoundBelow(5)
+    assert len(cache_file.read_text().splitlines()) == 52
+    assert len(locks) == 5
+    data = cache_file.read_bytes()
+    locks.clear()
+    assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == NotFoundBelow(5)
+    assert locks == []
+    assert cache_file.read_bytes() == data
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 18, 19, 30, 52])
+def test_a_sweep_stopped_by_an_exception_keeps_what_it_found(catalog, tmp_path, monkeypatch, k):
+    # _refute raises at its k-th search: the log holds, as whole lines, the
+    # k - 1 refutations found before it, those of the unfinished order too,
+    # and a rerun ends with the answer and the log of a sweep never stopped
+    g, h = path(4), complete(3)
+    whole = tmp_path / "whole.json"
+    answer = ir_exact(g, h, catalog, n_max=5, cache=ResultCache(whole))
+    expected = whole.read_text().splitlines(keepends=True)
+    assert len(expected) == 52
+    real_refute = search._refute
+    searches = []
+
+    def failing_refute(host, g, h, induced):
+        searches.append(host.f)
+        if len(searches) == k:
+            raise RuntimeError("stopped")
+        return real_refute(host, g, h, induced)
+
+    cache_file = tmp_path / "stopped.json"
+    monkeypatch.setattr(search, "_refute", failing_refute)
+    with pytest.raises(RuntimeError, match="stopped"):
+        ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file))
+    monkeypatch.setattr(search, "_refute", real_refute)
+    kept = cache_file.read_text().splitlines(keepends=True) if cache_file.exists() else []
+    assert kept == expected[: k - 1]
+    assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == answer
+    assert cache_file.read_bytes() == whole.read_bytes()
