@@ -19,16 +19,9 @@ index of the masks by edge (with the OR of the one-edge masks) and the
 check's copy lists, each built on first ask and kept, so a sweep over many
 pattern pairs builds each once per host.
 
-Every refuting coloring the search returns is checked against copy lists
-that share no code with the masks: the embedder lists each copy of a
-pattern once, as an edge bitset. A coloring refutes when no copy of g lies
-inside its red edges and no copy of h inside its blue ones, so each check
-is one bit test per copy, not an embedding search per coloring; a result
-cache stores a witness as its two edge bitsets, and one read back goes
-through the same check (_fault). A host with no copy of g needs no search:
-coloring every edge red refutes it, and that is the least refuting
-coloring, the one the search reaches first; its check is that the host's
-list of g copies is empty.
+This module holds the search only. Every refuting coloring it returns, the
+all-red one of a host with no copy of g (settled without a search) included,
+is judged by coloring._fault, which shares no code with the search.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -65,9 +58,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import EdgeColoring, _shared
+from .coloring import EdgeColoring, _fault, _shared
 from .errors import PreconditionError
-from .graphs import Graph, _bits, _embeddings, complete
+from .graphs import Graph, _bits, complete
 
 
 @dataclass(frozen=True)
@@ -389,48 +382,6 @@ def _edge_rows(host: _Host, edge_set: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _copies(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
-    """Bitmask over f's edges, in host.edges order, of each copy of pattern
-    in f, from the embedder.
-
-    The embedder yields one embedding per copy, and a copy's mask holds the
-    images of pattern's edges: for an induced copy those are the host edges
-    inside it. This shares no code with _copy_masks, which builds the same
-    masks from the subset tables.
-    """
-    f = host.f
-    bit = [[0] * f.n for _ in range(f.n)]
-    for i, (u, v) in enumerate(host.edges):
-        bit[u][v] = bit[v][u] = 1 << i
-    pairs = pattern.edges()
-    return tuple(sorted({
-        sum(bit[image[a]][image[b]] for a, b in pairs)
-        for image in _embeddings(f, pattern, None, induced)
-    }))
-
-
-def _fault(host: _Host, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int) -> str | None:
-    """What keeps (red_set, blue_set) from refuting f -> (g, h), or None.
-
-    The sides are edge bitsets in host.edges index; g and h have an edge
-    each. The check shares no code with the copy masks: the sides must be
-    disjoint, lie inside and cover f's edges (whose order is checked once
-    per host to rebuild f.adj), and no copy of g from _copies may lie inside
-    the red side, nor a copy of h inside the blue side. An empty blue side
-    holds no copy of h, so its list is not built.
-    """
-    if red_set & blue_set or (red_set | blue_set) >> host.n_edges:
-        return "search colored an edge twice or a non-edge"
-    if red_set | blue_set != (1 << host.n_edges) - 1 or not host.rebuilds:
-        return "search left host edges uncolored"
-    # a copy lies inside a side when none of its edges is outside it
-    if not all(map((~red_set).__and__, host.get(_copies, g, induced))):
-        return "search returned a coloring with a red copy of g"
-    if blue_set and not all(map((~blue_set).__and__, host.get(_copies, h, induced))):
-        return "search returned a coloring with a blue copy of h"
-    return None
-
-
 def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     """(red_set, blue_set) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
@@ -442,20 +393,18 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     A host with no copy of g is settled without a search: coloring every
     edge red refutes it, and that is the least refuting coloring, the one
     the search reaches first with no conflict and no cut (no edge is blue),
-    so leaves and prunes are 1 and 0. Its check is that _copies finds no g
-    in f; the blue side is empty and holds no h.
+    so leaves and prunes are 1 and 0. _fault judges it like any other.
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
     red, red_units = host.get(_by_edge, g, induced)
     if not any(red):
-        if host.get(_copies, g, induced):
-            raise AssertionError("search returned a coloring with a red copy of g")
-        return ((1 << host.n_edges) - 1, 0), 1, 0
-    blue, blue_units = host.get(_by_edge, h, induced)
-    found, leaves, prunes = _search(
-        host.n_edges, red, blue, host.get(_twin_swaps), red_units, blue_units
-    )
+        found, leaves, prunes = ((1 << host.n_edges) - 1, 0), 1, 0
+    else:
+        blue, blue_units = host.get(_by_edge, h, induced)
+        found, leaves, prunes = _search(
+            host.n_edges, red, blue, host.get(_twin_swaps), red_units, blue_units
+        )
     if found is not None:
         fault = _fault(host, g, h, induced, *found)
         if fault is not None:

@@ -30,7 +30,7 @@ from .constructions import (
     theorem3_coloring,
 )
 from .errors import ArrowheadError, ColoringMismatchError, PreconditionError
-from .graphs import Graph, complete, cycle, disjoint_union, emit_graph6, parse_graph6, path, star
+from .graphs import MAX_ORDER, Graph, complete, cycle, disjoint_union, emit_graph6, parse_graph6, path, star
 from .search import DEFAULT_ORDER_CAP, Catalog, ResultCache, bundled_catalog, ir_exact
 
 DEFAULT_CACHE = "ir-cache.json"
@@ -48,6 +48,10 @@ def parse_graph_arg(text: str) -> Graph:
         kind, size = m.group(2), int(m.group(3))
         if copies < 1:
             raise PreconditionError(f"bad copy count in {text!r}")
+        # refuse before building: a name such as K100000000 costs its order squared
+        order = copies * (size + 1 if kind == "S" else size)
+        if order > MAX_ORDER:
+            raise PreconditionError(f"symbolic graph {text!r} has order {order}, above the cap of {MAX_ORDER}")
         try:
             base = {"K": complete, "P": path, "C": cycle, "S": star}[kind](size)
         except ValueError as exc:
@@ -173,10 +177,11 @@ def cmd_ir(args) -> tuple[dict, int]:
     cache = _open_cache(args)
     res = ir_exact(g, h, catalog, n_max=args.n_max, cache=cache, allow_large=args.allow_large)
     if isinstance(res, NotFoundBelow):
-        return {"g": emit_graph6(g), "h": emit_graph6(h), "ir": None, "n_max": res.n_max}, 10
-    result = res.to_json_dict()
+        result, code = {"g": emit_graph6(g), "h": emit_graph6(h), "ir": None, "n_max": res.n_max}, 10
+    else:
+        result, code = res.to_json_dict(), 0
     _write_out(args.out, result)
-    return result, 0
+    return result, code
 
 
 def cmd_ramsey(args) -> tuple[dict, int]:

@@ -7,6 +7,18 @@ coloring is built from or read as pairs. Certification predicates state what
 a witness coloring must defeat. The red-side predicate looks at components
 of the red spanning subgraph as graphs in their own right (a red path P_3
 has independence 2 even when its endpoints are adjacent in the host).
+
+This module is the one judge of refuting colorings, and it imports nothing
+but graphs and errors, so it shares no code with the search that finds
+them. verify_witness judges a coloring a user hands in, and the CH recipe's
+blocks go through the same embedder walk (_find_mono). The search's
+refutations, fresh or read back from a result cache, are judged on their
+edge bitsets by _fault, against copy lists from the embedder (_copies): one
+bit test per copy, not an embedding search per coloring. The search builds
+the same masks from its own subset tables (arrowing._copy_masks), so a fault
+in that builder cannot also hide in its check. A host with no copy of g is
+refuted all red without a search; that coloring goes through _fault too,
+where it passes exactly when the host's list of g copies is empty.
 """
 from __future__ import annotations
 
@@ -21,6 +33,7 @@ from .graphs import (
     _bits,
     _clique,
     _components,
+    _embeddings,
     find_induced_embedding,
 )
 
@@ -187,10 +200,10 @@ class Violation:
     embedding: Embedding
 
 
-def _find_mono(host: Graph, c: EdgeColoring, pattern: Graph, color: str) -> Violation | None:
-    """find_mono_induced on a coloring already checked against host."""
+def _find_mono(host: Graph, c: EdgeColoring, pattern: Graph, color: str, induced: bool = True) -> Violation | None:
+    """find_mono_induced on a coloring already checked against host; induced=False finds any copy."""
     rows = c.red_rows if color == RED else c.blue_rows
-    emb = find_induced_embedding(host, pattern, rows)
+    emb = find_induced_embedding(host, pattern, rows, induced)
     return Violation(color, emb) if emb is not None else None
 
 
@@ -213,6 +226,48 @@ def verify_witness(host: Graph, c: EdgeColoring, g: Graph, h: Graph) -> Violatio
     """
     c.check_against(host)
     return _find_mono(host, c, g, RED) or _find_mono(host, c, h, BLUE)
+
+
+def _copies(host, pattern: Graph, induced: bool) -> tuple[int, ...]:
+    """Bitmask over f's edges, in host.edges order, of each copy of pattern
+    in f, from the embedder; host is a search record (arrowing._Host).
+
+    The embedder yields one embedding per copy, and a copy's mask holds the
+    images of pattern's edges: for an induced copy those are the host edges
+    inside it. This shares no code with arrowing._copy_masks, which builds
+    the same masks from the subset tables.
+    """
+    f = host.f
+    bit = [[0] * f.n for _ in range(f.n)]
+    for i, (u, v) in enumerate(host.edges):
+        bit[u][v] = bit[v][u] = 1 << i
+    pairs = pattern.edges()
+    return tuple(sorted({
+        sum(bit[image[a]][image[b]] for a, b in pairs)
+        for image in _embeddings(f, pattern, None, induced)
+    }))
+
+
+def _fault(host, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int) -> str | None:
+    """What keeps (red_set, blue_set) from refuting f -> (g, h), or None.
+
+    The sides are edge bitsets in host.edges index; g and h have an edge
+    each. The check shares no code with the copy masks: the sides must be
+    disjoint, lie inside and cover f's edges (whose order is checked once
+    per host to rebuild f.adj), and no copy of g from _copies may lie inside
+    the red side, nor a copy of h inside the blue side. An empty blue side
+    holds no copy of h, so its list is not built.
+    """
+    if red_set & blue_set or (red_set | blue_set) >> host.n_edges:
+        return "search colored an edge twice or a non-edge"
+    if red_set | blue_set != (1 << host.n_edges) - 1 or not host.rebuilds:
+        return "search left host edges uncolored"
+    # a copy lies inside a side when none of its edges is outside it
+    if not all(map((~red_set).__and__, host.get(_copies, g, induced))):
+        return "search returned a coloring with a red copy of g"
+    if blue_set and not all(map((~blue_set).__and__, host.get(_copies, h, induced))):
+        return "search returned a coloring with a blue copy of h"
+    return None
 
 
 # ---------------------------------------------------------------------------

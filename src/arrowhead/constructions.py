@@ -26,7 +26,10 @@ from itertools import combinations
 
 from .arrowing import NotFoundBelow, ramsey_number_exact
 from .coloring import (
+    BLUE,
+    RED,
     EdgeColoring,
+    _find_mono,
     _rows_of,
     _shared,
     blue_clique_free,
@@ -42,7 +45,6 @@ from .graphs import (
     cliques_of_size,
     complete,
     emit_graph6,
-    find_induced_embedding,
     has_isolated_vertex,
     independence_number,
     induced_subgraph,
@@ -174,10 +176,9 @@ def chvatal_harary_coloring(g: Graph, h: Graph) -> tuple[Graph, EdgeColoring, Co
         steps.append(TraceStep(f"red-block-{i}", verts, KIND_DISJOINT_CLIQUE))
         _paint(host, verts, red)
     c = _with_rest_blue(host, red)
-    if find_induced_embedding(host, g, c.red_rows, induced=False) is not None:
-        raise ConstructionError("clique-block coloring admits a red copy of the first pattern")
-    if find_induced_embedding(host, h, c.blue_rows, induced=False) is not None:
-        raise ConstructionError("clique-block coloring admits a blue copy of the second pattern")
+    violation = _find_mono(host, c, g, RED, induced=False) or _find_mono(host, c, h, BLUE, induced=False)
+    if violation is not None:
+        raise ConstructionError(f"clique-block coloring admits a {violation.color} copy of the {violation.color} pattern")
     trace = ConstructionTrace(METHOD_CLIQUE_BLOCKS, tuple(steps))
     validate_trace(host, trace)
     return host, c, trace

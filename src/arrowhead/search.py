@@ -8,7 +8,8 @@ instance. ir_exact walks orders from 1 upward and each order in scan order,
 so sparse hosts fail fast and the answer never depends on file line order.
 
 Every non-arrowing verdict rests on a refuting coloring checked on its edge
-bitsets against the host's copy lists (arrowing._refute and _fault). A
+bitsets against the host's copy lists by coloring._fault, the one judge of
+the search's refutations, fresh (arrowing._refute) or cached. A
 sweep without a cache decides only the hosts that hold both g and h
 (Catalog.holders); every other host is refuted by one color, all red with
 no g or all blue with no h, checked by the embedder search that set its
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _fault, _host, _refute
+from .arrowing import NotFoundBelow, _host, _refute
+from .coloring import _fault
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, _bits, emit_graph6, find_induced_embedding, parse_graph6
 

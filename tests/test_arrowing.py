@@ -10,17 +10,17 @@ from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
     _by_edge,
-    _copies,
     _copy_masks,
     _host,
     _lex_larger_than_image,
+    _refute,
     _search,
     _twin_swaps,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
 )
-from arrowhead.coloring import EdgeColoring, verify_witness
+from arrowhead.coloring import EdgeColoring, _copies, verify_witness
 from arrowhead.errors import PreconditionError
 from arrowhead.graphs import (
     Graph,
@@ -573,6 +573,16 @@ def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog, fresh_
         arrows_complete_non_induced(6, k3, k3)
     with pytest.raises(AssertionError, match="red copy"):
         ir_exact(k3, k3, catalog, n_max=6, cache=None)
+
+
+def test_the_all_red_shortcut_is_judged_like_a_search(monkeypatch, fresh_hosts):
+    # K5 holds no induced P3, so it is refuted all red without a search; that
+    # coloring passes the same check as a searched one, edge-order test included
+    host = _host(complete(5))
+    assert _refute(host, path(3), complete(3), True) == (((1 << 10) - 1, 0), 1, 0)
+    monkeypatch.setattr(host, "rebuilds", False)
+    with pytest.raises(AssertionError, match="uncolored"):
+        _refute(host, path(3), complete(3), True)
 
 
 @pytest.mark.parametrize("dropped", [0, -1])

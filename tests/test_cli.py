@@ -28,6 +28,12 @@ def test_symbolic_graph_names():
     assert parse_graph_arg("S3") == star(3)
     assert parse_graph_arg("2K2") == matching(2)
     assert parse_graph_arg("2K_2") == matching(2)
+    assert parse_graph_arg("K62") == complete(62)
+    assert parse_graph_arg("2K31").n == 62
+    # an order past graph6's cap is refused before anything is built
+    for name in ("K63", "S62", "3K21", "K100000000"):
+        with pytest.raises(PreconditionError, match="above the cap of 62"):
+            parse_graph_arg(name)
 
 
 def test_symbolic_rejects_impossible_cycle():
@@ -149,6 +155,7 @@ def test_arrows_negative_writes_witness(capsys, tmp_path):
     [
         ["arrows", "--f", "K5", "--g", "K3", "--h", "K3"],
         ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"],
+        pytest.param(["ir", "--g", "P4", "--h", "K3", "--n-max", "5", "--no-cache"], id="ir-not-found"),
         ["construct", "--method", "t1", "--f", "K5", "--alpha", "2", "--omega", "3"],
     ],
     ids=lambda argv: argv[0],
@@ -158,6 +165,21 @@ def test_unwritable_out_is_exit_1(capsys, tmp_path, argv):
     code, env, err = run_cli(capsys, argv + ["--out", str(out)])
     assert (code, env) == (1, None)
     assert f"error: cannot write {out}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"], 0),
+        (["ir", "--g", "P4", "--h", "K3", "--n-max", "5", "--no-cache"], 10),
+    ],
+    ids=["found", "not-found"],
+)
+def test_ir_out_is_the_result(capsys, tmp_path, argv, code):
+    out = tmp_path / "ir.json"
+    got, env, _ = run_cli(capsys, argv + ["--out", str(out)])
+    assert got == code
+    assert json.loads(out.read_text()) == env["result"]
 
 
 def test_arrows_witness_round_trips_through_verify(capsys, tmp_path):

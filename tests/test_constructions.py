@@ -5,8 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from arrowhead import constructions
 from arrowhead.coloring import (
     EdgeColoring,
+    Violation,
     blue_clique_free,
     red_component_independence_ok,
     red_isolatefree_independence_ok,
@@ -33,6 +35,7 @@ from arrowhead.constructions import (
 )
 from arrowhead.errors import ConstructionError, PreconditionError
 from arrowhead.graphs import (
+    Embedding,
     Graph,
     complete,
     cycle,
@@ -115,6 +118,22 @@ def test_clique_blocks_degenerate_single_vertex_blocks():
 def test_clique_blocks_rejects_disconnected():
     with pytest.raises(PreconditionError):
         chvatal_harary_coloring(matching(2), complete(3))
+
+
+@pytest.mark.parametrize("color", ["red", "blue"])
+def test_clique_blocks_refuse_a_copy_the_check_reports(monkeypatch, color):
+    # the blocks are judged by coloring's embedder walk with ordinary
+    # containment; a copy it reports on either side makes the recipe refuse
+    asked = []
+
+    def reported(host, c, pattern, side, induced=True):
+        asked.append((side, induced))
+        return Violation(side, Embedding(pattern.n, tuple(range(pattern.n)))) if side == color else None
+
+    monkeypatch.setattr(constructions, "_find_mono", reported)
+    with pytest.raises(ConstructionError, match=f"{color} copy"):
+        chvatal_harary_coloring(path(4), complete(3))
+    assert asked == ([("red", False)] if color == "red" else [("red", False), ("blue", False)])
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +543,6 @@ def test_equal_bound_reports_are_one_object(named):
 
 
 def test_live_bound_report_is_returned_without_a_search(named, monkeypatch):
-    from arrowhead import constructions
-
     calls = []
     real = constructions.ramsey_number_exact
 

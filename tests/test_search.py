@@ -766,7 +766,7 @@ def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog
     arrowing._host.cache_clear()  # records kept from the first sweep
     calls = []
     copy_lists = []
-    real_copies = arrowing._copies
+    real_copies = coloring._copies
 
     def listed(host, pattern, induced):
         copy_lists.append(pattern)
@@ -783,7 +783,7 @@ def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog
     monkeypatch.setattr(graphs, "find_induced_embedding", refuse("find_induced_embedding"))
     monkeypatch.setattr(coloring, "find_induced_embedding", refuse("find_induced_embedding"))
     monkeypatch.setattr(arrowing, "_search", refuse("_search"))
-    monkeypatch.setattr(arrowing, "_copies", listed)
+    monkeypatch.setattr(coloring, "_copies", listed)
     assert ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file)) == first
     assert calls == []
     assert cache_file.read_bytes() == data
