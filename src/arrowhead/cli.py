@@ -72,7 +72,7 @@ def parse_graph_arg(text: str) -> Graph:
     return parse_graph6(text)
 
 
-def _write_out(out_path: str | None, payload: dict) -> None:
+def _write_out(out_path: str | None, payload: dict | None) -> None:
     if out_path:
         try:
             Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
@@ -98,8 +98,7 @@ def cmd_arrows(args) -> tuple[dict, int]:
         "witness": witness,
         "stats": {"colorings_explored": res.colorings_explored, "prunes": res.prunes},
     }
-    if witness is not None:
-        _write_out(args.out, witness)
+    _write_out(args.out, witness)  # JSON null when f arrows
     return result, 0 if res.arrows else 10
 
 

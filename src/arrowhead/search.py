@@ -7,15 +7,19 @@ each host's graph6 line beside it; bundled_catalog() hands out one shared
 instance. ir_exact walks orders from 1 upward and each order in scan order,
 so sparse hosts fail fast and the answer never depends on file line order.
 
-Every non-arrowing verdict rests on a refuting coloring checked on its edge
-bitsets against the host's copy lists by coloring._fault, the one judge of
-the search's refutations, fresh (arrowing._refute) or cached. A
-sweep without a cache decides only the hosts that hold both g and h
-(Catalog.holders); every other host is refuted by one color, all red with
-no g or all blue with no h, checked by the embedder search that set its
-holder bit. A sweep with a cache decides every host up to the first that
-arrows. The cache holds refutations only, so it can make a sweep faster,
-never different.
+Each order is one loop over a host mask on its scan positions: every host
+in the mask goes to _decide, with its cache hit or None, and the first
+that arrows ends the sweep. The mask is all a cache changes about which
+hosts are decided. Without a cache it holds the hosts that hold both g
+and h (Catalog.holders); every other host is refuted by one color, all red
+when it holds no g, else all blue, checked by the embedder search that
+set its holder bit and found no copy. With a cache it holds every host,
+so the log gets a refutation for each host the sweep passes and none for
+the one that arrows. Every decided verdict rests on a refuting coloring
+checked on its edge bitsets against the host's copy lists by
+coloring._fault, the one judge of the search's refutations, fresh
+(arrowing._refute) or cached. The cache holds refutations only, so it can
+make a sweep faster, never different.
 
 The cache is an append-only log of {key: verdict} lines keyed by the
 literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
@@ -272,42 +276,6 @@ def _decide(f: Graph, g: Graph, h: Graph, hit: tuple[int, int] | None):
     return _refute(host, g, h, True)[0]
 
 
-def _scan_order(g, h, catalog, order, cache, tail):
-    """g6 of the order's first arrowing graph, or None when none arrows.
-
-    With a cache every host of the order up to that graph goes through
-    _decide, so the cache gets a refutation for each host before it, and
-    none for it. The refutations the cache lacked are put in one write when
-    the order ends, by a return or an exception. Without a cache only the
-    hosts that hold both g and h (catalog.holders) are decided. Every other
-    host is refuted by one color: all red when it holds no g, else all
-    blue, as it holds no h. That coloring's check is the embedder search
-    the holder bit was read from, which found no copy: the check _refute
-    makes for a host with no g, whose embedder copy list is empty.
-    """
-    scan = catalog.scan(order)
-    if cache is None:
-        for i in _bits(catalog.holders(order, g) & catalog.holders(order, h)):
-            f, f6 = scan[i]
-            if _decide(f, g, h, None) is None:
-                return f6
-        return None
-    fresh = {}
-    try:
-        for f, f6 in scan:
-            key = f6 + tail
-            hit = cache.get(key)
-            found = _decide(f, g, h, hit)
-            if found is None:
-                return f6
-            if found is not hit:  # a believed hit comes back as itself
-                fresh[key] = found
-        return None
-    finally:
-        if fresh:  # a put of nothing would still open and lock the log
-            cache.put(fresh)
-
-
 @dataclass(frozen=True, slots=True)
 class IRResult:
     """The least arrowing order of the catalog for the pattern pair (g, h).
@@ -359,13 +327,31 @@ def ir_exact(
             "(search cost roughly doubles per edge)"
         )
     catalog.require_orders(n_max)
-    # every cache key is f6|g6|h6; a sweep without a cache needs none
-    tail = None if cache is None else f"|{emit_graph6(g)}|{emit_graph6(h)}"
+    # every cache key is f6|g6|h6; without a cache every lookup misses and
+    # the refutations found are dropped, so the keys need no pattern g6
+    tail = "" if cache is None else f"|{emit_graph6(g)}|{emit_graph6(h)}"
+    lookup = {}.get if cache is None else cache.get
     nonarrows = 0  # the hosts of the order below, each refuted by a checked coloring
     for order in range(1, n_max + 1):
-        found = _scan_order(g, h, catalog, order, cache, tail)
-        if found is not None:
-            return IRResult(g, h, order, found, nonarrows)
-        nonarrows = len(catalog.scan(order))
+        scan = catalog.scan(order)
+        if cache is None:
+            both = catalog.holders(order, g) & catalog.holders(order, h)
+            hosts = (scan[i] for i in _bits(both))
+        else:  # every host, so the log gets a refutation for each one passed
+            hosts = scan
+        fresh = {}  # the order's checked refutations the cache lacked
+        try:
+            for f, f6 in hosts:
+                key = f6 + tail
+                hit = lookup(key)
+                found = _decide(f, g, h, hit)
+                if found is None:
+                    return IRResult(g, h, order, f6, nonarrows)
+                if found is not hit:  # a believed hit comes back as itself
+                    fresh[key] = found
+        finally:
+            if fresh and cache is not None:  # a put of nothing would still open and lock the log
+                cache.put(fresh)
+        nonarrows = len(scan)
     return NotFoundBelow(n_max)
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -322,6 +324,22 @@ def test_verdicts_and_witnesses_match_plain_dfs(catalog):
             res = arrows_complete_non_induced(n, g, h)
             assert res.witness == _oracle_result(complete(n), g, h, False), (n, g, h)
             assert res.arrows == (res.witness is None)
+
+
+def test_witnesses_are_pinned(catalog):
+    # test_verdicts_and_witnesses_match_plain_dfs checks the witnesses against
+    # an oracle that follows the host records' edge order, so it moves with
+    # them; this digest does not. A change to the search's edge order or
+    # branching that moves it must update it and say why
+    panel = [path(3), complete(3), path(4), cycle(4), matching(2)]
+    reds = [
+        None if (w := strongly_arrows(f, g, h).witness) is None else sorted(w.red)
+        for order in range(3, 7)
+        for f in catalog.graphs(order)
+        for g, h in product(panel, repeat=2)
+    ]
+    assert len(reds) == 5125
+    assert hashlib.sha256(json.dumps(reds).encode()).hexdigest()[:16] == "5308585b9ac0db9b"
 
 
 def _searched(host, g, h, induced):

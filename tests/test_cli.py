@@ -150,10 +150,22 @@ def test_arrows_negative_writes_witness(capsys, tmp_path):
     assert json.loads(out.read_text()) == witness
 
 
+def test_arrows_positive_writes_null(capsys, tmp_path):
+    # K6 => (K3, K3): the envelope's witness is null, and so is the file
+    out = tmp_path / "witness.json"
+    code, env, _ = run_cli(
+        capsys, ["arrows", "--f", "K6", "--g", "K3", "--h", "K3", "--out", str(out)]
+    )
+    assert code == 0
+    assert env["result"]["arrows"] is True
+    assert out.read_text() == "null\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["arrows", "--f", "K5", "--g", "K3", "--h", "K3"],
+        pytest.param(["arrows", "--f", "K6", "--g", "K3", "--h", "K3"], id="arrows-positive"),
         ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"],
         pytest.param(["ir", "--g", "P4", "--h", "K3", "--n-max", "5", "--no-cache"], id="ir-not-found"),
         ["construct", "--method", "t1", "--f", "K5", "--alpha", "2", "--omega", "3"],
