@@ -6,7 +6,13 @@ walks a binary tree over edge colors with unit propagation: a copy with all
 but one edge in one color forces its last edge to the other color, and a
 branch closes as soon as the edges colored so far complete a monochromatic
 copy. So a proof reaches no complete coloring at all; its effort is the
-number of branches closed, not 2^|E(f)|.
+number of branches closed, not 2^|E(f)|. Propagation counts each copy's
+edges of its own color for all copies at once, as packed bitsets over copy
+indices, one level per count (DPLL's counting scheme done bit-parallel on
+Python ints), so coloring an edge costs a fixed number of integer
+operations however many copies pass through it. The tree, the witnesses
+and the counters are those of the scan over each edge's list of copy masks
+that the counting replaced.
 
 The classical (non-induced, complete host) variant lives here too: it is
 the same search with ordinary instead of induced containment. Both build
@@ -15,9 +21,10 @@ k-subset's adjacency code with the pattern's precomputed labelled codes
 instead of embedding the pattern subset by subset. What is derived from
 one host lives in one record (_Host) that a decision looks up once: the
 subsets' codes and interiors per k, and per (pattern, kind) the search's
-index of the masks by edge (with the OR of the one-edge masks) and the
-check's copy lists, each built on first ask and kept, so a sweep over many
-pattern pairs builds each once per host.
+side record (_Side: the masks, each edge's copies as a bitset over copy
+indices repeated at every count level, and the OR of the one-edge masks)
+and the check's copy lists, each built on first ask and kept, so a sweep
+over many pattern pairs builds each once per host.
 
 This module holds the search only. Every refuting coloring it returns, the
 all-red one of a host with no copy of g (settled without a search) included,
@@ -49,14 +56,15 @@ induced copies, for one, are single edges). The other color on such an
 edge completes a copy, so this too removes only colorings that refute
 nothing, and witnesses are unchanged. An edge that is a copy on both sides
 closes the root as a proof, with leaves 0 and prunes 1. The one-edge
-copies come with the per-edge index of the masks, found once per host,
-pattern and kind, not per search.
+copies come with the side record, found once per host, pattern and kind,
+not per search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .coloring import EdgeColoring, _fault, _shared
 from .errors import PreconditionError
@@ -101,7 +109,10 @@ class _Host:
     record: edges (f's edges busiest first, the order of every edge bitset),
     n_edges and rebuilds (edges make up f.adj); the rest through get, on
     first ask, since a host settled without a search does not read its twin
-    swaps. The copy lists share no code with the subset tables and masks.
+    swaps. Per (pattern, kind) it keeps the search's _Side, whose counting
+    index over copy indices replaced a list of copy masks per edge with the
+    same search tree, and the check's copy lists, which share no code with
+    the subset tables and masks.
     """
 
     def __init__(self, f: Graph):
@@ -235,18 +246,47 @@ def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-def _by_edge(host: _Host, pattern: Graph, induced: bool) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """For each edge index of host, the copy masks of pattern through that
-    edge; and the OR of the one-edge masks, the edges that are a copy by
-    themselves."""
-    lists: list[list[int]] = [[] for _ in range(host.n_edges)]
-    units = 0
-    for m in _copy_masks(host, pattern, induced):
-        if not m & (m - 1):
-            units |= m
+class _Side(NamedTuple):
+    """One side's copies of a pattern in a host, indexed for counting
+    propagation (see _search). Copy j is masks[j]; w (width) is the number
+    of copies and K (levels) the edge count of the largest. A thermometer
+    over the copies packs K levels of w bits, level c holding the copies
+    with at least c edges of the side's own color."""
+
+    masks: tuple[int, ...]
+    width: int
+    levels: int
+    # inc[i]: the copies through edge i, repeated at every level
+    inc: tuple[int, ...]
+    # the OR of the one-edge copies, the edges that are a copy by themselves
+    units: int
+    # the thermometer a copy of s < K edges starts from: K - s levels set,
+    # as if it held K - s more own edges (every copy of one pattern has
+    # |E(pattern)| edges, so only hand-made families need it)
+    preload: int
+
+
+def _side(n_edges: int, masks) -> _Side:
+    """The _Side of a family of copy masks over n_edges edges."""
+    w = len(masks)
+    levels = max((m.bit_count() for m in masks), default=0)
+    rep = sum(1 << c * w for c in range(levels))
+    through = [0] * n_edges
+    units = preload = 0
+    for j, m in enumerate(masks):
         for i in _bits(m):
-            lists[i].append(m)
-    return tuple(map(tuple, lists)), units
+            through[i] |= 1 << j
+        size = m.bit_count()
+        if size == 1:
+            units |= m
+        if size < levels:
+            preload |= (1 << j) * (rep >> size * w)
+    return _Side(tuple(masks), w, levels, tuple(t * rep for t in through), units, preload)
+
+
+def _copy_side(host: _Host, pattern: Graph, induced: bool) -> _Side:
+    """The _Side of pattern's copies in host, kept by the host record."""
+    return _side(host.n_edges, _copy_masks(host, pattern, induced))
 
 
 def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
@@ -270,21 +310,27 @@ def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
     return False
 
 
-def _search(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
+def _search(n_edges, red, blue, swaps=()):
     """DFS with unit propagation. Returns (witness_masks or None, leaves, prunes).
 
-    Branches on the lowest-index uncolored edge, red first. After an edge
-    gets a color, that side's copy masks through it are scanned: a mask
-    wholly inside the side is a conflict and closes the branch, and a mask
-    with one uncolored edge left forces that edge to the other color, which
-    is then scanned the same way. A forced move only removes subtrees in
-    which every coloring completes a monochromatic copy, so the first
-    complete coloring reached is the lexicographically least refuting one,
-    the same a DFS without forced moves finds.
+    red and blue are the two sides' _Side records. Branches on the
+    lowest-index uncolored edge, red first. Propagation counts, per copy,
+    the edges of its side's own color that it holds, for all copies at once:
+    each side keeps a thermometer (see _Side) and a dead set, the copies
+    holding an edge of the other color, kept at every level like inc. When
+    an edge gets a color, the live copies through it move up one level with
+    a shift, an OR and an AND. A copy reaching its top level is a conflict
+    and closes the branch; a copy one level below it has one edge left,
+    which is forced to the other color and counted the same way. A forced
+    move only removes subtrees in which every coloring completes a
+    monochromatic copy, so the first complete coloring reached is the
+    lexicographically least refuting one, the same a DFS without forced
+    moves finds. The tree, the witnesses and the counters are those of the
+    scan over each edge's list of copy masks that this counting replaced:
+    both find a conflict at the same nodes and reach the same forced colors.
 
-    red_units and blue_units are the ORs of each side's one-edge copy masks
-    (see _by_edge). Before the first branch every red unit is colored blue
-    and every blue unit red, as forced moves, and the same propagation runs
+    Before the first branch every red unit (red.units) is colored blue and
+    every blue unit red, as forced moves, and the same propagation runs
     from all of them. An edge in both closes the root (leaves 0, prunes 1):
     every coloring holds a copy on it.
 
@@ -301,10 +347,15 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_unit
     refutation); prunes counts branches closed by a conflict, including
     conflicts met while propagating, and by a symmetry cut.
     """
-    if red_units & blue_units:
+    if red.units & blue.units:
         return None, 0, 1
-    # by_edge[side][i]: that side's copy masks through edge i (see _by_edge)
-    by_edge = (red_by_edge, blue_by_edge)
+    red_masks, red_inc, red_width, blue_masks, blue_inc, blue_width = (
+        red.masks, red.inc, red.width, blue.masks, blue.inc, blue.width
+    )
+    red_low, blue_low = (1 << red_width) - 1, (1 << blue_width) - 1
+    # shifts that bring the top level, and the one below it, down to level 1
+    red_top, blue_top = (red.levels - 1) * red_width, (blue.levels - 1) * blue_width
+    red_near, blue_near = max(red_top - red_width, 0), max(blue_top - blue_width, 0)
     full = (1 << n_edges) - 1
     prunes = 0
     # a cut needs a blue a-edge and a red b-edge in one swap; testing the
@@ -313,43 +364,87 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_unit
     for a_mask, b_mask, _ in swaps:
         a_any |= a_mask
         b_any |= b_mask
-    # stack entries: (red_set, blue_set, edge just colored, its side); LIFO,
-    # so the red child is pushed last and explored first. The root is edge
-    # -1, with the units colored and one forced move to propagate per unit.
-    # Most searches have no units; building two empty lists for them cost
-    # ir-sweep 7-9% of its throughput
-    stack = [(blue_units, red_units, -1, 0)]
-    root = (
-        [(j, 1) for j in _bits(red_units)] + [(j, 0) for j in _bits(blue_units)]
-        if red_units | blue_units
-        else []
-    )
+    # stack entries: (red_set, blue_set, the thermometers red_count and
+    # blue_count, the dead sets, edge just colored, its side); LIFO, so the
+    # red child is pushed last and explored first. A child carries its
+    # parent's counts, and its edge's color is counted when it is popped.
+    # The root is edge -1, with the units colored, the copies their colors
+    # kill marked dead and one forced move to count per unit.
+    red_dead = blue_dead = 0
+    root = []
+    if red.units | blue.units:
+        for j in _bits(red.units):
+            red_dead |= red_inc[j]
+            root.append((j, 1))
+        for j in _bits(blue.units):
+            blue_dead |= blue_inc[j]
+            root.append((j, 0))
+    stack = [(blue.units, red.units, red.preload, blue.preload, red_dead, blue_dead, -1, 0)]
     while stack:
-        red_set, blue_set, i, side = stack.pop()
-        # dominance cut, tested on the pop so that a refutation, which never
-        # returns to most blue children, does not pay for it: with every red
-        # copy through i broken by a blue edge other than i, i red refutes
-        # wherever i blue does
-        if side and all(map((blue_set ^ 1 << i).__and__, red_by_edge[i])):
-            continue
-        todo = [(i, side)] if i >= 0 else root
+        red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i, side = stack.pop()
+        if i < 0:
+            todo = root
+        elif side:
+            # dominance cut, on the parent's dead set: with every red copy
+            # through i broken by a blue edge other than i, i red refutes
+            # wherever i blue does. Tested on the pop so that a refutation,
+            # which never returns to most blue children, does not pay for it
+            if not red_inc[i] & ~red_dead:
+                continue
+            red_dead |= red_inc[i]
+            todo = [(i, 1)]
+        else:
+            blue_dead |= blue_inc[i]
+            todo = [(i, 0)]
         while todo:
             i, side = todo.pop()
-            own, other = (blue_set, red_set) if side else (red_set, blue_set)
-            free = ~own
-            # the uncolored edges of each copy through edge i that can still complete
-            rests = [m & free for m in by_edge[side][i] if not m & other]
-            if 0 in rests:
+            # the live copies through i each gain an own edge: a copy at
+            # level c also sets level c + 1; step is level 1's bits of them
+            if side:
+                live = blue_inc[i] & ~blue_dead
+                if not live:
+                    continue
+                step = live & blue_low
+                blue_count |= ((blue_count << blue_width) | step) & live
+                top = blue_count >> blue_top
+                near = step & ~top & (blue_count >> blue_near)
+            else:
+                live = red_inc[i] & ~red_dead
+                if not live:
+                    continue
+                step = live & red_low
+                red_count |= ((red_count << red_width) | step) & live
+                top = red_count >> red_top
+                near = step & ~top & (red_count >> red_near)
+            if step & top:  # a copy is whole
                 prunes += 1
                 break
-            for rest in rests:
-                if not rest & (rest - 1) and not rest & other:
-                    other |= rest
-                    todo.append((rest.bit_length() - 1, 1 - side))
-            if side:
-                red_set = other
+            # each copy one level below the top has one edge left, forced
+            # to the other color; none left means an own edge still queued
+            while near:
+                bit = near & -near
+                near ^= bit
+                j = bit.bit_length() - 1
+                if side:
+                    rest = blue_masks[j] & ~blue_set
+                    if rest and not rest & red_set:
+                        f = rest.bit_length() - 1
+                        red_set |= rest
+                        blue_dead |= blue_inc[f]
+                        todo.append((f, 0))
+                else:
+                    rest = red_masks[j] & ~red_set
+                    if rest and not rest & blue_set:
+                        f = rest.bit_length() - 1
+                        blue_set |= rest
+                        red_dead |= red_inc[f]
+                        todo.append((f, 1))
+                if not rest:
+                    break
             else:
-                blue_set = other
+                continue
+            prunes += 1
+            break
         else:  # propagation ended without a conflict
             colored = red_set | blue_set
             if colored == full:
@@ -363,8 +458,8 @@ def _search(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_unit
                 continue
             bit = ~colored & (colored + 1)  # the lowest uncolored edge
             j = bit.bit_length() - 1
-            stack.append((red_set, blue_set | bit, j, 1))
-            stack.append((red_set | bit, blue_set, j, 0))
+            stack.append((red_set, blue_set | bit, red_count, blue_count, red_dead, blue_dead, j, 1))
+            stack.append((red_set | bit, blue_set, red_count, blue_count, red_dead, blue_dead, j, 0))
     return None, 0, prunes
 
 
@@ -397,14 +492,12 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     """
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
-    red, red_units = host.get(_by_edge, g, induced)
-    if not any(red):
+    red = host.get(_copy_side, g, induced)
+    if not red.masks:
         found, leaves, prunes = ((1 << host.n_edges) - 1, 0), 1, 0
     else:
-        blue, blue_units = host.get(_by_edge, h, induced)
-        found, leaves, prunes = _search(
-            host.n_edges, red, blue, host.get(_twin_swaps), red_units, blue_units
-        )
+        blue = host.get(_copy_side, h, induced)
+        found, leaves, prunes = _search(host.n_edges, red, blue, host.get(_twin_swaps))
     if found is not None:
         fault = _fault(host, g, h, induced, *found)
         if fault is not None:

@@ -173,9 +173,9 @@ def brute_red_isolatefree_ok(f: Graph, blue, alpha: int) -> bool:
 def plain_dfs_search(n_edges, red_masks, blue_masks):
     """DFS over total colorings. Returns (witness_masks or None, leaves, prunes).
 
-    Takes the same mask arguments as arrowing._search and must find the same
-    lexicographically least refuting coloring (red before blue, edges in
-    index order), but makes no forced moves.
+    Takes the copy masks that arrowing._search's side records are built from
+    and must find the same lexicographically least refuting coloring (red
+    before blue, edges in index order), but makes no forced moves.
 
     A copy mask contained in one side's colored set kills that branch; only
     masks through the edge colored last need checking, since the parent node

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,13 @@ from arrowhead import arrowing
 from arrowhead.arrowing import (
     ArrowingResult,
     NotFoundBelow,
-    _by_edge,
     _copy_masks,
+    _copy_side,
     _host,
     _lex_larger_than_image,
     _refute,
     _search,
+    _side,
     _twin_swaps,
     arrows_complete_non_induced,
     ramsey_number_exact,
@@ -46,6 +48,8 @@ from .oracles import (
     naive_strongly_arrows,
     plain_dfs_search,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +274,19 @@ def test_search_matches_plain_dfs(family):
     # first one found is the plain DFS's lexicographically least one, with
     # or without the one-edge copies colored at the root
     n, red_masks, blue_masks = family
-
-    def by_edge(masks):
-        return [[m for m in masks if m >> i & 1] for i in range(n)]
-
-    def units(masks):
-        return sum({m for m in masks if not m & (m - 1)})
+    red, blue = _side(n, red_masks), _side(n, blue_masks)
+    assert red.units == sum({m for m in red_masks if not m & (m - 1)})
+    assert blue.units == sum({m for m in blue_masks if not m & (m - 1)})
 
     expected = plain_dfs_search(n, red_masks, blue_masks)[0]
-    witness, leaves, prunes = _search(n, by_edge(red_masks), by_edge(blue_masks))
+    # without the units, so no root forcing
+    witness, leaves, prunes = _search(n, red._replace(units=0), blue._replace(units=0))
     assert witness == expected
     assert leaves == (witness is not None) and prunes >= 0
-    red_units, blue_units = units(red_masks), units(blue_masks)
-    witness, leaves, prunes = _search(
-        n, by_edge(red_masks), by_edge(blue_masks), (), red_units, blue_units
-    )
+    witness, leaves, prunes = _search(n, red, blue)
     assert witness == expected
     assert leaves == (witness is not None) and prunes >= 0
-    if red_units & blue_units:
+    if red.units & blue.units:
         assert (witness, leaves, prunes) == (None, 0, 1)
     if not n:  # the empty coloring refutes, found at the root
         assert (witness, leaves, prunes) == ((0, 0), 1, 0)
@@ -342,14 +341,50 @@ def test_witnesses_are_pinned(catalog):
     assert hashlib.sha256(json.dumps(reds).encode()).hexdigest()[:16] == "5308585b9ac0db9b"
 
 
+def _effort_digest(results):
+    """Digest of each result's [arrows, colorings_explored, prunes], in order,
+    and the prunes of the proofs and of all."""
+    rows = [[res.arrows, res.colorings_explored, res.prunes] for res in results]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    return digest, sum(p for arrows, _, p in rows if arrows), sum(p for _, _, p in rows)
+
+
+# The next two pin the search tree, not only the answers: leaves and prunes
+# count every branch closed, so a change to how propagation finds its forced
+# moves and conflicts that keeps the tree keeps these digests.
+
+def test_prove_items_search_effort_is_pinned():
+    items = json.loads(REFERENCE.read_text())["prove"]
+    assert len(items) == 307
+    results = [
+        strongly_arrows(parse_graph6(item["f6"]), parse_graph6(item["g6"]), parse_graph6(item["h6"]))
+        if item["kind"] == "induced"
+        else arrows_complete_non_induced(item["n"], parse_graph6(item["g6"]), parse_graph6(item["h6"]))
+        for item in items
+    ]
+    assert [res.arrows for res in results] == [item["arrows"] for item in items]
+    assert _effort_digest(results) == ("bf0a837336db279d", 1095, 1228)
+
+
+def test_witness_panel_search_effort_is_pinned(catalog):
+    # the loop of test_witnesses_are_pinned
+    panel = [path(3), complete(3), path(4), cycle(4), matching(2)]
+    results = [
+        strongly_arrows(f, g, h)
+        for order in range(3, 7)
+        for f in catalog.graphs(order)
+        for g, h in product(panel, repeat=2)
+    ]
+    assert len(results) == 5125
+    assert _effort_digest(results) == ("efe445f16691bdab", 229, 410)
+
+
 def _searched(host, g, h, induced):
     """(witness, leaves, prunes) of _search run directly on host's masks."""
     record = _host(host)
     edges = record.edges
-    red, red_units = _by_edge(record, g, induced)
-    blue, blue_units = _by_edge(record, h, induced)
     found, leaves, prunes = _search(
-        len(edges), red, blue, record.get(_twin_swaps), red_units, blue_units
+        len(edges), _copy_side(record, g, induced), _copy_side(record, h, induced), record.get(_twin_swaps)
     )
     red_set, blue_set = found
     side = {True: [], False: []}
@@ -533,24 +568,24 @@ def test_twin_cuts_keep_the_plain_dfs_witness(host):
 # ---------------------------------------------------------------------------
 # re-verification of the search's answer
 
-def _all_red(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
+def _all_red(n_edges, red, blue, swaps=()):
     return ((1 << n_edges) - 1, 0), 1, 0
 
 
-def _all_blue(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
+def _all_blue(n_edges, red, blue, swaps=()):
     return (0, (1 << n_edges) - 1), 1, 0
 
 
-def _one_edge_dropped(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
-    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps, red_units, blue_units)
+def _one_edge_dropped(n_edges, red, blue, swaps=()):
+    found, leaves, prunes = _search(n_edges, red, blue, swaps)
     if found is None:
         return found, leaves, prunes
     red, blue = found
     return ((red & (red - 1), blue) if red else (red, blue & (blue - 1))), leaves, prunes
 
 
-def _sides_overlap(n_edges, red_by_edge, blue_by_edge, swaps=(), red_units=0, blue_units=0):
-    found, leaves, prunes = _search(n_edges, red_by_edge, blue_by_edge, swaps, red_units, blue_units)
+def _sides_overlap(n_edges, red, blue, swaps=()):
+    found, leaves, prunes = _search(n_edges, red, blue, swaps)
     if found is None:
         return found, leaves, prunes
     red, blue = found
@@ -627,7 +662,7 @@ def test_a_dropped_copy_mask_is_caught(monkeypatch, catalog, fresh_hosts, droppe
 
 def test_a_warm_sweep_builds_nothing(catalog, fresh_hosts):
     # A second pass over the same pairs reads every host's subset tables,
-    # mask index, copy lists and twin swaps from its record. A record keys
+    # side records, copy lists and twin swaps from its record. A record keys
     # what it keeps by builder, so the builders are made to raise in place.
     pairs = [(path(4), complete(3)), (path(4), path(3)), (matching(2), complete(3)), (complete(3), cycle(4))]
     first = [ir_exact(g, h, catalog, n_max=6) for g, h in pairs]
@@ -638,7 +673,7 @@ def test_a_warm_sweep_builds_nothing(catalog, fresh_hosts):
         raise AssertionError("a builder ran on a warm host")
 
     with pytest.MonkeyPatch.context() as patch:
-        for builder in (arrowing._subset_table, _copy_masks, _by_edge, _copies, arrowing._twin_swaps):
+        for builder in (arrowing._subset_table, _copy_masks, _side, _copies, arrowing._twin_swaps):
             patch.setattr(builder, "__code__", built.__code__)
         assert [ir_exact(g, h, catalog, n_max=6) for g, h in pairs] == first
     arrowing._host.cache_clear()
