@@ -26,9 +26,9 @@ indices repeated at every count level, and the OR of the one-edge masks)
 and the check's copy lists, each built on first ask and kept, so a sweep
 over many pattern pairs builds each once per host.
 
-This module holds the search only. Every refuting coloring it returns, the
-all-red one of a host with no copy of g (settled without a search) included,
-is judged by coloring._fault, which shares no code with the search.
+This module holds the search only. Each refuting coloring it returns, all
+red for a host with no copy of g included, is judged by coloring._fault and
+decoded by coloring._edge_rows, in the judge's edge order, the search's own.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -66,7 +66,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, _fault, _shared
+from .coloring import EdgeColoring, _edge_order, _edge_rows, _fault, _shared
 from .errors import PreconditionError
 from .graphs import Graph, _bits, complete
 
@@ -106,21 +106,16 @@ _SWEEP_HOSTS = 208
 
 class _Host:
     """What the search and its check derive from one host f. Built with the
-    record: edges (f's edges busiest first, the order of every edge bitset),
-    n_edges and rebuilds (edges make up f.adj); the rest through get, on
-    first ask, since a host settled without a search does not read its twin
-    swaps. Per (pattern, kind) it keeps the search's _Side, whose counting
-    index over copy indices replaced a list of copy masks per edge with the
-    same search tree, and the check's copy lists, which share no code with
-    the subset tables and masks.
+    record: edges, coloring._edge_order(f), the search's branching order;
+    the rest through get, on first ask, since a host settled without a
+    search does not read its twin swaps. Per (pattern, kind) it keeps the
+    search's _Side and the check's copy lists, which share no code with the
+    subset tables and masks; the check keeps its own edge order too.
     """
 
     def __init__(self, f: Graph):
         self.f = f
-        # Branch on busiest edges first: their color constrains the most copies.
-        self.edges = tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
-        self.n_edges = len(self.edges)
-        self.rebuilds = _edge_rows(self, (1 << self.n_edges) - 1) == f.adj
+        self.edges = _edge_order(f)
         self._kept: dict = {}
 
     def get(self, build, *args):
@@ -249,9 +244,9 @@ def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
 class _Side(NamedTuple):
     """One side's copies of a pattern in a host, indexed for counting
     propagation (see _search). Copy j is masks[j]; w (width) is the number
-    of copies and K (levels) the edge count of the largest. A thermometer
-    over the copies packs K levels of w bits, level c holding the copies
-    with at least c edges of the side's own color."""
+    of copies and K (levels) the edge count of each. A thermometer over the
+    copies packs K levels of w bits, level c holding the copies with at
+    least c edges of the side's own color."""
 
     masks: tuple[int, ...]
     width: int
@@ -260,33 +255,26 @@ class _Side(NamedTuple):
     inc: tuple[int, ...]
     # the OR of the one-edge copies, the edges that are a copy by themselves
     units: int
-    # the thermometer a copy of s < K edges starts from: K - s levels set,
-    # as if it held K - s more own edges (every copy of one pattern has
-    # |E(pattern)| edges, so only hand-made families need it)
-    preload: int
 
 
 def _side(n_edges: int, masks) -> _Side:
-    """The _Side of a family of copy masks over n_edges edges."""
+    """The _Side of a family of copy masks of one size over n_edges edges."""
     w = len(masks)
-    levels = max((m.bit_count() for m in masks), default=0)
+    levels = masks[0].bit_count() if masks else 0
     rep = sum(1 << c * w for c in range(levels))
     through = [0] * n_edges
-    units = preload = 0
     for j, m in enumerate(masks):
+        if m.bit_count() != levels:
+            raise ValueError("copy masks differ in size, as no pattern's copies do")
         for i in _bits(m):
             through[i] |= 1 << j
-        size = m.bit_count()
-        if size == 1:
-            units |= m
-        if size < levels:
-            preload |= (1 << j) * (rep >> size * w)
-    return _Side(tuple(masks), w, levels, tuple(t * rep for t in through), units, preload)
+    units = sum(set(masks)) if levels == 1 else 0
+    return _Side(tuple(masks), w, levels, tuple(t * rep for t in through), units)
 
 
 def _copy_side(host: _Host, pattern: Graph, induced: bool) -> _Side:
     """The _Side of pattern's copies in host, kept by the host record."""
-    return _side(host.n_edges, _copy_masks(host, pattern, induced))
+    return _side(len(host.edges), _copy_masks(host, pattern, induced))
 
 
 def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
@@ -325,9 +313,7 @@ def _search(n_edges, red, blue, swaps=()):
     move only removes subtrees in which every coloring completes a
     monochromatic copy, so the first complete coloring reached is the
     lexicographically least refuting one, the same a DFS without forced
-    moves finds. The tree, the witnesses and the counters are those of the
-    scan over each edge's list of copy masks that this counting replaced:
-    both find a conflict at the same nodes and reach the same forced colors.
+    moves finds.
 
     Before the first branch every red unit (red.units) is colored blue and
     every blue unit red, as forced moves, and the same propagation runs
@@ -379,7 +365,7 @@ def _search(n_edges, red, blue, swaps=()):
         for j in _bits(blue.units):
             blue_dead |= blue_inc[j]
             root.append((j, 0))
-    stack = [(blue.units, red.units, red.preload, blue.preload, red_dead, blue_dead, -1, 0)]
+    stack = [(blue.units, red.units, 0, 0, red_dead, blue_dead, -1, 0)]
     while stack:
         red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i, side = stack.pop()
         if i < 0:
@@ -463,27 +449,13 @@ def _search(n_edges, red, blue, swaps=()):
     return None, 0, prunes
 
 
-def _edge_rows(host: _Host, edge_set: int) -> tuple[int, ...]:
-    """Neighbour bitmask per vertex of f of the edges whose host.edges bits
-    edge_set holds."""
-    edges = host.edges
-    rows = [0] * host.f.n
-    while edge_set:
-        low = edge_set & -edge_set
-        edge_set ^= low
-        u, v = edges[low.bit_length() - 1]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return tuple(rows)
-
-
 def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     """(red_set, blue_set) of the least refuting coloring of f, checked, or
     None when f arrows (g, h); then leaves and prunes.
 
-    The sides are edge bitsets in host.edges index, as the search gives
-    them, and _fault checks them. Any fault raises AssertionError, as it
-    can only be a fault in the search.
+    The sides are edge bitsets in coloring._edge_order, as the search
+    gives them, and _fault checks them. Any fault raises AssertionError, as
+    it can only be a fault in the search.
 
     A host with no copy of g is settled without a search: coloring every
     edge red refutes it, and that is the least refuting coloring, the one
@@ -494,10 +466,10 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
         raise PreconditionError("patterns must have at least one edge")
     red = host.get(_copy_side, g, induced)
     if not red.masks:
-        found, leaves, prunes = ((1 << host.n_edges) - 1, 0), 1, 0
+        found, leaves, prunes = ((1 << len(host.edges)) - 1, 0), 1, 0
     else:
         blue = host.get(_copy_side, h, induced)
-        found, leaves, prunes = _search(host.n_edges, red, blue, host.get(_twin_swaps))
+        found, leaves, prunes = _search(len(host.edges), red, blue, host.get(_twin_swaps))
     if found is not None:
         fault = _fault(host, g, h, induced, *found)
         if fault is not None:

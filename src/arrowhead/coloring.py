@@ -18,7 +18,9 @@ bit test per copy, not an embedding search per coloring. The search builds
 the same masks from its own subset tables (arrowing._copy_masks), so a fault
 in that builder cannot also hide in its check. A host with no copy of g is
 refuted all red without a search; that coloring goes through _fault too,
-where it passes exactly when the host's list of g copies is empty.
+where it passes exactly when the host's list of g copies is empty. Bit i
+of a refutation's int is the i-th edge of _edge_order(f), which the judge
+builds from f itself and the search imports as its branching order.
 """
 from __future__ import annotations
 
@@ -228,9 +230,33 @@ def verify_witness(host: Graph, c: EdgeColoring, g: Graph, h: Graph) -> Violatio
     return _find_mono(host, c, g, RED) or _find_mono(host, c, h, BLUE)
 
 
+def _edge_order(f: Graph) -> tuple[tuple[int, int], ...]:
+    """f's edges in the order of every edge bitset: f.edges() stably sorted
+    by descending degree sum, so the search colors the busiest edges first."""
+    return tuple(sorted(f.edges(), key=lambda e: -(f.degree(e[0]) + f.degree(e[1]))))
+
+
+def _order_of(host) -> tuple[tuple[int, int], ...]:
+    """_edge_order(host.f), kept by a search record through host.get."""
+    return _edge_order(host.f)
+
+
+def _edge_rows(host, edge_set: int) -> tuple[int, ...]:
+    """Neighbour rows of f of the edges whose bits edge_set holds."""
+    edges = host.get(_order_of)
+    rows = [0] * host.f.n
+    while edge_set:
+        low = edge_set & -edge_set
+        edge_set ^= low
+        u, v = edges[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
 def _copies(host, pattern: Graph, induced: bool) -> tuple[int, ...]:
-    """Bitmask over f's edges, in host.edges order, of each copy of pattern
-    in f, from the embedder; host is a search record (arrowing._Host).
+    """Bitmask over f's edges, in _edge_order, of each copy of pattern in
+    f, from the embedder; host is a search record (arrowing._Host).
 
     The embedder yields one embedding per copy, and a copy's mask holds the
     images of pattern's edges: for an induced copy those are the host edges
@@ -239,7 +265,7 @@ def _copies(host, pattern: Graph, induced: bool) -> tuple[int, ...]:
     """
     f = host.f
     bit = [[0] * f.n for _ in range(f.n)]
-    for i, (u, v) in enumerate(host.edges):
+    for i, (u, v) in enumerate(host.get(_order_of)):
         bit[u][v] = bit[v][u] = 1 << i
     pairs = pattern.edges()
     return tuple(sorted({
@@ -251,16 +277,16 @@ def _copies(host, pattern: Graph, induced: bool) -> tuple[int, ...]:
 def _fault(host, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int) -> str | None:
     """What keeps (red_set, blue_set) from refuting f -> (g, h), or None.
 
-    The sides are edge bitsets in host.edges index; g and h have an edge
-    each. The check shares no code with the copy masks: the sides must be
-    disjoint, lie inside and cover f's edges (whose order is checked once
-    per host to rebuild f.adj), and no copy of g from _copies may lie inside
-    the red side, nor a copy of h inside the blue side. An empty blue side
-    holds no copy of h, so its list is not built.
+    The sides are edge bitsets in _edge_order; g and h have an edge each.
+    The check shares no code with the copy masks: the sides must be
+    disjoint, lie inside and cover f's edges, and no copy of g from _copies
+    may lie inside the red side, nor a copy of h inside the blue side. An
+    empty blue side holds no copy of h, so its list is not built.
     """
-    if red_set & blue_set or (red_set | blue_set) >> host.n_edges:
+    n_edges = len(host.get(_order_of))
+    if red_set & blue_set or (red_set | blue_set) >> n_edges:
         return "search colored an edge twice or a non-edge"
-    if red_set | blue_set != (1 << host.n_edges) - 1 or not host.rebuilds:
+    if red_set | blue_set != (1 << n_edges) - 1:
         return "search left host edges uncolored"
     # a copy lies inside a side when none of its edges is outside it
     if not all(map((~red_set).__and__, host.get(_copies, g, induced))):

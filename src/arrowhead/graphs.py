@@ -34,13 +34,14 @@ class Graph:
     Equality and hashing are on the labelled structure, not the isomorphism
     class. The hash is computed on the first call and kept: per-host records
     and pattern-keyed caches hash the same graphs on every lookup, while
-    most graphs a recipe builds are never hashed.
+    most graphs a recipe builds are never hashed. Rows are kept as a tuple.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "adj", tuple(self.adj))  # a tuple is kept as it is
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
         full = (1 << self.n) - 1

@@ -24,8 +24,9 @@ make a sweep faster, never different.
 The cache is an append-only log of {key: verdict} lines keyed by the
 literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
 relabeled query is a miss. A sweep writes {"arrows": false, "witness":
-{"blue": B, "red": R}}, bit i of the ints R and B being the host's i-th
-edge in arrowing._host(f).edges order, for each host it refutes, and
+{"blue": B, "red": R}}, bit i of the ints R and B being the i-th edge of
+coloring._edge_order(f), read from f alone: f.edges(), by v then u < v,
+stably sorted by descending degree sum, for each host it refutes, and
 nothing for the arrowing host. It appends each order's new refutations in
 one locked write when the order ends, so a run killed mid-order loses only
 that order's new lines, never an answer. The loader keeps such a line's

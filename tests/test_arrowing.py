@@ -24,7 +24,7 @@ from arrowhead.arrowing import (
     ramsey_number_exact,
     strongly_arrows,
 )
-from arrowhead.coloring import EdgeColoring, _copies, verify_witness
+from arrowhead.coloring import EdgeColoring, _copies, _edge_order, verify_witness
 from arrowhead.errors import PreconditionError
 from arrowhead.graphs import (
     Graph,
@@ -159,7 +159,7 @@ def test_copy_masks_match_oracles(catalog, sweep_patterns):
     cases += [(complete(n), pat) for n in range(5, 10) for pat in (complete(3), complete(4), cycle(5))]
     for host, pat in cases:
         record = _host(host)
-        edge_index = {e: i for i, e in enumerate(record.edges)}
+        edge_index = {e: i for i, e in enumerate(_edge_order(host))}
 
         def edge_sets(masks):
             assert masks == tuple(sorted(set(masks)))
@@ -256,15 +256,24 @@ def mask_families(draw):
     n = draw(st.integers(0, 14))
     if not n:  # no edges, no copies
         return 0, [], []
-    mask = st.lists(st.integers(0, n - 1), min_size=1, max_size=6).map(
-        lambda idx: sum(1 << i for i in set(idx))
-    )
-    # one-edge copies, which the search colors at its root, a few per side;
-    # an edge drawn on both sides is a copy on both
-    unit = st.integers(0, n - 1).map(lambda i: 1 << i)
-    red = draw(st.lists(mask, max_size=30)) + draw(st.lists(unit, max_size=4))
-    blue = draw(st.lists(mask, max_size=30)) + draw(st.lists(unit, max_size=4))
-    return n, red, blue
+
+    def family():
+        # every copy of one pattern has |E(pattern)| edges, so each side
+        # draws one copy size; size 1 gives one-edge copies, which the
+        # search colors at its root, and an edge drawn on both sides is a
+        # copy on both
+        size = draw(st.integers(1, min(n, 6)))
+        mask = st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True).map(
+            lambda idx: sum(1 << i for i in idx)
+        )
+        return draw(st.lists(mask, max_size=30))
+
+    return n, family(), family()
+
+
+def test_a_family_of_mixed_copy_sizes_is_refused():
+    with pytest.raises(ValueError, match="differ in size"):
+        _side(3, [0b001, 0b110])
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,9 +303,9 @@ def test_search_matches_plain_dfs(family):
 
 def _oracle_result(host, g, h, induced):
     record = _host(host)
-    edge_index = {e: i for i, e in enumerate(record.edges)}
+    edge_index = {e: i for i, e in enumerate(_edge_order(host))}
     found = plain_dfs_search(
-        record.n_edges, _copy_masks(record, g, induced), _copy_masks(record, h, induced)
+        host.edge_count(), _copy_masks(record, g, induced), _copy_masks(record, h, induced)
     )[0]
     if found is None:
         return None
@@ -382,7 +391,7 @@ def test_witness_panel_search_effort_is_pinned(catalog):
 def _searched(host, g, h, induced):
     """(witness, leaves, prunes) of _search run directly on host's masks."""
     record = _host(host)
-    edges = record.edges
+    edges = _edge_order(host)
     found, leaves, prunes = _search(
         len(edges), _copy_side(record, g, induced), _copy_side(record, h, induced), record.get(_twin_swaps)
     )
@@ -461,7 +470,7 @@ def test_a_one_edge_copy_on_both_sides_closes_the_root():
 
 def _transposition_pairs(host, u, v):
     """The edges moved by swapping u and v, as (1 << a, 1 << b) index pairs."""
-    index = {e: i for i, e in enumerate(_host(host).edges)}
+    index = {e: i for i, e in enumerate(_edge_order(host))}
     tau = list(range(host.n))
     tau[u], tau[v] = v, u
     pairs = set()
@@ -628,14 +637,19 @@ def test_a_host_wrongly_claimed_free_of_g_is_caught(monkeypatch, catalog, fresh_
         ir_exact(k3, k3, catalog, n_max=6, cache=None)
 
 
-def test_the_all_red_shortcut_is_judged_like_a_search(monkeypatch, fresh_hosts):
+def test_the_all_red_shortcut_is_judged_like_a_search():
     # K5 holds no induced P3, so it is refuted all red without a search; that
-    # coloring passes the same check as a searched one, edge-order test included
-    host = _host(complete(5))
-    assert _refute(host, path(3), complete(3), True) == (((1 << 10) - 1, 0), 1, 0)
-    monkeypatch.setattr(host, "rebuilds", False)
-    with pytest.raises(AssertionError, match="uncolored"):
-        _refute(host, path(3), complete(3), True)
+    # coloring passes the same check as a searched one. The judge reads the
+    # bits in the edge order it builds from f, not in the record's: a record
+    # whose edges are permuted still passes all red, which is all red in any
+    # order, but its searched (K3, K3) refutation is judged in the judge's
+    # order, where it holds a red triangle
+    assert _refute(_host(complete(5)), path(3), complete(3), True) == (((1 << 10) - 1, 0), 1, 0)
+    record = arrowing._Host(complete(5))
+    record.edges = record.edges[::-1]
+    assert _refute(record, path(3), complete(3), True) == (((1 << 10) - 1, 0), 1, 0)
+    with pytest.raises(AssertionError, match="red copy"):
+        _refute(record, complete(3), complete(3), True)
 
 
 @pytest.mark.parametrize("dropped", [0, -1])

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from arrowhead.arrowing import strongly_arrows
 from arrowhead.errors import Graph6Error, OrderLimitError
 from arrowhead.graphs import (
     Embedding,
@@ -139,6 +140,17 @@ def test_equality_and_hash_are_on_the_labelled_structure():
     assert same == g and hash(same) == key == hash((g.n, g.adj))
     assert {g: "p3"}[same] == "p3"
     assert relabel(g, [1, 0, 2]) != g  # isomorphic, differently labelled
+
+
+def test_rows_given_as_a_list_are_those_of_a_tuple():
+    # rows passed as a list are kept as a tuple, so the graph equals and
+    # hashes like complete(3), and a decision can key its host record by it
+    k3 = complete(3)
+    listed = Graph(3, [6, 5, 3])
+    assert listed.adj == (6, 5, 3)
+    assert listed == k3 and hash(listed) == hash(k3)
+    assert {k3: "k3"}[listed] == "k3"
+    assert strongly_arrows(Graph(6, list(complete(6).adj)), k3, k3) == strongly_arrows(complete(6), k3, k3)
 
 
 def test_graph_validation_rejects_bad_input():

@@ -49,9 +49,17 @@ def test_the_judge_shares_no_code_with_the_search():
         (path.stem, node.name)
         for path in PACKAGE.glob("*.py")
         for node in _tree(path.stem).body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_fault", "_copies")
+        if isinstance(node, ast.FunctionDef) and node.name in ("_fault", "_copies", "_edge_order", "_edge_rows")
     }
-    assert defined == {("coloring", "_fault"), ("coloring", "_copies")}
+    assert defined == {("coloring", name) for name in ("_fault", "_copies", "_edge_order", "_edge_rows")}
+    # the judge builds the edge order of a refutation from f itself: it reads
+    # no edges, n_edges or rebuilds of a search record, and every edges it
+    # names is Graph.edges(), called
+    judge = _tree("coloring")
+    called = {id(node.func) for node in ast.walk(judge) if isinstance(node, ast.Call)}
+    for node in ast.walk(judge):
+        if isinstance(node, ast.Attribute) and node.attr in ("edges", "n_edges", "rebuilds"):
+            assert node.attr == "edges" and id(node) in called, f"coloring.py line {node.lineno} reads .{node.attr}"
     # the search and the recipes call no embedder of their own
     for name in ("arrowing", "constructions"):
         imported = {alias.name for node in ast.walk(_tree(name)) if isinstance(node, ast.ImportFrom) for alias in node.names}

@@ -3,7 +3,7 @@ import random
 import tempfile
 import warnings
 from dataclasses import fields
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from arrowhead import arrowing, coloring, graphs, search
 from arrowhead.arrowing import NotFoundBelow, _host, _refute, strongly_arrows
-from arrowhead.coloring import EdgeColoring, verify_witness
+from arrowhead.coloring import EdgeColoring, _edge_order, verify_witness
 from arrowhead.errors import ArrowheadError, CatalogError, PreconditionError
 from arrowhead.graphs import (
     complete,
@@ -698,13 +698,13 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
     # A planted log line is accepted when _decide answers without calling
     # _refute, so the loader's shape test and _fault are judged together.
     # The reference is verify_witness on the coloring decoded through
-    # host.edges, for stored witnesses that are real, recoloured, edited, in
-    # the old pair form or arbitrary JSON.
+    # _edge_order(host), for stored witnesses that are real, recoloured,
+    # edited, in the old pair form or arbitrary JSON.
     host = data.draw(st.sampled_from([f for order in range(1, 7) for f in catalog.graphs(order)]))
     g = data.draw(st.sampled_from(sweep_patterns))
     h = data.draw(st.sampled_from(sweep_patterns))
     start = data.draw(st.sampled_from(["witness", "recoloured", "pairs", "json"]))
-    edges = _host(host).edges
+    edges = _edge_order(host)
     found = _refute(_host(host), g, h, True)[0]
     if start == "json":
         stored = data.draw(st.recursive(
@@ -821,7 +821,7 @@ def test_stored_witnesses_are_the_cacheless_colorings(tmp_path, catalog):
         witness = entry["witness"]
         if witness is not None:
             assert witness.keys() == {"red", "blue"}
-            edges = _host(host).edges
+            edges = _edge_order(host)
             red, blue = ([e for i, e in enumerate(edges) if witness[side] >> i & 1] for side in ("red", "blue"))
             witness = EdgeColoring.of(host.n, red, blue)
         assert entry.keys() == {"arrows", "witness"}
@@ -877,12 +877,41 @@ def test_persisted_witnesses_all_verify(tmp_path, catalog):
         # the sweep ends at C`, which arrows, and the log holds refutations only
         assert entry["arrows"] is False
         host = parse_graph6(key.split("|")[0])
-        edges = _host(host).edges
+        edges = _edge_order(host)
         red, blue = ([e for i, e in enumerate(edges) if entry["witness"][side] >> i & 1] for side in ("red", "blue"))
         witness = EdgeColoring.of(host.n, red, blue)
         assert verify_witness(host, witness, g, h) is None
         checked += 1
     assert checked >= 10
+
+
+def test_a_cached_log_decodes_from_its_hosts_alone(tmp_path, catalog):
+    # The order of a stored refutation as the README states it, restated
+    # here from f alone: bit i of R and B is the i-th of f's edges (u, v),
+    # u < v, by ascending v and then u, stably sorted by descending degree
+    # sum. IR(P4, P3) = 7, so a cached sweep to order 6 logs a refutation
+    # for every host of orders 1 to 6. Decoded that way, each line colors
+    # each edge of its host once, with no red induced P4 and no blue
+    # induced P3 among the brute-force copies.
+    g, h = path(4), path(3)
+    cache_file = tmp_path / "cache.json"
+    ir_exact(g, h, catalog, n_max=6, cache=ResultCache(cache_file))
+    lines = cache_file.read_text().splitlines()
+    assert len(lines) == sum(len(catalog.graphs(order)) for order in range(1, 7))
+    for line in lines:
+        (key, entry), = json.loads(line).items()
+        f = _host_of(key, g, h)
+        order = sorted(
+            [(u, v) for v in range(f.n) for u in range(v) if f.has_edge(u, v)],
+            key=lambda e: -(f.degree(e[0]) + f.degree(e[1])),
+        )
+        red, blue = (entry["witness"][side] for side in ("red", "blue"))
+        assert not red & blue and red | blue == (1 << len(order)) - 1, key
+        sides = [{e for i, e in enumerate(order) if bits >> i & 1} for bits in (red, blue)]
+        for pattern, side in ((g, sides[0]), (h, sides[1])):
+            for verts in brute_induced_copies(f, pattern):
+                inside = {(u, v) for u, v in combinations(verts, 2) if f.has_edge(u, v)}
+                assert not inside <= side, (key, verts)
 
 
 # Pattern pairs whose cached order-6 logs are tampered with below: the first
