@@ -6,7 +6,9 @@ walks a binary tree over edge colors with unit propagation: a copy with all
 but one edge in one color forces its last edge to the other color, and a
 branch closes as soon as the edges colored so far complete a monochromatic
 copy. So a proof reaches no complete coloring at all; its effort is the
-number of branches closed, not 2^|E(f)|. Propagation counts each copy's
+number of branches closed, not 2^|E(f)|. The walk dives: it takes each red
+child in place and stacks only the blue children it may come back to.
+Propagation counts each copy's
 edges of its own color for all copies at once, as packed bitsets over copy
 indices, one level per count (DPLL's counting scheme done bit-parallel on
 Python ints), so coloring an edge costs a fixed number of integer
@@ -19,12 +21,15 @@ the same search with ordinary instead of induced containment. Both build
 their copy masks with one builder, _copy_masks, which compares each host
 k-subset's adjacency code with the pattern's precomputed labelled codes
 instead of embedding the pattern subset by subset. What is derived from
-one host lives in one record (_Host) that a decision looks up once: the
-subsets' codes and interiors per k, and per (pattern, kind) the search's
-side record (_Side: the masks, each edge's copies as a bitset over copy
-indices repeated at every count level, and the OR of the one-edge masks)
-and the check's copy lists, each built on first ask and kept, so a sweep
-over many pattern pairs builds each once per host.
+one host lives in one record (_Host), a dict that a decision looks up once
+and reads with one subscript per entry: the subsets' codes and interiors
+per k, and per (pattern, kind) the search's side record (_Side: the masks,
+each edge's copies as a bitset over copy indices repeated at every count
+level, the OR of the one-edge masks and the search's level shifts) and
+the check's copy lists, each built on first ask and kept, so a sweep over
+many pattern pairs builds each once per host. The entry points resolve
+their patterns to one shared instance each (_pattern), so those entries
+match by identity.
 
 This module holds the search only. Each refuting coloring it returns, all
 red for a host with no copy of g included, is judged by coloring._fault and
@@ -99,48 +104,83 @@ class NotFoundBelow:
 
 
 # A catalog sweep to order 6 visits at most 1 + 2 + 4 + 11 + 34 + 156 = 208
-# hosts and a dense-proof benchmark pass at most 182; _host keeps a record
-# for each, so a sweep over many pattern pairs builds each host's tables once.
-_SWEEP_HOSTS = 208
+# hosts, and the prove universe of perfbench/reference.json holds 296 (282
+# induced hosts and 14 complete ones); _host keeps a record for each host of
+# both at once, so a sweep over many pattern pairs, or a second pass over the
+# prove items, builds each host's tables once.
+_KEPT_HOSTS = 512
 
 
-class _Host:
-    """What the search and its check derive from one host f. Built with the
-    record: edges, coloring._edge_order(f), the search's branching order;
-    the rest through get, on first ask, since a host settled without a
+class _Host(dict):
+    """What the search and its check derive from one host f, each built on
+    the first ask and kept: host[build, *args] is build(host, *args) and
+    host[build] is build(host). A hit, by the search or by the judge
+    (coloring._fault, _copies, _edge_rows), is one dict subscript.
+
+    edges, coloring._edge_order(f), the search's branching order, is built
+    with the record; the rest on first ask, since a host settled without a
     search does not read its twin swaps. Per (pattern, kind) it keeps the
     search's _Side and the check's copy lists, which share no code with the
     subset tables and masks; the check keeps its own edge order too.
     """
 
+    __slots__ = ("f", "edges")
+
     def __init__(self, f: Graph):
         self.f = f
         self.edges = _edge_order(f)
-        self._kept: dict = {}
 
-    def get(self, build, *args):
-        """build(self, *args), built on the first ask and kept."""
-        key = (build, *args)
-        value = self._kept.get(key)
-        if value is None:
-            value = self._kept[key] = build(self, *args)
+    def __missing__(self, key):
+        build, *args = key if type(key) is tuple else (key,)
+        value = self[key] = build(self, *args)
         return value
 
 
-@lru_cache(maxsize=_SWEEP_HOSTS)
+@lru_cache(maxsize=_KEPT_HOSTS)
 def _host(f: Graph) -> _Host:
     return _Host(f)
 
 
-def _twin_swaps(host: _Host) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+# Equal patterns are one instance here, so the pattern keys of host records,
+# holder masks and pattern caches match by identity, with no Graph.__eq__
+# call. Keyed by the rows, which compare in C.
+@lru_cache(maxsize=128)
+def _pattern(adj: tuple[int, ...]) -> Graph:
+    return Graph(len(adj), adj)
+
+
+# One value per n_max, so a caller keeping many answers holds each once
+# (like coloring._shared; NotFoundBelow has slots, so no weak reference).
+@lru_cache(maxsize=16)
+def _not_found_below(n_max: int) -> NotFoundBelow:
+    return NotFoundBelow(n_max)
+
+
+class _Twins(NamedTuple):
+    """f's twin transpositions as edge permutations (see _twin_swaps)."""
+
+    # each (a_mask, b_mask, pairs)
+    swaps: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+    # the ORs of the swaps' a_masks and of their b_masks: a cut needs a blue
+    # a-edge and a red b-edge in one swap, and testing these first skips the
+    # per-swap walk at most nodes of a short search
+    a_any: int
+    b_any: int
+
+
+_NO_TWINS = _Twins((), 0, 0)
+
+
+def _twin_swaps(host: _Host) -> _Twins:
     """Edge permutations of f's twin transpositions, for the search's symmetry cuts.
 
     Vertices u and v are twins when their neighbourhoods agree outside
     {u, v}; swapping them is then an automorphism of f. Twinship is an
     equivalence relation, and the transpositions of consecutive members of
-    each class are taken. Each is (a_mask, b_mask, pairs): pairs are the
-    edges it moves as (1 << a, 1 << b), a < b in edges index, sorted by
-    a; a_mask and b_mask are the ORs of their a and b bits.
+    each class are taken. Each swap is (a_mask, b_mask, pairs): pairs are
+    the edges it moves as (1 << a, 1 << b), a < b in edges index, sorted by
+    a; a_mask and b_mask are the ORs of their a and b bits. The record
+    keeps the swaps and the ORs of all a_masks and of all b_masks.
     """
     f = host.f
     classes: list[list[int]] = []
@@ -154,6 +194,7 @@ def _twin_swaps(host: _Host) -> tuple[tuple[int, int, tuple[tuple[int, int], ...
             classes.append([v])
     index = {e: i for i, e in enumerate(host.edges)}
     swaps = []
+    a_any = b_any = 0
     for members in classes:
         for u, v in zip(members, members[1:]):
             # the moved edges are {u, x} <-> {v, x} for every common neighbour x
@@ -166,7 +207,9 @@ def _twin_swaps(host: _Host) -> tuple[tuple[int, int, tuple[tuple[int, int], ...
                 a_mask = sum(a for a, _ in pairs)
                 b_mask = sum(b for _, b in pairs)
                 swaps.append((a_mask, b_mask, pairs))
-    return tuple(swaps)
+                a_any |= a_mask
+                b_any |= b_mask
+    return _Twins(tuple(swaps), a_any, b_any)
 
 
 # Cached because a catalog sweep builds masks for the same patterns on every host.
@@ -227,7 +270,7 @@ def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
     code's edges only. The masks are the subset table's own ints.
     """
     codes = _pattern_codes(pattern)
-    table = host.get(_subset_table, pattern.n)
+    table = host[_subset_table, pattern.n]
     if induced:
         masks = {m for code in codes if code in table for m in table[code][0]}
     else:
@@ -244,17 +287,21 @@ def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
 class _Side(NamedTuple):
     """One side's copies of a pattern in a host, indexed for counting
     propagation (see _search). Copy j is masks[j]; w (width) is the number
-    of copies and K (levels) the edge count of each. A thermometer over the
-    copies packs K levels of w bits, level c holding the copies with at
-    least c edges of the side's own color."""
+    of copies and K the edge count of each. A thermometer over the copies
+    packs K levels of w bits, level c holding the copies with at least c
+    edges of the side's own color."""
 
     masks: tuple[int, ...]
     width: int
-    levels: int
     # inc[i]: the copies through edge i, repeated at every level
     inc: tuple[int, ...]
     # the OR of the one-edge copies, the edges that are a copy by themselves
     units: int
+    # level 1's bits, and the shifts that bring the top level, and the one
+    # below it, down to level 1
+    low: int
+    top: int
+    near: int
 
 
 def _side(n_edges: int, masks) -> _Side:
@@ -269,7 +316,8 @@ def _side(n_edges: int, masks) -> _Side:
         for i in _bits(m):
             through[i] |= 1 << j
     units = sum(set(masks)) if levels == 1 else 0
-    return _Side(tuple(masks), w, levels, tuple(t * rep for t in through), units)
+    top = (levels - 1) * w
+    return _Side(tuple(masks), w, tuple(t * rep for t in through), units, (1 << w) - 1, top, max(top - w, 0))
 
 
 def _copy_side(host: _Host, pattern: Graph, induced: bool) -> _Side:
@@ -298,29 +346,30 @@ def _lex_larger_than_image(swaps, red_set, blue_set) -> bool:
     return False
 
 
-def _search(n_edges, red, blue, swaps=()):
+def _search(n_edges, red, blue, twins=_NO_TWINS):
     """DFS with unit propagation. Returns (witness_masks or None, leaves, prunes).
 
     red and blue are the two sides' _Side records. Branches on the
-    lowest-index uncolored edge, red first. Propagation counts, per copy,
-    the edges of its side's own color that it holds, for all copies at once:
-    each side keeps a thermometer (see _Side) and a dead set, the copies
-    holding an edge of the other color, kept at every level like inc. When
-    an edge gets a color, the live copies through it move up one level with
-    a shift, an OR and an AND. A copy reaching its top level is a conflict
-    and closes the branch; a copy one level below it has one edge left,
-    which is forced to the other color and counted the same way. A forced
-    move only removes subtrees in which every coloring completes a
-    monochromatic copy, so the first complete coloring reached is the
-    lexicographically least refuting one, the same a DFS without forced
-    moves finds.
+    lowest-index uncolored edge, red first, and dives: the red child is
+    explored in place and only the blue child is stacked, to be resumed when
+    the branch below closes. Propagation counts, per copy, the edges of its
+    side's own color that it holds, for all copies at once: each side keeps
+    a thermometer (see _Side) and a dead set, the copies holding an edge of
+    the other color, kept at every level like inc. When an edge gets a
+    color, the live copies through it move up one level with a shift, an OR
+    and an AND. A copy reaching its top level is a conflict and closes the
+    branch; a copy one level below it has one edge left, which is forced to
+    the other color and counted the same way. A forced move only removes
+    subtrees in which every coloring completes a monochromatic copy, so the
+    first complete coloring reached is the lexicographically least refuting
+    one, the same a DFS without forced moves finds.
 
     Before the first branch every red unit (red.units) is colored blue and
     every blue unit red, as forced moves, and the same propagation runs
     from all of them. An edge in both closes the root (leaves 0, prunes 1):
     every coloring holds a copy on it.
 
-    swaps are edge permutations, as _twin_swaps gives, that map both mask
+    twins holds edge permutations, as _twin_swaps gives, that map both mask
     families onto themselves. A branch whose colors make every completion
     lexicographically larger than its image under one of them is closed:
     the image refutes too, so the least refuting coloring is not there.
@@ -335,53 +384,29 @@ def _search(n_edges, red, blue, swaps=()):
     """
     if red.units & blue.units:
         return None, 0, 1
-    red_masks, red_inc, red_width, blue_masks, blue_inc, blue_width = (
-        red.masks, red.inc, red.width, blue.masks, blue.inc, blue.width
-    )
-    red_low, blue_low = (1 << red_width) - 1, (1 << blue_width) - 1
-    # shifts that bring the top level, and the one below it, down to level 1
-    red_top, blue_top = (red.levels - 1) * red_width, (blue.levels - 1) * blue_width
-    red_near, blue_near = max(red_top - red_width, 0), max(blue_top - blue_width, 0)
+    red_masks, red_width, red_inc, red_units, red_low, red_top, red_near = red
+    blue_masks, blue_width, blue_inc, blue_units, blue_low, blue_top, blue_near = blue
+    swaps, a_any, b_any = twins
     full = (1 << n_edges) - 1
     prunes = 0
-    # a cut needs a blue a-edge and a red b-edge in one swap; testing the
-    # unions first skips the per-swap walk at most nodes of a short search
-    a_any = b_any = 0
-    for a_mask, b_mask, _ in swaps:
-        a_any |= a_mask
-        b_any |= b_mask
-    # stack entries: (red_set, blue_set, the thermometers red_count and
-    # blue_count, the dead sets, edge just colored, its side); LIFO, so the
-    # red child is pushed last and explored first. A child carries its
-    # parent's counts, and its edge's color is counted when it is popped.
-    # The root is edge -1, with the units colored, the copies their colors
-    # kill marked dead and one forced move to count per unit.
-    red_dead = blue_dead = 0
-    root = []
-    if red.units | blue.units:
-        for j in _bits(red.units):
-            red_dead |= red_inc[j]
-            root.append((j, 1))
-        for j in _bits(blue.units):
-            blue_dead |= blue_inc[j]
-            root.append((j, 0))
-    stack = [(blue.units, red.units, 0, 0, red_dead, blue_dead, -1, 0)]
-    while stack:
-        red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i, side = stack.pop()
-        if i < 0:
-            todo = root
-        elif side:
-            # dominance cut, on the parent's dead set: with every red copy
-            # through i broken by a blue edge other than i, i red refutes
-            # wherever i blue does. Tested on the pop so that a refutation,
-            # which never returns to most blue children, does not pay for it
-            if not red_inc[i] & ~red_dead:
-                continue
-            red_dead |= red_inc[i]
-            todo = [(i, 1)]
-        else:
-            blue_dead |= blue_inc[i]
-            todo = [(i, 0)]
+    # the node in hand: its two color sets, the thermometers red_count and
+    # blue_count, the dead sets, and todo, the colored edges still to count
+    # as (edge, side), side 1 for blue. The root has the units colored, the
+    # copies their colors kill marked dead and one forced move per unit.
+    red_set, blue_set = blue_units, red_units
+    red_count = blue_count = red_dead = blue_dead = 0
+    todo = []
+    for j in _bits(red_units):
+        red_dead |= red_inc[j]
+        todo.append((j, 1))
+    for j in _bits(blue_units):
+        blue_dead |= blue_inc[j]
+        todo.append((j, 0))
+    # the blue children still to explore, each with its parent's sets and
+    # counts and its edge, whose blue is counted when it is resumed; the
+    # deepest comes last
+    stack = []
+    while True:
         while todo:
             i, side = todo.pop()
             # the live copies through i each gain an own edge: a copy at
@@ -435,23 +460,35 @@ def _search(n_edges, red, blue, swaps=()):
             colored = red_set | blue_set
             if colored == full:
                 return (red_set, blue_set), 1, prunes
-            if (
-                a_any & blue_set
-                and b_any & red_set
-                and _lex_larger_than_image(swaps, red_set, blue_set)
-            ):
-                prunes += 1
+            if not (a_any & blue_set and b_any & red_set and _lex_larger_than_image(swaps, red_set, blue_set)):
+                bit = ~colored & (colored + 1)  # the lowest uncolored edge
+                i = bit.bit_length() - 1
+                stack.append((red_set, blue_set | bit, red_count, blue_count, red_dead, blue_dead, i))
+                # the red child, in place
+                red_set |= bit
+                blue_dead |= blue_inc[i]
+                todo = [(i, 0)]
                 continue
-            bit = ~colored & (colored + 1)  # the lowest uncolored edge
-            j = bit.bit_length() - 1
-            stack.append((red_set, blue_set | bit, red_count, blue_count, red_dead, blue_dead, j, 1))
-            stack.append((red_set | bit, blue_set, red_count, blue_count, red_dead, blue_dead, j, 0))
-    return None, 0, prunes
+            prunes += 1
+        # the branch closed: resume the deepest blue child left. Dominance
+        # cut, on the parent's dead set: with every red copy through i
+        # broken by a blue edge other than i, i red refutes wherever i blue
+        # does. Tested here so that a refutation, which never returns to
+        # most blue children, does not pay for it
+        while stack:
+            red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i = stack.pop()
+            if red_inc[i] & ~red_dead:
+                break
+        else:
+            return None, 0, prunes
+        red_dead |= red_inc[i]
+        todo = [(i, 1)]
 
 
 def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     """(red_set, blue_set) of the least refuting coloring of f, checked, or
-    None when f arrows (g, h); then leaves and prunes.
+    None when f arrows (g, h); then leaves and prunes. g and h have an edge
+    each, as every entry point checks before its first host.
 
     The sides are edge bitsets in coloring._edge_order, as the search
     gives them, and _fault checks them. Any fault raises AssertionError, as
@@ -462,14 +499,11 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
     the search reaches first with no conflict and no cut (no edge is blue),
     so leaves and prunes are 1 and 0. _fault judges it like any other.
     """
-    if not any(g.adj) or not any(h.adj):
-        raise PreconditionError("patterns must have at least one edge")
-    red = host.get(_copy_side, g, induced)
+    red = host[_copy_side, g, induced]
     if not red.masks:
         found, leaves, prunes = ((1 << len(host.edges)) - 1, 0), 1, 0
     else:
-        blue = host.get(_copy_side, h, induced)
-        found, leaves, prunes = _search(len(host.edges), red, blue, host.get(_twin_swaps))
+        found, leaves, prunes = _search(len(host.edges), red, host[_copy_side, h, induced], host[_twin_swaps])
     if found is not None:
         fault = _fault(host, g, h, induced, *found)
         if fault is not None:
@@ -478,8 +512,10 @@ def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
+    if not any(g.adj) or not any(h.adj):
+        raise PreconditionError("patterns must have at least one edge")
     host = _host(f)
-    found, leaves, prunes = _refute(host, g, h, induced)
+    found, leaves, prunes = _refute(host, _pattern(g.adj), _pattern(h.adj), induced)
     if found is None:
         return _shared(ArrowingResult, True, None, leaves, prunes)
     red_set, blue_set = found
@@ -505,4 +541,4 @@ def ramsey_number_exact(g: Graph, h: Graph, n_max: int) -> int | NotFoundBelow:
     for n in range(lo, n_max + 1):
         if arrows_complete_non_induced(n, g, h).arrows:
             return n
-    return NotFoundBelow(n_max)
+    return _not_found_below(n_max)

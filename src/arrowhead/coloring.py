@@ -237,13 +237,13 @@ def _edge_order(f: Graph) -> tuple[tuple[int, int], ...]:
 
 
 def _order_of(host) -> tuple[tuple[int, int], ...]:
-    """_edge_order(host.f), kept by a search record through host.get."""
+    """_edge_order(host.f), kept by a search record as host[_order_of]."""
     return _edge_order(host.f)
 
 
 def _edge_rows(host, edge_set: int) -> tuple[int, ...]:
     """Neighbour rows of f of the edges whose bits edge_set holds."""
-    edges = host.get(_order_of)
+    edges = host[_order_of]
     rows = [0] * host.f.n
     while edge_set:
         low = edge_set & -edge_set
@@ -265,7 +265,7 @@ def _copies(host, pattern: Graph, induced: bool) -> tuple[int, ...]:
     """
     f = host.f
     bit = [[0] * f.n for _ in range(f.n)]
-    for i, (u, v) in enumerate(host.get(_order_of)):
+    for i, (u, v) in enumerate(host[_order_of]):
         bit[u][v] = bit[v][u] = 1 << i
     pairs = pattern.edges()
     return tuple(sorted({
@@ -283,15 +283,15 @@ def _fault(host, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int)
     may lie inside the red side, nor a copy of h inside the blue side. An
     empty blue side holds no copy of h, so its list is not built.
     """
-    n_edges = len(host.get(_order_of))
+    n_edges = len(host[_order_of])
     if red_set & blue_set or (red_set | blue_set) >> n_edges:
         return "search colored an edge twice or a non-edge"
     if red_set | blue_set != (1 << n_edges) - 1:
         return "search left host edges uncolored"
     # a copy lies inside a side when none of its edges is outside it
-    if not all(map((~red_set).__and__, host.get(_copies, g, induced))):
+    if not all(map((~red_set).__and__, host[_copies, g, induced])):
         return "search returned a coloring with a red copy of g"
-    if blue_set and not all(map((~blue_set).__and__, host.get(_copies, h, induced))):
+    if blue_set and not all(map((~blue_set).__and__, host[_copies, h, induced])):
         return "search returned a coloring with a blue copy of h"
     return None
 

@@ -98,6 +98,9 @@ class Graph:
 # ---------------------------------------------------------------------------
 # named constructors
 
+# Built once per order: a classical decision asks for K_n on every call, and
+# the host records key by it.
+@lru_cache(maxsize=64)
 def complete(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))

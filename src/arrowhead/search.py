@@ -7,17 +7,19 @@ each host's graph6 line beside it; bundled_catalog() hands out one shared
 instance. ir_exact walks orders from 1 upward and each order in scan order,
 so sparse hosts fail fast and the answer never depends on file line order.
 
-Each order is one loop over a host mask on its scan positions: every host
-in the mask goes to _decide, with its cache hit or None, and the first
-that arrows ends the sweep. The mask is all a cache changes about which
-hosts are decided. Without a cache it holds the hosts that hold both g
-and h (Catalog.holders); every other host is refuted by one color, all red
-when it holds no g, else all blue, checked by the embedder search that
-set its holder bit and found no copy. With a cache it holds every host,
-so the log gets a refutation for each host the sweep passes and none for
-the one that arrows. Every decided verdict rests on a refuting coloring
-checked on its edge bitsets against the host's copy lists by
-coloring._fault, the one judge of the search's refutations, fresh
+ir_exact first resolves g and h to one shared equal instance each
+(arrowing._pattern), so host records and holder masks find their entries
+by identity; the result still holds the caller's g and h. Without a cache
+an order's loop runs over the hosts that hold both g and h
+(Catalog.holders) and hands each straight to arrowing._refute, with no key
+and no lookup; the first that arrows ends the sweep. Every other host is
+refuted by one color, all red when it holds no g, else all blue, checked
+by the embedder search that set its holder bit and found no copy. With a
+cache the loop runs over every host, each going to _decide with its cache
+hit or None, so the log gets a refutation for each host the sweep passes
+and none for the one that arrows. Every decided verdict rests on a
+refuting coloring checked on its edge bitsets against the host's copy
+lists by coloring._fault, the one judge of the search's refutations, fresh
 (arrowing._refute) or cached. The cache holds refutations only, so it can
 make a sweep faster, never different.
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _host, _refute
+from .arrowing import NotFoundBelow, _host, _not_found_below, _pattern, _refute
 from .coloring import _fault
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, _bits, emit_graph6, find_induced_embedding, parse_graph6
@@ -328,31 +330,31 @@ def ir_exact(
             "(search cost roughly doubles per edge)"
         )
     catalog.require_orders(n_max)
-    # every cache key is f6|g6|h6; without a cache every lookup misses and
-    # the refutations found are dropped, so the keys need no pattern g6
-    tail = "" if cache is None else f"|{emit_graph6(g)}|{emit_graph6(h)}"
-    lookup = {}.get if cache is None else cache.get
+    # the records and holder masks key by these, and match by identity;
+    # the result holds the caller's g and h
+    shared_g, shared_h = _pattern(g.adj), _pattern(h.adj)
+    tail = None if cache is None else f"|{emit_graph6(g)}|{emit_graph6(h)}"  # a key is f6|g6|h6
     nonarrows = 0  # the hosts of the order below, each refuted by a checked coloring
     for order in range(1, n_max + 1):
         scan = catalog.scan(order)
         if cache is None:
-            both = catalog.holders(order, g) & catalog.holders(order, h)
-            hosts = (scan[i] for i in _bits(both))
-        else:  # every host, so the log gets a refutation for each one passed
-            hosts = scan
-        fresh = {}  # the order's checked refutations the cache lacked
-        try:
-            for f, f6 in hosts:
-                key = f6 + tail
-                hit = lookup(key)
-                found = _decide(f, g, h, hit)
-                if found is None:
+            for i in _bits(catalog.holders(order, shared_g) & catalog.holders(order, shared_h)):
+                f, f6 = scan[i]
+                if _refute(_host(f), shared_g, shared_h, True)[0] is None:
                     return IRResult(g, h, order, f6, nonarrows)
-                if found is not hit:  # a believed hit comes back as itself
-                    fresh[key] = found
-        finally:
-            if fresh and cache is not None:  # a put of nothing would still open and lock the log
-                cache.put(fresh)
+        else:  # every host, so the log gets a refutation for each one passed
+            fresh = {}  # the order's checked refutations the cache lacked
+            try:
+                for f, f6 in scan:
+                    key = f6 + tail
+                    hit = cache.get(key)
+                    found = _decide(f, shared_g, shared_h, hit)
+                    if found is None:
+                        return IRResult(g, h, order, f6, nonarrows)
+                    if found is not hit:  # a believed hit comes back as itself
+                        fresh[key] = found
+            finally:
+                if fresh:  # a put of nothing would still open and lock the log
+                    cache.put(fresh)
         nonarrows = len(scan)
-    return NotFoundBelow(n_max)
-
+    return _not_found_below(n_max)

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -375,6 +377,36 @@ def test_prove_items_search_effort_is_pinned():
     assert _effort_digest(results) == ("bf0a837336db279d", 1095, 1228)
 
 
+def test_a_second_pass_over_the_prove_items_builds_no_host(fresh_hosts):
+    # the host records hold the prove universe whole: a second pass finds
+    # each of its hosts' records, so it makes no miss
+    items = json.loads(REFERENCE.read_text())["prove"]
+    ops = [
+        (strongly_arrows, parse_graph6(item["f6"]), parse_graph6(item["g6"]), parse_graph6(item["h6"]))
+        if item["kind"] == "induced"
+        else (arrows_complete_non_induced, item["n"], parse_graph6(item["g6"]), parse_graph6(item["h6"]))
+        for item in items
+    ]
+    first = [decide(f, g, h) for decide, f, g, h in ops]
+    misses = _host.cache_info().misses
+    assert misses > 208  # more hosts than an order-6 sweep visits
+    assert [decide(f, g, h) for decide, f, g, h in ops] == first
+    assert _host.cache_info().misses == misses
+
+
+def test_complete_graphs_are_built_once():
+    # a classical decision reads K_n from one instance per order, and every
+    # classical verdict of the prove universe is that of a K_n built afresh
+    assert complete(9) is complete(9)
+    items = [item for item in json.loads(REFERENCE.read_text())["prove"] if item["kind"] == "classical"]
+    assert len(items) == 14
+    for item in items:
+        n, g, h = item["n"], parse_graph6(item["g6"]), parse_graph6(item["h6"])
+        res = arrows_complete_non_induced(n, g, h)
+        assert res.arrows == item["arrows"], item
+        assert res == arrowing._run(Graph(n, complete(n).adj), g, h, False), item
+
+
 def test_witness_panel_search_effort_is_pinned(catalog):
     # the loop of test_witnesses_are_pinned
     panel = [path(3), complete(3), path(4), cycle(4), matching(2)]
@@ -393,7 +425,7 @@ def _searched(host, g, h, induced):
     record = _host(host)
     edges = _edge_order(host)
     found, leaves, prunes = _search(
-        len(edges), _copy_side(record, g, induced), _copy_side(record, h, induced), record.get(_twin_swaps)
+        len(edges), _copy_side(record, g, induced), _copy_side(record, h, induced), record[_twin_swaps]
     )
     red_set, blue_set = found
     side = {True: [], False: []}
@@ -492,7 +524,8 @@ def test_twin_swaps_are_automorphisms(catalog):
                 v = parent[v]
             return v
 
-        for a_mask, b_mask, pairs in _host(host).get(_twin_swaps):
+        twins = _host(host)[_twin_swaps]
+        for a_mask, b_mask, pairs in twins.swaps:
             assert [a for a, _ in pairs] == sorted(a for a, _ in pairs)
             assert all(a < b for a, b in pairs)
             assert a_mask == sum(a for a, _ in pairs) and b_mask == sum(b for _, b in pairs)
@@ -506,6 +539,9 @@ def test_twin_swaps_are_automorphisms(catalog):
             relabelled = relabel(host, [v if x == u else u if x == v else x for x in range(host.n)])
             assert relabelled.adj == host.adj
             parent[root(u)] = root(v)
+        # the record's ORs over all swaps, which the search tests first
+        assert twins.a_any == reduce(or_, (a for a, _, _ in twins.swaps), 0)
+        assert twins.b_any == reduce(or_, (b for _, b, _ in twins.swaps), 0)
         for u, v in combinations(range(host.n), 2):
             if host.adj[u] & ~(1 << v) == host.adj[v] & ~(1 << u):  # twins
                 # a swap moving no edge cuts nothing, so it may be left out
@@ -519,9 +555,9 @@ def test_symmetry_cut_only_closes_branches_with_a_smaller_image(catalog):
     # has a lexicographically smaller image (red before blue, lowest edge
     # index first) under some swap: the least refuting coloring never does
     rng = random.Random(9)
-    hosts = [f for order in range(3, 6) for f in catalog.graphs(order) if _host(f).get(_twin_swaps)]
+    hosts = [f for order in range(3, 6) for f in catalog.graphs(order) if _host(f)[_twin_swaps].swaps]
     for host in hosts:
-        swaps = _host(host).get(_twin_swaps)
+        swaps = _host(host)[_twin_swaps].swaps
         n_edges = host.edge_count()
 
         def image(blue):

@@ -1,11 +1,13 @@
-"""The benchmark traces public functions by name; each name must still resolve."""
+"""The benchmark's contract: every traced name resolves, and every committed result follows BENCHMARK.json."""
 import importlib
+import json
 import runpy
 from pathlib import Path
 
 from arrowhead.search import ResultCache
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_traced_name_resolves():
@@ -29,3 +31,18 @@ def test_cache_path_is_the_file_put_writes(tmp_path):
     cache.put({"A_|A_|A_": (1, 0)})
     assert list(tmp_path.iterdir()) == [cache.path]
     assert cache.path.stat().st_size > 0
+
+
+def test_committed_bench_results_follow_the_contract():
+    # each root BENCH_<workload>_<tag>.json is one correct run of a declared
+    # workload, with exactly the contract's end-to-end metrics and units
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in contract["workloads"]}
+    units = {m["name"]: m["unit"] for m in contract["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        assert path.stem[len("BENCH_"):].rpartition("_")[0] in workloads, path.name
+        result = json.loads(path.read_text())
+        assert result["correct"] is True, path.name
+        assert {name: metric["unit"] for name, metric in result["metrics"].items()} == units, path.name

@@ -16,6 +16,7 @@ from arrowhead.arrowing import NotFoundBelow, _host, _refute, strongly_arrows
 from arrowhead.coloring import EdgeColoring, _edge_order, verify_witness
 from arrowhead.errors import ArrowheadError, CatalogError, PreconditionError
 from arrowhead.graphs import (
+    Graph,
     complete,
     cycle,
     emit_graph6,
@@ -1121,6 +1122,34 @@ def test_ir_result_holds_the_callers_graphs(catalog):
     assert res.g is g and res.h is h
     assert res.pair == ("C`", "A_")
     assert res.checked_orders == (1, 2, 3, 4)
+
+
+def test_a_repeated_sweep_finds_its_records_by_identity(catalog, fresh_hosts, monkeypatch):
+    # ir_exact resolves its patterns to one shared equal instance, so a second
+    # call with freshly parsed patterns finds every host record, side record
+    # and holder mask by identity: no side is built and no Graph.__eq__ runs.
+    # A catalog of its own, so no earlier test's pattern keys its holder masks
+    catalog = Catalog(catalog.directory)
+    built, compared = [], []
+    real_side, real_eq = arrowing._copy_side, Graph.__eq__
+
+    def side(*args):
+        built.append(args)
+        return real_side(*args)
+
+    def eq(a, b):
+        compared.append((a, b))
+        return real_eq(a, b)
+
+    monkeypatch.setattr(arrowing, "_copy_side", side)
+    monkeypatch.setattr(Graph, "__eq__", eq)
+    first = ir_exact(parse_graph6("Ck"), parse_graph6("Bw"), catalog, n_max=6)
+    assert first == NotFoundBelow(6) and built
+    built.clear()
+    compared.clear()
+    # the same NotFoundBelow value, too
+    assert ir_exact(parse_graph6("Ck"), parse_graph6("Bw"), catalog, n_max=6) is first
+    assert built == [] and compared == []
 
 
 def test_ir_not_found_below(catalog):
