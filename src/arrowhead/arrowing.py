@@ -537,6 +537,8 @@ def ramsey_number_exact(g: Graph, h: Graph, n_max: int) -> int | NotFoundBelow:
     """Least n <= n_max with K_n -> (g, h) non-induced, else NotFoundBelow."""
     if g.edge_count() == 0 or h.edge_count() == 0:
         raise PreconditionError("patterns must have at least one edge")
+    if n_max < 1:
+        raise PreconditionError(f"n_max must be at least 1, got {n_max}")
     lo = max(g.n, h.n)
     for n in range(lo, n_max + 1):
         if arrows_complete_non_induced(n, g, h).arrows:

@@ -8,6 +8,8 @@ Exit codes partition outcomes: 0 for a positive answer (arrows, valid,
 certified, value found), 10 for a negative answer with certificate (does not
 arrow, nothing found below the cap), 11 for a rejected witness coloring, and
 1 for input or contract errors.
+`ir` keeps no result cache unless `--cache PATH` names its log file, as
+`ir_exact` keeps none unless it is given one.
 """
 from __future__ import annotations
 
@@ -32,9 +34,6 @@ from .constructions import (
 from .errors import ArrowheadError, ColoringMismatchError, PreconditionError
 from .graphs import MAX_ORDER, Graph, complete, cycle, disjoint_union, emit_graph6, parse_graph6, path, star
 from .search import DEFAULT_ORDER_CAP, Catalog, ResultCache, bundled_catalog, ir_exact
-
-DEFAULT_CACHE = "ir-cache.json"
-CACHE_ENV = "ARROWHEAD_CACHE"
 
 _SYMBOLIC = re.compile(r"^(\d*)([KPCS])_?(\d+)$")
 
@@ -78,13 +77,6 @@ def _write_out(out_path: str | None, payload: dict | None) -> None:
             Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
         except OSError as exc:
             raise PreconditionError(f"cannot write {out_path}: {exc}") from exc
-
-
-def _open_cache(args) -> ResultCache | None:
-    if args.no_cache:
-        return None
-    path = args.cache or os.environ.get(CACHE_ENV) or DEFAULT_CACHE
-    return ResultCache(path)
 
 
 def cmd_arrows(args) -> tuple[dict, int]:
@@ -170,10 +162,12 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_ir(args) -> tuple[dict, int]:
+    if args.cache == "":
+        raise PreconditionError("--cache needs a file path")
     g = parse_graph_arg(args.g)
     h = parse_graph_arg(args.h)
     catalog = Catalog(args.catalog) if args.catalog else bundled_catalog()
-    cache = _open_cache(args)
+    cache = None if args.cache is None else ResultCache(args.cache)
     res = ir_exact(g, h, catalog, n_max=args.n_max, cache=cache, allow_large=args.allow_large)
     if isinstance(res, NotFoundBelow):
         result, code = {"g": emit_graph6(g), "h": emit_graph6(h), "ir": None, "n_max": res.n_max}, 10
@@ -243,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="catalog directory (default: bundled, orders 1-7)")
     p.add_argument("--n-max", type=int, default=DEFAULT_ORDER_CAP)
     p.add_argument("--allow-large", action="store_true", help=f"permit sweeps beyond order {DEFAULT_ORDER_CAP}")
-    p.add_argument("--cache", help=f"cache file (default ${CACHE_ENV} or ./{DEFAULT_CACHE})")
-    p.add_argument("--no-cache", action="store_true")
+    p.add_argument("--cache", metavar="PATH", help="read and append refutations in this log file (default: no cache)")
     p.add_argument("--out", help="also write the result JSON here")
     p.set_defaults(func=cmd_ir, echo=("g", "h", "n_max"))
 

@@ -324,6 +324,8 @@ def ir_exact(
     """Least order whose catalog holds a graph arrowing (g, h), with receipts."""
     if g.edge_count() == 0 or h.edge_count() == 0:
         raise PreconditionError("patterns must have at least one edge")
+    if n_max < 1:
+        raise PreconditionError(f"n_max must be at least 1, got {n_max}")
     if n_max > DEFAULT_ORDER_CAP and not allow_large:
         raise PreconditionError(
             f"orders beyond {DEFAULT_ORDER_CAP} are refused without allow_large "

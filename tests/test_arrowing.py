@@ -142,6 +142,12 @@ def test_ramsey_number_values():
     assert missed.n_max == 5
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_ramsey_refuses_an_order_cap_below_1(n_max):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        ramsey_number_exact(complete(3), complete(3), n_max)
+
+
 def test_ramsey_asymmetric_pair():
     # R(P_3, K_3) = 5: the 4-vertex red perfect matching kills both sides
     assert ramsey_number_exact(path(3), complete(3), 6) == 5

@@ -101,8 +101,8 @@ ALL_RED = {"n": 3, "red": [[0, 1], [0, 2], [1, 2]], "blue": []}
             {"f": "K3", "coloring": "all-red.json", "g": "K3", "h": "K3"},
             11,
         ),
-        (["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"], {"g": "2K2", "h": "K2", "n_max": 4}, 0),
-        (["ir", "--no-cache", "--g", "K3", "--h", "K3", "--n-max", "5"], {"g": "K3", "h": "K3", "n_max": 5}, 10),
+        (["ir", "--g", "2K2", "--h", "K2", "--n-max", "4"], {"g": "2K2", "h": "K2", "n_max": 4}, 0),
+        (["ir", "--g", "K3", "--h", "K3", "--n-max", "5"], {"g": "K3", "h": "K3", "n_max": 5}, 10),
         (["ramsey", "--g", "K3", "--h", "K3", "--n-max", "7"], {"g": "K3", "h": "K3", "n_max": 7}, 0),
         (["ramsey", "--n-max", "5", "--g", "K3", "--h", "K3"], {"g": "K3", "h": "K3", "n_max": 5}, 10),
     ],
@@ -166,8 +166,8 @@ def test_arrows_positive_writes_null(capsys, tmp_path):
     [
         ["arrows", "--f", "K5", "--g", "K3", "--h", "K3"],
         pytest.param(["arrows", "--f", "K6", "--g", "K3", "--h", "K3"], id="arrows-positive"),
-        ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"],
-        pytest.param(["ir", "--g", "P4", "--h", "K3", "--n-max", "5", "--no-cache"], id="ir-not-found"),
+        ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4"],
+        pytest.param(["ir", "--g", "P4", "--h", "K3", "--n-max", "5"], id="ir-not-found"),
         ["construct", "--method", "t1", "--f", "K5", "--alpha", "2", "--omega", "3"],
     ],
     ids=lambda argv: argv[0],
@@ -182,8 +182,8 @@ def test_unwritable_out_is_exit_1(capsys, tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"], 0),
-        (["ir", "--g", "P4", "--h", "K3", "--n-max", "5", "--no-cache"], 10),
+        (["ir", "--g", "2K2", "--h", "K2", "--n-max", "4"], 0),
+        (["ir", "--g", "P4", "--h", "K3", "--n-max", "5"], 10),
     ],
     ids=["found", "not-found"],
 )
@@ -324,7 +324,7 @@ def test_construct_size_guard_maps_to_error_exit(capsys):
 # ir and ramsey
 
 def test_ir_matching_pair(capsys):
-    code, env, _ = run_cli(capsys, ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--no-cache"])
+    code, env, _ = run_cli(capsys, ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4"])
     assert code == 0
     assert env["result"] == {
         "g": "C`",
@@ -336,55 +336,56 @@ def test_ir_matching_pair(capsys):
 
 
 def test_ir_not_found_is_exit_10(capsys):
-    code, env, _ = run_cli(capsys, ["ir", "--g", "K3", "--h", "K3", "--n-max", "5", "--no-cache"])
+    code, env, _ = run_cli(capsys, ["ir", "--g", "K3", "--h", "K3", "--n-max", "5"])
     assert code == 10
     assert env["result"] == {"g": "Bw", "h": "Bw", "ir": None, "n_max": 5}
 
 
-def test_ir_writes_default_cache_in_cwd(capsys, tmp_path, monkeypatch):
+def test_bare_ir_keeps_no_cache(capsys, tmp_path, monkeypatch):
+    # no environment variable or default file names a cache: a bare run
+    # writes nothing, and --cache is the one setting
+    cwd, elsewhere = tmp_path / "cwd", tmp_path / "elsewhere"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("ARROWHEAD_CACHE", str(elsewhere / "memo.json"))
+    argv = ["ir", "--g", "P4", "--h", "P3", "--n-max", "7"]
+    code, env, _ = run_cli(capsys, argv)
+    assert list(tmp_path.rglob("*")) == [cwd]
+    cached = tmp_path / "explicit.json"
+    cached_code, cached_env, _ = run_cli(capsys, argv + ["--cache", str(cached)])
+    assert sorted(tmp_path.rglob("*")) == [cwd, cached]
+    assert (code, env["result"]) == (cached_code, cached_env["result"])
+    assert (code, env["result"]["ir"], env["result"]["witness"]) == (0, 7, "Fh_gG")
+
+
+def test_empty_cache_path_is_exit_1(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("ARROWHEAD_CACHE", raising=False)
-    code, _, _ = run_cli(capsys, ["ir", "--g", "K2", "--h", "K2", "--n-max", "2"])
-    assert code == 0
-    assert (tmp_path / "ir-cache.json").is_file()
+    code, env, err = run_cli(capsys, ["ir", "--g", "K2", "--h", "K2", "--n-max", "2", "--cache", ""])
+    assert (code, env) == (1, None)
+    assert "error: --cache needs a file path" in err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_ir_cache_env_override(capsys, tmp_path, monkeypatch):
-    target = tmp_path / "elsewhere" / "memo.json"
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("ARROWHEAD_CACHE", str(target))
-    code, _, _ = run_cli(capsys, ["ir", "--g", "K2", "--h", "K2", "--n-max", "2"])
-    assert code == 0
-    assert target.is_file()
-    assert not (tmp_path / "ir-cache.json").exists()
+def test_no_cache_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ir", "--g", "K2", "--h", "K2", "--n-max", "2", "--no-cache"])
+    assert exc.value.code == 2
+    assert "--no-cache" in capsys.readouterr().err
 
 
-def test_ir_cache_flag_beats_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("ARROWHEAD_CACHE", str(tmp_path / "ignored.json"))
-    code, _, _ = run_cli(
-        capsys, ["ir", "--g", "K2", "--h", "K2", "--n-max", "2", "--cache", str(tmp_path / "explicit.json")]
-    )
-    assert code == 0
-    assert (tmp_path / "explicit.json").is_file()
-    assert not (tmp_path / "ignored.json").exists()
-
-
-def test_ir_calls_in_one_process_keep_their_own_caches(capsys, tmp_path, monkeypatch):
+def test_ir_calls_in_one_process_keep_their_own_caches(capsys, tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    monkeypatch.setenv("ARROWHEAD_CACHE", str(first))
-    code, env, _ = run_cli(capsys, ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4"])
+    code, env, _ = run_cli(capsys, ["ir", "--g", "2K2", "--h", "K2", "--n-max", "4", "--cache", str(first)])
     assert (code, env["result"]["ir"], env["result"]["witness"]) == (0, 4, "C`")
     written = first.read_bytes()
 
-    monkeypatch.setenv("ARROWHEAD_CACHE", str(second))
     with pytest.raises(SystemExit) as exc:
-        main(["ir", "--g", "P3", "--h", "K2", "--n-max", "three"])
+        main(["ir", "--g", "P3", "--h", "K2", "--n-max", "three", "--cache", str(second)])
     assert exc.value.code == 2
     capsys.readouterr()
     assert not second.exists()
 
-    code, env, _ = run_cli(capsys, ["ir", "--g", "P3", "--h", "K2", "--n-max", "4"])
+    code, env, _ = run_cli(capsys, ["ir", "--g", "P3", "--h", "K2", "--n-max", "4", "--cache", str(second)])
     assert code == 0
     assert env["inputs"] == {"g": "P3", "h": "K2", "n_max": 4}
     assert (env["result"]["g"], env["result"]["ir"]) == ("Bg", 3)
@@ -404,7 +405,7 @@ def test_unwritable_cache_gives_the_cacheless_answer(capsys, tmp_path):
         code, env, _ = run_cli(capsys, argv + ["--cache", str(tmp_path)])
     messages = [str(w.message).split(" result cache ")[0] for w in caught]
     assert messages == ["ignoring unreadable", "not writing"]
-    bare_code, bare, _ = run_cli(capsys, argv + ["--no-cache"])
+    bare_code, bare, _ = run_cli(capsys, argv)
     assert (code, env["result"]) == (bare_code, bare["result"])
     assert (code, env["result"]["ir"], env["result"]["witness"]) == (0, 7, "Fh_gG")
 
@@ -414,7 +415,7 @@ def test_unreadable_catalog_file_is_exit_1(capsys, tmp_path):
     (tmp_path / "n2.g6").write_bytes(b"A_\n\xff\n")
     code, env, err = run_cli(
         capsys,
-        ["ir", "--g", "K2", "--h", "K2", "--catalog", str(tmp_path), "--n-max", "2", "--no-cache"],
+        ["ir", "--g", "K2", "--h", "K2", "--catalog", str(tmp_path), "--n-max", "2"],
     )
     assert code == 1
     assert env is None
@@ -424,7 +425,7 @@ def test_unreadable_catalog_file_is_exit_1(capsys, tmp_path):
 def test_no_cache_runs_are_deterministic(capsys):
     def once():
         _, env, _ = run_cli(
-            capsys, ["ir", "--g", "P3", "--h", "K2", "--n-max", "3", "--no-cache"]
+            capsys, ["ir", "--g", "P3", "--h", "K2", "--n-max", "3"]
         )
         env.pop("elapsed_ms")
         return env
@@ -439,6 +440,22 @@ def test_ramsey_values(capsys):
     code, env, _ = run_cli(capsys, ["ramsey", "--g", "K3", "--h", "K3", "--n-max", "5"])
     assert code == 10
     assert env["result"]["ramsey"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ir", "--g", "P4", "--h", "K3", "--n-max", "-3"],
+        ["ramsey", "--g", "K3", "--h", "K3", "--n-max", "-1"],
+        ["bounds", "--g", "P4", "--h", "K3", "--ramsey-budget", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_order_cap_below_1_is_exit_1(capsys, argv):
+    # exit 10 would claim a negative answer, but no host was checked
+    code, env, err = run_cli(capsys, argv)
+    assert (code, env) == (1, None)
+    assert "error: n_max must be at least 1, got" in err
 
 
 def test_bounds_command(capsys):

@@ -175,7 +175,7 @@ def test_a_corrupt_line_is_a_miss_without_a_warning(tmp_path):
         + '{"j": "yes", "A_|A_|A_": 5}\n'
         + '{"k": {"arrows": "yes"}}'
     )
-    cache, warned = _open_cache(cache_file)
+    cache, warned = _load_cache(cache_file)
     assert not warned
     assert cache._data == {"A_|A_|A_": (1, 0)}
     assert cache.get("k") is None and cache.get("j") is None
@@ -242,7 +242,7 @@ def test_put_after_a_single_object_without_final_newline(tmp_path):
 def test_a_torn_last_line_costs_only_itself(tmp_path):
     cache_file = tmp_path / "cache.json"
     cache_file.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}) + '\n{"k": {"arr')
-    cache, warned = _open_cache(cache_file)
+    cache, warned = _load_cache(cache_file)
     assert not warned
     assert cache._data == {"A_|A_|A_": (1, 0)}
 
@@ -256,7 +256,7 @@ def test_a_put_after_a_torn_last_line_starts_a_new_line(tmp_path):
     cache_file.write_text(first + "\n" + torn)
     loaded = []
     for g6 in ("Bw", "C~"):
-        cache, warned = _open_cache(cache_file)
+        cache, warned = _load_cache(cache_file)
         assert not warned
         loaded.append(sorted(cache._data))
         cache.put({f"{g6}|A_|A_": (0, 7)})
@@ -271,7 +271,7 @@ def test_a_put_keeps_the_last_line_of_a_text_file(tmp_path):
     # put, even one whose last line has no newline
     cache_file = tmp_path / "notes.txt"
     cache_file.write_text("first line\nlast line")
-    cache, warned = _open_cache(cache_file)
+    cache, warned = _load_cache(cache_file)
     assert not warned and cache._data == {}
     cache.put({"A_|A_|A_": (1, 0)})
     lines = cache_file.read_text().splitlines()
@@ -357,7 +357,7 @@ def test_a_log_whose_lines_are_not_each_json_is_dropped(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "_last_log", (b"", {}))
     cache_file = tmp_path / "cache.json"
     cache_file.write_text('{"k": {"arrows": true, "w": "\n"}}],[{"A_|A_|A_": {"arrows": true}}\n')
-    cache, warned = _open_cache(cache_file)
+    cache, warned = _load_cache(cache_file)
     assert not warned
     assert cache._data == {}
 
@@ -413,7 +413,7 @@ def test_a_cache_file_gone_before_its_read_loads_empty_silently(tmp_path, monkey
     assert cache._data == {}
 
 
-def _open_cache(path):
+def _load_cache(path):
     """A fresh ResultCache on path, and whether loading it warned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -506,10 +506,10 @@ def test_incremental_log_load_matches_a_full_parse(tmp_path, monkeypatch, seed):
         act()
         remembered = search._last_log
         reused += bool(remembered[0]) and data().startswith(remembered[0])
-        current, warned = _open_cache(cache_file)
+        current, warned = _load_cache(cache_file)
         kept = search._last_log
         monkeypatch.setattr(search, "_last_log", (b"", {}))
-        full, full_warned = _open_cache(cache_file)
+        full, full_warned = _load_cache(cache_file)
         monkeypatch.setattr(search, "_last_log", kept)
         assert (current._data, warned) == (full._data, full_warned), act.__name__
         if warned:
@@ -1033,7 +1033,7 @@ def test_an_unreadable_line_costs_only_itself(catalog, order6_logs, data):
         garbled, intact = Path(tmp) / "garbled.json", Path(tmp) / "intact.json"
         garbled.write_bytes(b"".join(line + b"\n" for line, _ in rows) + torn)
         intact.write_bytes(b"".join(line + b"\n" for line, key in rows if key is not None))
-        cache, warned = _open_cache(garbled)
+        cache, warned = _load_cache(garbled)
         assert not warned
         assert cache._data == ResultCache(intact)._data
         with mock.patch.object(search, "_refute", wraps=search._refute) as refute:
@@ -1169,6 +1169,12 @@ def test_ir_refuses_large_orders_without_override(catalog):
 def test_ir_rejects_edgeless_patterns(catalog):
     with pytest.raises(PreconditionError):
         ir_exact(complete(1), complete(2), catalog)
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_ir_refuses_an_order_cap_below_1(catalog, n_max):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        ir_exact(path(4), complete(3), catalog, n_max=n_max)
 
 
 def test_ir_gap_error_comes_before_scanning(tmp_path):
