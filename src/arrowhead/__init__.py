@@ -47,7 +47,6 @@ from .errors import (
 from .graphs import (
     Embedding,
     Graph,
-    check_embedding,
     chromatic_number,
     clique_number,
     complement,

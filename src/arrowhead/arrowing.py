@@ -44,16 +44,6 @@ refuting coloring is never larger than its own image, so no cut removes it
 and witnesses are those of the search without cuts. prunes counts these
 symmetry cuts together with the conflicts.
 
-A dominance cut, DPLL's pure-literal rule made safe for the least witness,
-drops the blue branch on an edge j when every red copy through j already
-holds a blue edge (so also when j lies in no red copy). A refuting
-completion with j blue still refutes with j red: no red copy through j can
-complete, and the blue side only loses an edge. That recolored completion
-is lexicographically smaller, so the least refuting coloring is never in
-the dropped branch, and if the red branch holds no refuting coloring the
-blue one holds none either. A dropped branch is never opened, so it counts
-in neither leaves nor prunes.
-
 Before the first branch the search colors every edge that is a copy of g
 by itself blue and every edge that is a copy of h by itself red, and
 propagates from them as from any forced edge (root forcing; K2+K1's
@@ -163,7 +153,9 @@ class _Twins(NamedTuple):
     swaps: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     # the ORs of the swaps' a_masks and of their b_masks: a cut needs a blue
     # a-edge and a red b-edge in one swap, and testing these first skips the
-    # per-swap walk at most nodes of a short search
+    # per-swap walk at most nodes of a short search. Measured on a Xeon:
+    # without them the ir-sweep benchmark ran 5-8% fewer ops/s, with p50
+    # 7-9% higher, in every one of 7 paired 10 s runs
     a_any: int
     b_any: int
 
@@ -373,10 +365,6 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
     families onto themselves. A branch whose colors make every completion
     lexicographically larger than its image under one of them is closed:
     the image refutes too, so the least refuting coloring is not there.
-    The blue child of edge j is dropped when every red copy through j holds
-    a blue edge: recoloring j red in any refuting completion below it
-    completes no red copy and removes a blue edge, so it gives a smaller
-    refuting completion in the red child.
 
     leaves counts complete colorings reached (0 on a proof, 1 on a
     refutation); prunes counts branches closed by a conflict, including
@@ -470,17 +458,10 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
                 todo = [(i, 0)]
                 continue
             prunes += 1
-        # the branch closed: resume the deepest blue child left. Dominance
-        # cut, on the parent's dead set: with every red copy through i
-        # broken by a blue edge other than i, i red refutes wherever i blue
-        # does. Tested here so that a refutation, which never returns to
-        # most blue children, does not pay for it
-        while stack:
-            red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i = stack.pop()
-            if red_inc[i] & ~red_dead:
-                break
-        else:
+        # the branch closed: resume the deepest blue child left
+        if not stack:
             return None, 0, prunes
+        red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i = stack.pop()
         red_dead |= red_inc[i]
         todo = [(i, 1)]
 

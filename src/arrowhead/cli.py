@@ -144,7 +144,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     h = parse_graph_arg(args.h)
     try:
         data = json.loads(Path(args.coloring).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    # ValueError: not UTF-8, or not JSON; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ColoringMismatchError(f"coloring file {args.coloring} is not readable JSON: {exc}") from exc
     n = data.get("n") if isinstance(data, dict) else None
     # refuse an order past the host's before one row per declared vertex is built

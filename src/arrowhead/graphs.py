@@ -446,30 +446,6 @@ def find_subgraph_embedding(host: Graph, pattern: Graph) -> Embedding | None:
     return find_induced_embedding(host, pattern, induced=False)
 
 
-def check_embedding(
-    host: Graph,
-    pattern: Graph,
-    emb: Embedding,
-    induced: bool = True,
-) -> bool:
-    """Definition-level validation of an embedding, independent of the search."""
-    if emb.pattern_order != pattern.n or len(emb.map) != pattern.n:
-        return False
-    if len(set(emb.map)) != len(emb.map):
-        return False
-    if any(not (0 <= w < host.n) for w in emb.map):
-        return False
-    for a in range(pattern.n):
-        for b in range(a + 1, pattern.n):
-            want = pattern.has_edge(a, b)
-            have = host.has_edge(emb.map[a], emb.map[b])
-            if induced and want != have:
-                return False
-            if not induced and want and not have:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # graph6 short form
 

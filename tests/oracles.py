@@ -239,6 +239,26 @@ def brute_first_embedding(host: Graph, pattern: Graph, allowed=None, induced=Tru
     return next(brute_embeddings(host, pattern, allowed, induced), None)
 
 
+def check_embedding(host: Graph, pattern: Graph, emb, induced: bool = True) -> bool:
+    """Whether emb (an Embedding) maps pattern into host, checked pair by pair
+    from the definition: induced, or with induced=False pattern edges only."""
+    if emb.pattern_order != pattern.n or len(emb.map) != pattern.n:
+        return False
+    if len(set(emb.map)) != len(emb.map):
+        return False
+    if any(not (0 <= w < host.n) for w in emb.map):
+        return False
+    for a in range(pattern.n):
+        for b in range(a + 1, pattern.n):
+            want = pattern.has_edge(a, b)
+            have = host.has_edge(emb.map[a], emb.map[b])
+            if induced and want != have:
+                return False
+            if not induced and want and not have:
+                return False
+    return True
+
+
 class PairColoring:
     """Reference coloring kept as frozensets of pairs (u, v), u < v, for
     differential tests of EdgeColoring's neighbour rows. Building one and

@@ -140,6 +140,8 @@ def test_ramsey_number_values():
     missed = ramsey_number_exact(complete(3), complete(3), 5)
     assert isinstance(missed, NotFoundBelow)
     assert missed.n_max == 5
+    # 1 is the least cap allowed, and no K_n with n <= 1 holds a K3
+    assert ramsey_number_exact(complete(3), complete(3), 1) == NotFoundBelow(1)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -326,8 +328,8 @@ def _oracle_result(host, g, h, induced):
 
 
 def test_verdicts_and_witnesses_match_plain_dfs(catalog):
-    # K2+K1's induced copies are single edges, so the dominance cut takes
-    # every other edge red only: the cut fires most there
+    # K2+K1's induced copies are single edges, so root forcing colors them
+    # all blue before the first branch: it does most of the work there
     k2_k1 = parse_graph6("B_")
     panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2), k2_k1]
     for host in [g for order in range(1, 7) for g in catalog.graphs(order)]:
@@ -380,7 +382,7 @@ def test_prove_items_search_effort_is_pinned():
         for item in items
     ]
     assert [res.arrows for res in results] == [item["arrows"] for item in items]
-    assert _effort_digest(results) == ("bf0a837336db279d", 1095, 1228)
+    assert _effort_digest(results) == ("3726e8fe3b79c78d", 1135, 1268)
 
 
 def test_a_second_pass_over_the_prove_items_builds_no_host(fresh_hosts):
@@ -423,7 +425,7 @@ def test_witness_panel_search_effort_is_pinned(catalog):
         for g, h in product(panel, repeat=2)
     ]
     assert len(results) == 5125
-    assert _effort_digest(results) == ("efe445f16691bdab", 229, 410)
+    assert _effort_digest(results) == ("db2de1373afa201c", 256, 439)
 
 
 def _searched(host, g, h, induced):
@@ -485,10 +487,10 @@ def test_k10_arrows_c4_k4_within_counted_work():
 
 def test_dense_host_arrows_k2_k1_k3_within_counted_work():
     # This order-10 host has 37 edges and 7 induced copies of K2+K1, each a
-    # single edge. Without the dominance cut the DFS closed 15,167 branches,
-    # trying blue on the 30 edges that lie in no red copy; with it, 5. Those
-    # 7 edges are colored blue at the root, and propagating from them closes
-    # the proof in 1.
+    # single edge. Those 7 edges are colored blue at the root, and
+    # propagating from them closes the proof in 1; without root forcing the
+    # DFS closes 15,167 branches, trying blue on the 30 edges that lie in
+    # no red copy.
     res = strongly_arrows(parse_graph6("In}~M~znW"), parse_graph6("B_"), complete(3))
     assert res.arrows
     assert res.colorings_explored == 0

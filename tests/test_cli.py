@@ -230,10 +230,13 @@ def test_verify_rejects_malformed_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", [None, b'{"n": 3, "red": [], "blue": []}\xff'], ids=["missing", "not-utf8"]
+    "content",
+    [None, b'{"n": 3, "red": [], "blue": []}\xff', b"[" * 5000],
+    ids=["missing", "not-utf8", "nested-too-deep"],
 )
 def test_verify_rejects_unreadable_coloring_file(capsys, tmp_path, content):
-    # a missing file, and one that is not UTF-8
+    # a missing file, one that is not UTF-8, and one nested so deep that
+    # json.loads raises RecursionError, not ValueError
     coloring = tmp_path / "coloring.json"
     if content is not None:
         coloring.write_bytes(content)

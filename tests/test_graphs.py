@@ -9,7 +9,6 @@ from arrowhead.graphs import (
     Embedding,
     Graph,
     _embeddings,
-    check_embedding,
     chromatic_number,
     clique_number,
     cliques_of_size,
@@ -44,6 +43,7 @@ from .oracles import (
     brute_induced_copies,
     brute_is_iso,
     brute_subgraph_copies,
+    check_embedding,
 )
 
 
