@@ -7,14 +7,17 @@ but one edge in one color forces its last edge to the other color, and a
 branch closes as soon as the edges colored so far complete a monochromatic
 copy. So a proof reaches no complete coloring at all; its effort is the
 number of branches closed, not 2^|E(f)|. The walk dives: it takes each red
-child in place and stacks only the blue children it may come back to.
-Propagation counts each copy's
-edges of its own color for all copies at once, as packed bitsets over copy
-indices, one level per count (DPLL's counting scheme done bit-parallel on
-Python ints), so coloring an edge costs a fixed number of integer
-operations however many copies pass through it. The tree, the witnesses
-and the counters are those of the scan over each edge's list of copy masks
-that the counting replaced.
+child in place and stacks only the blue children it may come back to. A
+dive ends as soon as every copy of g holds a blue edge: coloring every
+edge left red then completes no red copy and adds no blue edge, so the
+all-red completion is the dive's own leaf and is returned at once (DPLL's
+pure-literal rule, which settles every remaining edge red). Propagation
+counts each copy's edges of its own color for all copies at once, as
+packed bitsets over copy indices, one level per count (DPLL's counting
+scheme done bit-parallel on Python ints), so coloring an edge costs a
+fixed number of integer operations however many copies pass through it.
+The tree, the witnesses and the counters are those of the scan over each
+edge's list of copy masks that the counting replaced.
 
 The classical (non-induced, complete host) variant lives here too: it is
 the same search with ordinary instead of induced containment. Both build
@@ -32,8 +35,10 @@ their patterns to one shared instance each (_pattern), so those entries
 match by identity.
 
 This module holds the search only. Each refuting coloring it returns, all
-red for a host with no copy of g included, is judged by coloring._fault and
-decoded by coloring._edge_rows, in the judge's edge order, the search's own.
+red for a host with no copy of g included, is judged by coloring._fault,
+and its blue side is decoded by coloring._edge_rows, in the judge's edge
+order, the search's own; the red rows are f's rows without the blue ones,
+since the judge checked that the two sides cover f's edges.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -356,6 +361,15 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
     first complete coloring reached is the lexicographically least refuting
     one, the same a DFS without forced moves finds.
 
+    A node whose propagation ends without a conflict, with every red copy
+    dead (each holds a blue edge), returns its all-red completion. Red
+    completes no copy there, and the blue side is final and, with no
+    conflict, holds no whole copy. That completion is the first leaf the
+    dive would reach, red first: no red child meets a conflict, and no cut
+    closes a branch holding the least refuting coloring. So leaves is 1 and
+    prunes the count so far, as at that leaf; a complete coloring with no
+    conflict is this case with no edge left.
+
     Before the first branch every red unit (red.units) is colored blue and
     every blue unit red, as forced moves, and the same propagation runs
     from all of them. An edge in both closes the root (leaves 0, prunes 1):
@@ -445,9 +459,11 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
             prunes += 1
             break
         else:  # propagation ended without a conflict
+            # every red copy holds a blue edge, so the all-red completion,
+            # this dive's own leaf, refutes
+            if red_dead & red_low == red_low:
+                return (full ^ blue_set, blue_set), 1, prunes
             colored = red_set | blue_set
-            if colored == full:
-                return (red_set, blue_set), 1, prunes
             if not (a_any & blue_set and b_any & red_set and _lex_larger_than_image(swaps, red_set, blue_set)):
                 bit = ~colored & (colored + 1)  # the lowest uncolored edge
                 i = bit.bit_length() - 1
@@ -499,8 +515,9 @@ def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
     found, leaves, prunes = _refute(host, _pattern(g.adj), _pattern(h.adj), induced)
     if found is None:
         return _shared(ArrowingResult, True, None, leaves, prunes)
-    red_set, blue_set = found
-    witness = _shared(EdgeColoring, f.n, _edge_rows(host, red_set), _edge_rows(host, blue_set))
+    # the judge checked that the sides cover f's edges, so red is the rest
+    blue_rows = _edge_rows(host, found[1])
+    witness = _shared(EdgeColoring, f.n, tuple(map(int.__xor__, f.adj, blue_rows)), blue_rows)
     return _shared(ArrowingResult, False, witness, leaves, prunes)
 
 

@@ -1,13 +1,16 @@
 """Command-line front door.
 
-One JSON envelope per invocation on stdout; human diagnostics go to stderr.
+Exit codes partition outcomes: 0 for a positive answer (arrows, valid,
+certified, value found), 10 for a negative answer with certificate (does not
+arrow, nothing found below the cap), 11 for a rejected witness coloring, 1
+for input or contract errors, and 2, from argparse, for a malformed command
+line. A call that answers (0, 10 or 11) prints one JSON envelope on stdout;
+one that fails prints nothing on stdout, and one line on stderr, `error:`
+and the message, on exit 1, or argparse's usage text on exit 2. Only
+--help differs: argparse prints its help on stdout and exits 0.
 Each cmd_* command returns its result and exit code and prints nothing;
 main alone times the call, echoes the inputs its subparser names, maps
 errors to exit 1 and prints the envelope.
-Exit codes partition outcomes: 0 for a positive answer (arrows, valid,
-certified, value found), 10 for a negative answer with certificate (does not
-arrow, nothing found below the cap), 11 for a rejected witness coloring, and
-1 for input or contract errors.
 `ir` keeps no result cache unless `--cache PATH` names its log file, as
 `ir_exact` keeps none unless it is given one.
 """

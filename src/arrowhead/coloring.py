@@ -288,11 +288,15 @@ def _fault(host, g: Graph, h: Graph, induced: bool, red_set: int, blue_set: int)
         return "search colored an edge twice or a non-edge"
     if red_set | blue_set != (1 << n_edges) - 1:
         return "search left host edges uncolored"
-    # a copy lies inside a side when none of its edges is outside it
-    if not all(map((~red_set).__and__, host[_copies, g, induced])):
-        return "search returned a coloring with a red copy of g"
-    if blue_set and not all(map((~blue_set).__and__, host[_copies, h, induced])):
-        return "search returned a coloring with a blue copy of h"
+    # the sides partition f's edges, so a copy lies inside one side when
+    # none of its edges is on the other
+    for copy in host[_copies, g, induced]:
+        if not copy & blue_set:
+            return "search returned a coloring with a red copy of g"
+    if blue_set:
+        for copy in host[_copies, h, induced]:
+            if not copy & red_set:
+                return "search returned a coloring with a blue copy of h"
     return None
 
 

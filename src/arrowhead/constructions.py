@@ -36,8 +36,9 @@ from .coloring import (
     red_component_independence_ok,
     red_isolatefree_independence_ok,
 )
-from .errors import ConstructionError, PreconditionError
+from .errors import ConstructionError, OrderLimitError, PreconditionError
 from .graphs import (
+    MAX_ORDER,
     Graph,
     _bits,
     chromatic_number,
@@ -167,6 +168,10 @@ def chvatal_harary_coloring(g: Graph, h: Graph) -> tuple[Graph, EdgeColoring, Co
     number. Classical containment, so the check is non-induced.
     """
     n = chvatal_harary_bound(g, h) - 1
+    # refuse before building: K_n's copy search grows with n, and no host
+    # above graph6's cap can be written
+    if n > MAX_ORDER:
+        raise OrderLimitError(f"the clique-block host has order {n}, above the cap of {MAX_ORDER}")
     size = g.n - 1
     host = complete(n)
     steps = []

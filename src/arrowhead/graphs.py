@@ -349,7 +349,7 @@ def _embeddings(
         return iter(())
     rows = host.adj if allowed is None else tuple(map(int.__and__, host.adj, allowed))
     plan = _placement_plan(pattern, induced)
-    if sum(map(int.bit_count, rows)) < plan[3]:  # ends: twice the edge count
+    if sum(map(int.bit_count, rows)) < plan[4]:  # ends: twice the edge count
         return iter(())
     return _walk(host.adj, rows, plan)
 
@@ -364,9 +364,12 @@ def _walk(adj, rows, plan, start=()):
     vertices, intersected with the usable row of the image of each earlier
     neighbour of i (plan's joined), with the complement of the host row of
     the image of each earlier non-neighbour (apart), and with the vertices
-    above the image of each earlier vertex named in above.
+    above the image of each earlier vertex named in above. The later
+    vertices that above puts over i need that many unused vertices above
+    its image, so a pattern with many automorphisms, such as K_n in K_n, is
+    not walked through every increasing prefix that cannot be completed.
     """
-    joined, apart, above, _ = plan
+    joined, apart, above, need, _ = plan
     p = len(joined)
     if not p:
         yield ()
@@ -376,6 +379,8 @@ def _walk(adj, rows, plan, start=()):
     untried = [0] * p  # candidates of each placed vertex not tried yet
     used = i = 0
     cand = full
+    if need[0]:
+        cand = _below_top(full, need[0])
     if start:  # the loop places start's last vertex, as its only candidate
         i = len(start) - 1
         cand = 1 << start[i]
@@ -400,6 +405,8 @@ def _walk(adj, rows, plan, start=()):
                 cand &= ~adj[image[j]]
             for j in above[i]:
                 cand &= -2 << image[j]  # the vertices above image[j]
+            if need[i]:
+                cand &= _below_top(full ^ used, need[i])
         else:
             i -= 1
             if i < floor:
@@ -408,13 +415,23 @@ def _walk(adj, rows, plan, start=()):
             cand = untried[i]
 
 
+def _below_top(free: int, k: int) -> int:
+    """The vertices with at least k > 0 members of free above them."""
+    if free.bit_count() < k:
+        return 0
+    for _ in range(k - 1):
+        free ^= 1 << free.bit_length() - 1
+    return (1 << free.bit_length() - 1) - 1
+
+
 # Cached because a sweep embeds the same few patterns in every host.
 @lru_cache(maxsize=128)
 def _placement_plan(pattern: Graph, induced: bool) -> tuple:
-    """(joined, apart, above, ends): for each pattern vertex i, its
-    neighbours among 0..i-1, when induced its non-neighbours among them, and
-    the earlier vertices whose images must lie below i's; ends is twice
-    pattern's edge count, the sum of its row sizes.
+    """(joined, apart, above, need, ends): for each pattern vertex i, its
+    neighbours among 0..i-1, when induced its non-neighbours among them, the
+    earlier vertices whose images must lie below i's, and the number of
+    later vertices whose images must lie above i's; ends is twice pattern's
+    edge count, the sum of its row sizes.
 
     above holds the lex-leader rule. An automorphism whose first moved
     vertex is i fixes 0..i-1, so the vertices j it can send i to form the
@@ -428,7 +445,7 @@ def _placement_plan(pattern: Graph, induced: bool) -> tuple:
     earlier = [(1 << i) - 1 for i in range(n)]
     joined = tuple(tuple(_bits(row & low)) for row, low in zip(adj, earlier))
     apart = tuple(tuple(_bits(~row & low)) for row, low in zip(adj, earlier))
-    unordered = (joined, apart, ((),) * n, 0)
+    unordered = (joined, apart, ((),) * n, (0,) * n, 0)
     above: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -438,7 +455,8 @@ def _placement_plan(pattern: Graph, induced: bool) -> tuple:
                 above[j].append(i)
     if not induced:
         apart = ((),) * n
-    return joined, apart, tuple(map(tuple, above)), 2 * pattern.edge_count()
+    need = tuple(sum(i in a for a in above) for i in range(n))
+    return joined, apart, tuple(map(tuple, above)), need, 2 * pattern.edge_count()
 
 
 def find_subgraph_embedding(host: Graph, pattern: Graph) -> Embedding | None:

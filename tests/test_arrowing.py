@@ -50,6 +50,7 @@ from .oracles import (
     naive_strongly_arrows,
     plain_dfs_search,
 )
+from .tree_digest import refute_digest
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -428,6 +429,14 @@ def test_witness_panel_search_effort_is_pinned(catalog):
     assert _effort_digest(results) == ("db2de1373afa201c", 256, 439)
 
 
+def test_catalog_search_trees_are_pinned():
+    # every (found, leaves, prunes) of _refute over the catalog to order 6,
+    # 13 patterns, ordered pairs and both kinds (tests/tree_digest.py): a
+    # change to the search's tree, its cuts or its exits that moves a single
+    # witness or counter moves it. CI pins order 7 the same way
+    assert refute_digest(range(1, 7)) == (70304, "29a2cc3d951b73fe")
+
+
 def _searched(host, g, h, induced):
     """(witness, leaves, prunes) of _search run directly on host's masks."""
     record = _host(host)
@@ -503,6 +512,35 @@ def test_a_one_edge_copy_on_both_sides_closes_the_root():
     res = strongly_arrows(k2_k1, k2_k1, k2_k1)
     assert res.arrows
     assert (res.colorings_explored, res.prunes) == (0, 1)
+
+
+def _exit_check(n, red_masks, blue_masks):
+    """_search's answer on these families, which must be the plain DFS's
+    witness with leaves 1 and prunes 0, and all red outside its blue side."""
+    found = _search(n, _side(n, red_masks), _side(n, blue_masks))
+    assert found == (plain_dfs_search(n, red_masks, blue_masks)[0], 1, 0)
+    red_set, blue_set = found[0]
+    assert red_set == (1 << n) - 1 ^ blue_set
+    return blue_set
+
+
+def test_the_dive_ends_at_the_root_when_every_red_copy_is_a_unit():
+    # root forcing colors the three units blue, which kills every red copy,
+    # so the all-red completion is the witness before the first branch:
+    # each unit's blue raises a blue copy {i, i + 1} to its last edge, which
+    # propagation forces red, and edges 6 and 7, still uncolored, go red
+    blue_masks = [0b11, 0b1100, 0b110000]
+    assert _exit_check(8, [0b1, 0b100, 0b10000], blue_masks) == 0b10101
+
+
+def test_the_dive_ends_where_the_last_red_copy_dies():
+    # edge 0 red forces edge 1 blue, killing copy {0, 1}; edge 2 red forces
+    # edge 3 blue, killing {2, 3}, the last red copy: the rest of the dive,
+    # edges 4 to 7, is all red with no further branch. Ending when the
+    # first red copy dies would return {2, 3} all red
+    red_masks = [0b11, 0b1100]
+    blue_masks = [0b110000, 0b11000000]
+    assert _exit_check(8, red_masks, blue_masks) == 0b1010
 
 
 # ---------------------------------------------------------------------------

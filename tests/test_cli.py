@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import signal
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arrowhead.cli import main, parse_graph_arg
 from arrowhead.errors import PreconditionError
@@ -489,3 +494,137 @@ def test_edgeless_pattern_is_exit_1(capsys):
     code, _, err = run_cli(capsys, ["arrows", "--f", "K3", "--g", "K1", "--h", "K2"])
     assert code == 1
     assert "at least one edge" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code and envelope contract over drawn argv
+
+# awkward graph names beside ordinary ones: empty and negative orders, a
+# zero copy count, bad graph6, graph6's cap and one past it
+NAMES = ["K0", "P0", "S0", "0K2", "2K0", "?", "", "K62", "P63", "C2", "K1", "K2", "K3", "P3", "P4", "C4", "2K2", "S3", "B_", "Bw", "D@{"]
+# arrows decides its host by listing every vertex subset of each pattern's
+# order, C(62, 5) of them on K62, so drawn hosts keep to the desk scale of
+# order 8 or less; K62 meets K62 in the pinned case below
+HOSTS = [name for name in NAMES if name != "K62"] + ["K5", "K6", "C5", "2K3", "G~~~~{"]
+COLORINGS = {
+    "valid": json.dumps(VALID),
+    "all-red": json.dumps(ALL_RED),
+    "missing-key": '{"n": 3, "red": []}',
+    "string-order": '{"n": "3", "red": [], "blue": []}',
+    "bool-order": '{"n": true, "red": [], "blue": []}',
+    "string-vertex": '{"n": 3, "red": [[0, "1"]], "blue": []}',
+    "loop": '{"n": 3, "red": [[1, 1]], "blue": [[0, 1], [0, 2]]}',
+    "out-of-range": '{"n": 3, "red": [[0, 5]], "blue": []}',
+    "negative": '{"n": 3, "red": [[-1, 0]], "blue": []}',
+    "overlap": '{"n": 3, "red": [[0, 1], [0, 2], [1, 2]], "blue": [[0, 1]]}',
+    "huge-order": '{"n": 1000000000, "red": [], "blue": []}',
+    "truncated": '{"n": 3, "red": [[0, 1]',
+    "nested": "[" * 5000,
+    "a-list": "[]",
+    "empty": "",
+}
+CALL_SECONDS = 5
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The drawn coloring files (one not UTF-8, one missing, one a
+    directory), the cache paths and the --out paths."""
+    root = tmp_path_factory.mktemp("argv")
+    for name, text in COLORINGS.items():
+        (root / f"{name}.json").write_text(text)
+    (root / "not-utf8.json").write_bytes(b"\xff\xfe")
+    colorings = [str(root / f"{name}.json") for name in [*COLORINGS, "not-utf8", "missing"]] + [str(root)]
+    return colorings, ["", str(root / "ir-log.json")], [str(root / "out.json"), str(root / "no" / "out.json")]
+
+
+@st.composite
+def argvs(draw, files):
+    colorings, caches, outs = files
+    name, host, cap = st.sampled_from(NAMES), st.sampled_from(HOSTS), st.integers(-1, 6).map(str)
+    flags = {
+        "arrows": [("--f", host), ("--g", name), ("--h", name), ("--out", st.sampled_from(outs))],
+        "bounds": [("--g", name), ("--h", name), ("--ramsey-budget", cap)],
+        "construct": [
+            ("--method", st.sampled_from(["ch", "t1", "l2", "t3", "x"])),
+            ("--f", host), ("--g", name), ("--h", name), ("--alpha", cap), ("--omega", cap),
+            ("--out", st.sampled_from(outs)),
+        ],
+        "verify": [("--f", host), ("--coloring", st.sampled_from(colorings)), ("--g", name), ("--h", name)],
+        "ir": [("--g", name), ("--h", name), ("--n-max", cap), ("--cache", st.sampled_from(caches)), ("--out", st.sampled_from(outs))],
+        "ramsey": [("--g", name), ("--h", name), ("--n-max", cap)],
+    }
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, values in flags[command]:
+        # most flags given, a required one sometimes missing (exit 2)
+        if draw(st.integers(0, 7)):
+            argv += [flag, draw(values)]
+    return argv
+
+
+class _TooSlow(Exception):
+    """A call past the guard; not TimeoutError, an OSError that the
+    commands' file handling would report as exit 1."""
+
+
+def _guarded_main(argv):
+    """(exit code, stdout, stderr) of main(argv), in process, which must
+    return within CALL_SECONDS."""
+
+    def stop(signum, frame):
+        raise _TooSlow(f"{argv} ran past {CALL_SECONDS} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_contract(argv):
+    code, out, err = _guarded_main(argv)
+    assert code in {0, 1, 2, 10, 11}, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        assert out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    elif code == 2:
+        assert out == "" and err.startswith("usage: "), (argv, err)
+    else:
+        envelope = json.loads(out)
+        assert list(envelope) == ["command", "inputs", "result", "elapsed_ms"], argv
+        assert envelope["command"] == argv[0]
+    return code
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="the time guard needs signal.setitimer")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_keeps_the_exit_code_contract(argv_files, data):
+    _check_contract(data.draw(argvs(argv_files), label="argv"))
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="the time guard needs signal.setitimer")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # K62's copy list of K62 walked every increasing prefix of host
+        # vertices, 2^62 of them, before the embedder's room-above cut
+        (["arrows", "--f", "K62", "--g", "K62", "--h", "K62"], 10),
+        # the clique-block host of (K62, K62) has order 3,721: refused
+        # before K_3721 is built
+        (["construct", "--method", "ch", "--g", "K62", "--h", "K62"], 1),
+    ],
+    ids=["arrows-K62", "construct-ch-K62"],
+)
+def test_the_largest_names_answer_within_the_time_guard(argv, code):
+    assert _check_contract(argv) == code
