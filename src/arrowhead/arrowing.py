@@ -28,17 +28,19 @@ one host lives in one record (_Host), a dict that a decision looks up once
 and reads with one subscript per entry: the subsets' codes and interiors
 per k, and per (pattern, kind) the search's side record (_Side: the masks,
 each edge's copies as a bitset over copy indices repeated at every count
-level, the OR of the one-edge masks and the search's level shifts) and
-the check's copy lists, each built on first ask and kept, so a sweep over
-many pattern pairs builds each once per host. The entry points resolve
-their patterns to one shared instance each (_pattern), so those entries
-match by identity.
+level, the OR of the one-edge masks, the search's level shifts and the
+OR of all the masks) and the check's copy lists, each built on first ask
+and kept, so a sweep over many pattern pairs builds each once per host.
+The entry points resolve their patterns to one shared instance each
+(_pattern), so those entries match by identity.
 
 This module holds the search only. Each refuting coloring it returns, all
 red for a host with no copy of g included, is judged by coloring._fault,
 and its blue side is decoded by coloring._edge_rows, in the judge's edge
 order, the search's own; the red rows are f's rows without the blue ones,
-since the judge checked that the two sides cover f's edges.
+since the judge checked that the two sides cover f's edges. A sweep
+without a cache first offers a host the two copy-union colorings
+(_union_refutation), and its caller judges one that refutes the same way.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -286,7 +288,8 @@ class _Side(NamedTuple):
     propagation (see _search). Copy j is masks[j]; w (width) is the number
     of copies and K the edge count of each. A thermometer over the copies
     packs K levels of w bits, level c holding the copies with at least c
-    edges of the side's own color."""
+    edges of the side's own color. union, the edges some copy holds, is
+    read by _union_refutation, not by the search."""
 
     masks: tuple[int, ...]
     width: int
@@ -299,6 +302,7 @@ class _Side(NamedTuple):
     low: int
     top: int
     near: int
+    union: int
 
 
 def _side(n_edges: int, masks) -> _Side:
@@ -307,14 +311,16 @@ def _side(n_edges: int, masks) -> _Side:
     levels = masks[0].bit_count() if masks else 0
     rep = sum(1 << c * w for c in range(levels))
     through = [0] * n_edges
+    union = 0
     for j, m in enumerate(masks):
         if m.bit_count() != levels:
             raise ValueError("copy masks differ in size, as no pattern's copies do")
+        union |= m
         for i in _bits(m):
             through[i] |= 1 << j
-    units = sum(set(masks)) if levels == 1 else 0
+    units = union if levels == 1 else 0
     top = (levels - 1) * w
-    return _Side(tuple(masks), w, tuple(t * rep for t in through), units, (1 << w) - 1, top, max(top - w, 0))
+    return _Side(tuple(masks), w, tuple(t * rep for t in through), units, (1 << w) - 1, top, max(top - w, 0), union)
 
 
 def _copy_side(host: _Host, pattern: Graph, induced: bool) -> _Side:
@@ -386,8 +392,8 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
     """
     if red.units & blue.units:
         return None, 0, 1
-    red_masks, red_width, red_inc, red_units, red_low, red_top, red_near = red
-    blue_masks, blue_width, blue_inc, blue_units, blue_low, blue_top, blue_near = blue
+    red_masks, red_width, red_inc, red_units, red_low, red_top, red_near, _ = red
+    blue_masks, blue_width, blue_inc, blue_units, blue_low, blue_top, blue_near, _ = blue
     swaps, a_any, b_any = twins
     full = (1 << n_edges) - 1
     prunes = 0
@@ -480,6 +486,33 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
         red_set, blue_set, red_count, blue_count, red_dead, blue_dead, i = stack.pop()
         red_dead |= red_inc[i]
         todo = [(i, 1)]
+
+
+def _union_refutation(host: _Host, g: Graph, h: Graph, induced: bool):
+    """(red_set, blue_set) of a copy-union coloring of f that refutes
+    f -> (g, h), unchecked, or None when neither does.
+
+    Blue on the union of g's copies leaves every copy of g a blue edge, so
+    it refutes when no copy of h lies inside that union; else red on the
+    union of h's copies refutes when no copy of g lies inside that one.
+    These generalise the one-color rule: with no copy of g the first is
+    all red, with no copy of h the second all blue. The test reads the
+    search's own masks, so a declined host costs two mask loops and no
+    judge call. The coloring need not be the least refuting one, so only
+    a caller that keeps no witness asks here, and it hands what it gets to
+    coloring._fault.
+    """
+    red = host[_copy_side, g, induced]
+    blue = host[_copy_side, h, induced]
+    full = (1 << len(host.edges)) - 1
+    # a copy lies inside a union when it holds no edge outside it
+    outside = full ^ red.union
+    if 0 not in map(outside.__and__, blue.masks):
+        return outside, red.union
+    outside = full ^ blue.union
+    if 0 not in map(outside.__and__, red.masks):
+        return blue.union, outside
+    return None
 
 
 def _refute(host: _Host, g: Graph, h: Graph, induced: bool):

@@ -18,9 +18,11 @@ bit test per copy, not an embedding search per coloring. The search builds
 the same masks from its own subset tables (arrowing._copy_masks), so a fault
 in that builder cannot also hide in its check. A host with no copy of g is
 refuted all red without a search; that coloring goes through _fault too,
-where it passes exactly when the host's list of g copies is empty. Bit i
-of a refutation's int is the i-th edge of _edge_order(f), which the judge
-builds from f itself and the search imports as its branching order.
+where it passes exactly when the host's list of g copies is empty, and so
+do the copy-union colorings a sweep without a cache reads off the search's
+masks (arrowing._union_refutation). Bit i of a refutation's int is the
+i-th edge of _edge_order(f), which the judge builds from f itself and the
+search imports as its branching order.
 """
 from __future__ import annotations
 
@@ -179,8 +181,8 @@ class EdgeColoring:
 
 
 # (make, *args) -> the live make(*args): the one table behind equal
-# colorings, arrowing results and bound reports; an entry goes when its
-# value is no longer referenced.
+# colorings, arrowing results, bound reports and IR results; an entry goes
+# when its value is no longer referenced.
 _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 

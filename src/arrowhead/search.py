@@ -9,19 +9,25 @@ so sparse hosts fail fast and the answer never depends on file line order.
 
 ir_exact first resolves g and h to one shared equal instance each
 (arrowing._pattern), so host records and holder masks find their entries
-by identity; the result still holds the caller's g and h. Without a cache
-an order's loop runs over the hosts that hold both g and h
-(Catalog.holders) and hands each straight to arrowing._refute, with no key
-and no lookup; the first that arrows ends the sweep. Every other host is
-refuted by one color, all red when it holds no g, else all blue, checked
-by the embedder search that set its holder bit and found no copy. With a
-cache the loop runs over every host, each going to _decide with its cache
-hit or None, so the log gets a refutation for each host the sweep passes
-and none for the one that arrows. Every decided verdict rests on a
-refuting coloring checked on its edge bitsets against the host's copy
-lists by coloring._fault, the one judge of the search's refutations, fresh
-(arrowing._refute) or cached. The cache holds refutations only, so it can
-make a sweep faster, never different.
+by identity; the result holds graphs equal to the caller's g and h.
+Without a cache an order's loop runs over the hosts that hold both g and
+h (Catalog.holders), with no key and no lookup; the first that arrows
+ends the sweep. Every other host is refuted by one color, all red when it
+holds no g, else all blue, checked by the embedder search that set its
+holder bit and found no copy. A host holding both is offered first to two
+colorings read off its copies, which generalise that rule
+(arrowing._union_refutation): blue on the union of g's copies refutes
+when no copy of h lies inside it, else red on the union of h's copies
+when no copy of g lies inside that. One that refutes goes to
+coloring._fault, and only a host both leave undecided goes to
+arrowing._refute. With a cache the loop runs over every host, each going
+to _decide with its cache hit or None, so the log gets the least
+refuting coloring for each host the sweep passes and none for the one
+that arrows. Every decided verdict rests on a refuting coloring checked
+on its edge bitsets against the host's copy lists by coloring._fault, the
+one judge of the search's refutations, fresh (arrowing._refute), cached
+or read off the copies. The cache holds refutations only, so it can make
+a sweep faster, never different.
 
 The cache is an append-only log of {key: verdict} lines keyed by the
 literal g6 triple f|g|h; keys are not canonicalized, so an isomorphic but
@@ -44,8 +50,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .arrowing import NotFoundBelow, _host, _not_found_below, _pattern, _refute
-from .coloring import _fault
+from .arrowing import NotFoundBelow, _host, _not_found_below, _pattern, _refute, _union_refutation
+from .coloring import _fault, _shared
 from .errors import ArrowheadError, CatalogError, PreconditionError
 from .graphs import Graph, _bits, emit_graph6, find_induced_embedding, parse_graph6
 
@@ -279,13 +285,16 @@ def _decide(f: Graph, g: Graph, h: Graph, hit: tuple[int, int] | None):
     return _refute(host, g, h, True)[0]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IRResult:
     """The least arrowing order of the catalog for the pattern pair (g, h).
 
-    g and h are the caller's graphs; their g6 pair and the orders checked
-    (1 to value) are derived on access, so a result holds no strings or
-    tuples of its own.
+    g and h are graphs equal to the caller's; their g6 pair and the orders
+    checked (1 to value) are derived on access, so a result holds no
+    strings or tuples of its own. Equal results alive at once are one
+    object, held in coloring._shared's one table of equal answers (which
+    keeps them by weak reference, so the class has no slots), and the
+    first caller's g and h are the ones it holds.
     """
 
     g: Graph
@@ -342,8 +351,15 @@ def ir_exact(
         if cache is None:
             for i in _bits(catalog.holders(order, shared_g) & catalog.holders(order, shared_h)):
                 f, f6 = scan[i]
-                if _refute(_host(f), shared_g, shared_h, True)[0] is None:
-                    return IRResult(g, h, order, f6, nonarrows)
+                host = _host(f)
+                found = _union_refutation(host, shared_g, shared_h, True)
+                if found is None:
+                    if _refute(host, shared_g, shared_h, True)[0] is None:
+                        return _shared(IRResult, g, h, order, f6, nonarrows)
+                else:
+                    fault = _fault(host, shared_g, shared_h, True, *found)
+                    if fault is not None:
+                        raise AssertionError(fault)
         else:  # every host, so the log gets a refutation for each one passed
             fresh = {}  # the order's checked refutations the cache lacked
             try:
@@ -352,7 +368,7 @@ def ir_exact(
                     hit = cache.get(key)
                     found = _decide(f, shared_g, shared_h, hit)
                     if found is None:
-                        return IRResult(g, h, order, f6, nonarrows)
+                        return _shared(IRResult, g, h, order, f6, nonarrows)
                     if found is not hit:  # a believed hit comes back as itself
                         fresh[key] = found
             finally:

@@ -101,19 +101,27 @@ def naive_strongly_arrows(f: Graph, g: Graph, h: Graph):
     """
     edges = f.edges()
     e = len(edges)
-    g_copies = []
-    for verts in brute_induced_copies(f, g):
-        g_copies.append({(u, v) for u, v in combinations(verts, 2) if f.has_edge(u, v)})
-    h_copies = []
-    for verts in brute_induced_copies(f, h):
-        h_copies.append({(u, v) for u, v in combinations(verts, 2) if f.has_edge(u, v)})
+    g_copies, h_copies = brute_interiors(f, g), brute_interiors(f, h)
     for mask in range(1 << e):
         red = {edges[i] for i in range(e) if mask >> i & 1}
-        red_hit = any(c <= red for c in g_copies)
-        blue_hit = any(not (c & red) for c in h_copies)
-        if not red_hit and not blue_hit:
+        if brute_refutes(g_copies, h_copies, red):
             return False, red
     return True, None
+
+
+def brute_interiors(host: Graph, pattern: Graph) -> list[set]:
+    """The host edges inside each induced copy of pattern, as sets of pairs."""
+    return [
+        {(u, v) for u, v in combinations(verts, 2) if host.has_edge(u, v)}
+        for verts in brute_induced_copies(host, pattern)
+    ]
+
+
+def brute_refutes(g_copies, h_copies, red) -> bool:
+    """Whether coloring the pairs in red red and every other edge blue
+    leaves no copy of g all red and no copy of h all blue, given the
+    copies' interiors (brute_interiors)."""
+    return not any(c <= red for c in g_copies) and all(c & red for c in h_copies)
 
 
 def brute_certified_coloring(f: Graph, alpha: int, omega: int):

@@ -22,11 +22,12 @@ from arrowhead.arrowing import (
     _search,
     _side,
     _twin_swaps,
+    _union_refutation,
     arrows_complete_non_induced,
     ramsey_number_exact,
     strongly_arrows,
 )
-from arrowhead.coloring import EdgeColoring, _copies, _edge_order, verify_witness
+from arrowhead.coloring import EdgeColoring, _copies, _edge_order, _fault, verify_witness
 from arrowhead.errors import PreconditionError
 from arrowhead.graphs import (
     Graph,
@@ -40,17 +41,19 @@ from arrowhead.graphs import (
     relabel,
     star,
 )
-from arrowhead.search import ir_exact
+from arrowhead.search import ResultCache, ir_exact
 
 from .conftest import random_graph
 from .oracles import (
     brute_induced_copies,
+    brute_interiors,
     brute_is_iso,
+    brute_refutes,
     brute_subgraph_copies,
     naive_strongly_arrows,
     plain_dfs_search,
 )
-from .tree_digest import refute_digest
+from .tree_digest import digest_patterns, refute_digest
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -94,6 +97,12 @@ def test_equal_arrowing_results_are_one_object():
     proved = arrows_complete_non_induced(6, k3, k3)
     assert arrows_complete_non_induced(6, k3, k3) is proved
     assert strongly_arrows(complete(6), k3, k3) is proved
+
+
+def test_equal_ir_results_are_one_object(catalog, tmp_path):
+    first = ir_exact(matching(2), complete(2), catalog, n_max=4)
+    assert ir_exact(matching(2), complete(2), catalog, n_max=4) is first
+    assert ir_exact(matching(2), complete(2), catalog, n_max=4, cache=ResultCache(tmp_path / "ir.json")) is first
 
 
 def test_edgeless_host_is_trivial_nonarrower():
@@ -450,6 +459,33 @@ def _searched(host, g, h, induced):
         side[bool(red_set >> i & 1)].append(e)
     assert blue_set == (1 << len(edges)) - 1 - red_set
     return EdgeColoring.of(host.n, side[True], side[False]), leaves, prunes
+
+
+def test_union_refutations_match_brute_copies(catalog):
+    # every catalog host to order 6 and every ordered pair of tree_digest's
+    # 13 patterns: an offered coloring is blue on g's union or red on h's,
+    # and passes the judge and the brute check; a declined host has a copy
+    # of h inside g's union and a copy of g inside h's union
+    patterns = digest_patterns()
+    offered = 0
+    for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
+        record = _host(host)
+        edges = _edge_order(host)
+        interiors = {p: brute_interiors(host, p) for p in patterns}
+        unions = {p: set().union(*interiors[p]) for p in patterns}
+        for g, h in product(patterns, repeat=2):
+            found = _union_refutation(record, g, h, True)
+            if found is None:
+                assert any(c <= unions[g] for c in interiors[h]), (host, g, h)
+                assert any(c <= unions[h] for c in interiors[g]), (host, g, h)
+                continue
+            offered += 1
+            assert _fault(record, g, h, True, *found) is None, (host, g, h)
+            red, blue = ({e for i, e in enumerate(edges) if side >> i & 1} for side in found)
+            assert blue == set(edges) - red
+            assert blue == unions[g] or red == unions[h], (host, g, h)
+            assert brute_refutes(interiors[g], interiors[h], red), (host, g, h)
+    assert offered == 30268
 
 
 def test_hosts_without_g_match_the_search(catalog):

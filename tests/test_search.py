@@ -1119,7 +1119,7 @@ def test_ir_result_holds_the_callers_graphs(catalog):
     ]
     g, h = matching(2), complete(2)
     res = ir_exact(g, h, catalog, n_max=4)
-    assert res.g is g and res.h is h
+    assert res.g == g and res.h == h
     assert res.pair == ("C`", "A_")
     assert res.checked_orders == (1, 2, 3, 4)
 
@@ -1255,10 +1255,17 @@ def test_cacheless_and_cached_sweeps_agree(catalog, tmp_path):
 
 
 def test_cacheless_sweep_decides_only_hosts_holding_both(catalog, monkeypatch):
+    # each holder host goes to the copy-union colorings first, and only the
+    # hosts they leave undecided reach the search
     for order in range(1, 7):
         catalog.scan(order)  # a first scan emits each host's g6 once
-    refuted = []
-    real_refute = search._refute
+    offered, refuted = [], []
+    real_union, real_refute = search._union_refutation, search._refute
+
+    def counted_union(host, g, h, induced):
+        found = real_union(host, g, h, induced)
+        offered.append((host.f, found))
+        return found
 
     def counted_refute(host, g, h, induced):
         refuted.append(host.f)
@@ -1270,15 +1277,77 @@ def test_cacheless_sweep_decides_only_hosts_holding_both(catalog, monkeypatch):
         emitted.append(graph)
         return emit_graph6(graph)
 
+    monkeypatch.setattr(search, "_union_refutation", counted_union)
     monkeypatch.setattr(search, "_refute", counted_refute)
     monkeypatch.setattr(search, "emit_graph6", counted_emit)
     monkeypatch.setattr(graphs, "emit_graph6", counted_emit)
     g, h = path(4), complete(3)
     assert ir_exact(g, h, catalog, n_max=6) == NotFoundBelow(6)
     assert refuted and emitted == []
-    assert all(brute_induced_copies(f, g) and brute_induced_copies(f, h) for f in refuted)
+    holders = [f for f, _ in offered]
+    assert all(brute_induced_copies(f, g) and brute_induced_copies(f, h) for f in holders)
     both = [catalog.holders(order, g) & catalog.holders(order, h) for order in range(1, 7)]
-    assert len(refuted) == sum(bin(mask).count("1") for mask in both) < sum(CATALOG_COUNTS[k] for k in range(1, 7))
+    assert len(holders) == sum(bin(mask).count("1") for mask in both) < sum(CATALOG_COUNTS[k] for k in range(1, 7))
+    assert refuted == [f for f, found in offered if found is None]
+    settled = sum(found is not None for _, found in offered)
+    assert settled and settled + len(refuted) == len(holders)
+
+
+def test_cacheless_sweeps_match_cached_sweeps_that_search_every_host(catalog, tmp_path):
+    # all 196 recorded pattern pairs to order 6: a fresh cache sends every
+    # host to the search, and the sweep without one settles most holder
+    # hosts by a copy-union coloring, with the same answers
+    items = json.loads(REFERENCE.read_text())["ir"]
+    assert len(items) == 196
+    cache = ResultCache(tmp_path / "ir.json")
+    for item in items:
+        g, h = parse_graph6(item["g6"]), parse_graph6(item["h6"])
+        bare = ir_exact(g, h, catalog, n_max=6)
+        cached = ir_exact(g, h, catalog, n_max=6, cache=cache)
+        if isinstance(bare, NotFoundBelow):
+            assert bare == cached == NotFoundBelow(6), item
+        else:
+            expected = (cached.value, cached.witness_arrowing_graph, cached.nonarrow_witnesses_verified)
+            assert (bare.value, bare.witness_arrowing_graph, bare.nonarrow_witnesses_verified) == expected, item
+
+
+def test_copy_unions_settle_most_holder_decisions(catalog, monkeypatch):
+    # over the 196 recorded pairs to order 6 the sweep makes 5,361 holder
+    # decisions: blue on g's union refutes 2,199 hosts and red on h's union
+    # 2,199 (the pair list is closed under swapping g and h), 3,164 between
+    # them, so the search decides 2,197, of which 98 arrow
+    items = json.loads(REFERENCE.read_text())["ir"]
+    offered, searched = [], []
+    real_union, real_refute = search._union_refutation, search._refute
+
+    def counted_union(host, g, h, induced):
+        found = real_union(host, g, h, induced)
+        offered.append((host, g, h, found))
+        return found
+
+    def counted_refute(host, g, h, induced):
+        result = real_refute(host, g, h, induced)
+        searched.append(result[0] is None)
+        return result
+
+    monkeypatch.setattr(search, "_union_refutation", counted_union)
+    monkeypatch.setattr(search, "_refute", counted_refute)
+    for item in items:
+        ir_exact(parse_graph6(item["g6"]), parse_graph6(item["h6"]), catalog, n_max=6)
+    by_g = by_h = 0
+    for host, g, h, found in offered:
+        full = (1 << len(host.edges)) - 1
+        g_union = arrowing._copy_side(host, g, True).union
+        h_union = arrowing._copy_side(host, h, True).union
+        blue_on_g = coloring._fault(host, g, h, True, full ^ g_union, g_union) is None
+        red_on_h = coloring._fault(host, g, h, True, h_union, full ^ h_union) is None
+        by_g += blue_on_g
+        by_h += red_on_h
+        assert (found is not None) == (blue_on_g or red_on_h), (host.f, g, h)
+    assert len(offered) == 5361
+    assert (by_g, by_h) == (2199, 2199)
+    assert sum(found is not None for *_, found in offered) == 3164
+    assert len(searched) == 2197 and sum(searched) == 98
 
 
 def test_cached_sweep_writes_one_line_per_host(catalog, tmp_path):

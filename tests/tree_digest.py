@@ -22,12 +22,19 @@ from arrowhead.arrowing import _host, _pattern, _refute
 from arrowhead.search import bundled_catalog
 
 
-def refute_digest(orders) -> tuple[int, str]:
-    """(number of _refute calls, first 16 hex digits of their digest)."""
+def digest_patterns() -> list:
+    """The 13 catalog graphs of order 3 and 4 with an edge, each the shared
+    instance arrowing._pattern gives."""
     catalog = bundled_catalog()
     patterns = [_pattern(g.adj) for k in (3, 4) for g in catalog.graphs(k) if g.edge_count()]
     assert len(patterns) == 13
-    pairs = list(product(patterns, repeat=2))
+    return patterns
+
+
+def refute_digest(orders) -> tuple[int, str]:
+    """(number of _refute calls, first 16 hex digits of their digest)."""
+    catalog = bundled_catalog()
+    pairs = list(product(digest_patterns(), repeat=2))
     digest = hashlib.sha256()
     calls = 0
     for order in orders:
