@@ -31,8 +31,8 @@ each edge's copies as a bitset over copy indices repeated at every count
 level, the OR of the one-edge masks, the search's level shifts and the
 OR of all the masks) and the check's copy lists, each built on first ask
 and kept, so a sweep over many pattern pairs builds each once per host.
-The entry points resolve their patterns to one shared instance each
-(_pattern), so those entries match by identity.
+Below the entry points a pattern is its rows (Graph.adj), which key every
+pattern cache and hash and compare in C.
 
 This module holds the search only. Each refuting coloring it returns, all
 red for a host with no copy of g included, is judged by coloring._fault,
@@ -40,7 +40,7 @@ and its blue side is decoded by coloring._edge_rows, in the judge's edge
 order, the search's own; the red rows are f's rows without the blue ones,
 since the judge checked that the two sides cover f's edges. A sweep
 without a cache first offers a host the two copy-union colorings
-(_union_refutation), and its caller judges one that refutes the same way.
+(_union_refutation), which are judged the same way.
 
 The search also closes branches that cannot hold the lexicographically least
 refuting coloring. Swapping two twin vertices of f (vertices whose
@@ -68,7 +68,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, _edge_order, _edge_rows, _fault, _shared
+from .coloring import EdgeColoring, _edge_order, _edge_rows, _fault, _pairs, _shared
 from .errors import PreconditionError
 from .graphs import Graph, _bits, complete
 
@@ -138,14 +138,6 @@ def _host(f: Graph) -> _Host:
     return _Host(f)
 
 
-# Equal patterns are one instance here, so the pattern keys of host records,
-# holder masks and pattern caches match by identity, with no Graph.__eq__
-# call. Keyed by the rows, which compare in C.
-@lru_cache(maxsize=128)
-def _pattern(adj: tuple[int, ...]) -> Graph:
-    return Graph(len(adj), adj)
-
-
 # One value per n_max, so a caller keeping many answers holds each once
 # (like coloring._shared; NotFoundBelow has slots, so no weak reference).
 @lru_cache(maxsize=16)
@@ -213,7 +205,7 @@ def _twin_swaps(host: _Host) -> _Twins:
 
 # Cached because a catalog sweep builds masks for the same patterns on every host.
 @lru_cache(maxsize=128)
-def _pattern_codes(pattern: Graph) -> dict[int, tuple[int, ...]]:
+def _pattern_codes(pattern: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """Labelled adjacency codes of pattern, each mapped to its set bit positions.
 
     Bit t of a code is the t-th vertex pair of combinations(range(k), 2). The
@@ -221,7 +213,7 @@ def _pattern_codes(pattern: Graph) -> dict[int, tuple[int, ...]]:
     of them; closing it under adjacent transpositions costs orbit size, not
     k!, so a clique pattern has one code found in k - 1 steps.
     """
-    k = pattern.n
+    k = len(pattern)
     pairs = list(combinations(range(k), 2))
     slot = {pair: t for t, pair in enumerate(pairs)}
     swaps = []
@@ -230,7 +222,7 @@ def _pattern_codes(pattern: Graph) -> dict[int, tuple[int, ...]]:
         tau[a], tau[a + 1] = a + 1, a
         swaps.append([slot[min(tau[i], tau[j]), max(tau[i], tau[j])] for i, j in pairs])
     codes: dict[int, tuple[int, ...]] = {}
-    todo = [tuple(slot[e] for e in pattern.edges())]
+    todo = [tuple(slot[e] for e in _pairs(pattern))]
     while todo:
         on = todo.pop()
         code = sum(1 << t for t in on)
@@ -259,7 +251,7 @@ def _subset_table(host: _Host, k: int) -> dict[int, tuple[tuple[int, ...], tuple
     return {code: (tuple(i), tuple(m)) for code, (i, m) in groups.items()}
 
 
-def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
+def _copy_masks(host: _Host, pattern: tuple[int, ...], induced: bool) -> tuple[int, ...]:
     """Bitmask over f's edges, in host.edges order, for each copy of pattern
     in f.
 
@@ -269,7 +261,7 @@ def _copy_masks(host: _Host, pattern: Graph, induced: bool) -> tuple[int, ...]:
     code's edges only. The masks are the subset table's own ints.
     """
     codes = _pattern_codes(pattern)
-    table = host[_subset_table, pattern.n]
+    table = host[_subset_table, len(pattern)]
     if induced:
         masks = {m for code in codes if code in table for m in table[code][0]}
     else:
@@ -323,7 +315,7 @@ def _side(n_edges: int, masks) -> _Side:
     return _Side(tuple(masks), w, tuple(t * rep for t in through), units, (1 << w) - 1, top, max(top - w, 0), union)
 
 
-def _copy_side(host: _Host, pattern: Graph, induced: bool) -> _Side:
+def _copy_side(host: _Host, pattern: tuple[int, ...], induced: bool) -> _Side:
     """The _Side of pattern's copies in host, kept by the host record."""
     return _side(len(host.edges), _copy_masks(host, pattern, induced))
 
@@ -488,9 +480,19 @@ def _search(n_edges, red, blue, twins=_NO_TWINS):
         todo = [(i, 1)]
 
 
-def _union_refutation(host: _Host, g: Graph, h: Graph, induced: bool):
+def _checked(host: _Host, g: tuple[int, ...], h: tuple[int, ...], induced: bool, found):
+    """found, (red_set, blue_set) or None, once coloring._fault passes it; a
+    fault raises AssertionError, as only the code that made it can be wrong."""
+    if found is not None:
+        fault = _fault(host, g, h, induced, *found)
+        if fault is not None:
+            raise AssertionError(fault)
+    return found
+
+
+def _union_refutation(host: _Host, g: tuple[int, ...], h: tuple[int, ...], induced: bool):
     """(red_set, blue_set) of a copy-union coloring of f that refutes
-    f -> (g, h), unchecked, or None when neither does.
+    f -> (g, h), checked, or None when neither does.
 
     Blue on the union of g's copies leaves every copy of g a blue edge, so
     it refutes when no copy of h lies inside that union; else red on the
@@ -498,9 +500,9 @@ def _union_refutation(host: _Host, g: Graph, h: Graph, induced: bool):
     These generalise the one-color rule: with no copy of g the first is
     all red, with no copy of h the second all blue. The test reads the
     search's own masks, so a declined host costs two mask loops and no
-    judge call. The coloring need not be the least refuting one, so only
-    a caller that keeps no witness asks here, and it hands what it gets to
-    coloring._fault.
+    judge call. An offer goes to coloring._fault as _refute's do. It need
+    not be the least refuting coloring, so only a caller that keeps no
+    witness asks here.
     """
     red = host[_copy_side, g, induced]
     blue = host[_copy_side, h, induced]
@@ -508,44 +510,42 @@ def _union_refutation(host: _Host, g: Graph, h: Graph, induced: bool):
     # a copy lies inside a union when it holds no edge outside it
     outside = full ^ red.union
     if 0 not in map(outside.__and__, blue.masks):
-        return outside, red.union
+        return _checked(host, g, h, induced, (outside, red.union))
     outside = full ^ blue.union
     if 0 not in map(outside.__and__, red.masks):
-        return blue.union, outside
+        return _checked(host, g, h, induced, (blue.union, outside))
     return None
 
 
-def _refute(host: _Host, g: Graph, h: Graph, induced: bool):
+def _refute(host: _Host, g: tuple[int, ...], h: tuple[int, ...], induced: bool):
     """(red_set, blue_set) of the least refuting coloring of f, checked, or
-    None when f arrows (g, h); then leaves and prunes. g and h have an edge
-    each, as every entry point checks before its first host.
+    None when f arrows (g, h); then leaves and prunes. g and h are the
+    patterns' rows (Graph.adj), each with an edge, as every entry point
+    checks before its first host.
 
     The sides are edge bitsets in coloring._edge_order, as the search
-    gives them, and _fault checks them. Any fault raises AssertionError, as
-    it can only be a fault in the search.
+    gives them, and _fault checks them (_checked).
 
     A host with no copy of g is settled without a search: coloring every
     edge red refutes it, and that is the least refuting coloring, the one
     the search reaches first with no conflict and no cut (no edge is blue),
     so leaves and prunes are 1 and 0. _fault judges it like any other.
+    Searching such a host instead made warm passes over a mix of in-process
+    CLI ir calls 1.057x slower, in 48 of 60 alternating rounds.
     """
     red = host[_copy_side, g, induced]
     if not red.masks:
         found, leaves, prunes = ((1 << len(host.edges)) - 1, 0), 1, 0
     else:
         found, leaves, prunes = _search(len(host.edges), red, host[_copy_side, h, induced], host[_twin_swaps])
-    if found is not None:
-        fault = _fault(host, g, h, induced, *found)
-        if fault is not None:
-            raise AssertionError(fault)
-    return found, leaves, prunes
+    return _checked(host, g, h, induced, found), leaves, prunes
 
 
 def _run(f: Graph, g: Graph, h: Graph, induced: bool) -> ArrowingResult:
     if not any(g.adj) or not any(h.adj):
         raise PreconditionError("patterns must have at least one edge")
     host = _host(f)
-    found, leaves, prunes = _refute(host, _pattern(g.adj), _pattern(h.adj), induced)
+    found, leaves, prunes = _refute(host, g.adj, h.adj, induced)
     if found is None:
         return _shared(ArrowingResult, True, None, leaves, prunes)
     # the judge checked that the sides cover f's edges, so red is the rest

@@ -190,10 +190,10 @@ def test_copy_masks_match_oracles(catalog, sweep_patterns):
             for verts in brute_induced_copies(host, pat)
         }
         images = set(brute_subgraph_copies(host, pat))
-        assert edge_sets(_copy_masks(record, pat, True)) == interiors, (host, pat)
-        assert edge_sets(_copy_masks(record, pat, False)) == images, (host, pat)
-        assert edge_sets(_copies(record, pat, True)) == interiors, (host, pat)
-        assert edge_sets(_copies(record, pat, False)) == images, (host, pat)
+        assert edge_sets(_copy_masks(record, pat.adj, True)) == interiors, (host, pat)
+        assert edge_sets(_copy_masks(record, pat.adj, False)) == images, (host, pat)
+        assert edge_sets(_copies(record, pat.adj, True)) == interiors, (host, pat)
+        assert edge_sets(_copies(record, pat.adj, False)) == images, (host, pat)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _oracle_result(host, g, h, induced):
     record = _host(host)
     edge_index = {e: i for i, e in enumerate(_edge_order(host))}
     found = plain_dfs_search(
-        host.edge_count(), _copy_masks(record, g, induced), _copy_masks(record, h, induced)
+        host.edge_count(), _copy_masks(record, g.adj, induced), _copy_masks(record, h.adj, induced)
     )[0]
     if found is None:
         return None
@@ -451,7 +451,7 @@ def _searched(host, g, h, induced):
     record = _host(host)
     edges = _edge_order(host)
     found, leaves, prunes = _search(
-        len(edges), _copy_side(record, g, induced), _copy_side(record, h, induced), record[_twin_swaps]
+        len(edges), _copy_side(record, g.adj, induced), _copy_side(record, h.adj, induced), record[_twin_swaps]
     )
     red_set, blue_set = found
     side = {True: [], False: []}
@@ -474,13 +474,13 @@ def test_union_refutations_match_brute_copies(catalog):
         interiors = {p: brute_interiors(host, p) for p in patterns}
         unions = {p: set().union(*interiors[p]) for p in patterns}
         for g, h in product(patterns, repeat=2):
-            found = _union_refutation(record, g, h, True)
+            found = _union_refutation(record, g.adj, h.adj, True)
             if found is None:
                 assert any(c <= unions[g] for c in interiors[h]), (host, g, h)
                 assert any(c <= unions[h] for c in interiors[g]), (host, g, h)
                 continue
             offered += 1
-            assert _fault(record, g, h, True, *found) is None, (host, g, h)
+            assert _fault(record, g.adj, h.adj, True, *found) is None, (host, g, h)
             red, blue = ({e for i, e in enumerate(edges) if side >> i & 1} for side in found)
             assert blue == set(edges) - red
             assert blue == unions[g] or red == unions[h], (host, g, h)
@@ -762,12 +762,12 @@ def test_the_all_red_shortcut_is_judged_like_a_search():
     # whose edges are permuted still passes all red, which is all red in any
     # order, but its searched (K3, K3) refutation is judged in the judge's
     # order, where it holds a red triangle
-    assert _refute(_host(complete(5)), path(3), complete(3), True) == (((1 << 10) - 1, 0), 1, 0)
+    assert _refute(_host(complete(5)), path(3).adj, complete(3).adj, True) == (((1 << 10) - 1, 0), 1, 0)
     record = arrowing._Host(complete(5))
     record.edges = record.edges[::-1]
-    assert _refute(record, path(3), complete(3), True) == (((1 << 10) - 1, 0), 1, 0)
+    assert _refute(record, path(3).adj, complete(3).adj, True) == (((1 << 10) - 1, 0), 1, 0)
     with pytest.raises(AssertionError, match="red copy"):
-        _refute(record, complete(3), complete(3), True)
+        _refute(record, complete(3).adj, complete(3).adj, True)
 
 
 @pytest.mark.parametrize("dropped", [0, -1])

@@ -644,7 +644,7 @@ def test_a_suspect_cached_witness_is_recomputed(tmp_path, catalog, tamper):
 
     assert ir_exact(g, h, catalog, n_max=5, cache=ResultCache(cache_file)) == first
     lines = cache_file.read_text().splitlines()
-    red, blue = _refute(_host(host), g, h, True)[0]
+    red, blue = _refute(_host(host), g.adj, h.adj, True)[0]
     assert lines[:-1] == before
     assert lines[-1] == json.dumps(
         {key: {"arrows": False, "witness": {"red": red, "blue": blue}}}, sort_keys=True
@@ -706,7 +706,7 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
     h = data.draw(st.sampled_from(sweep_patterns))
     start = data.draw(st.sampled_from(["witness", "recoloured", "pairs", "json"]))
     edges = _edge_order(host)
-    found = _refute(_host(host), g, h, True)[0]
+    found = _refute(_host(host), g.adj, h.adj, True)[0]
     if start == "json":
         stored = data.draw(st.recursive(
             JSON_SCALARS,
@@ -734,7 +734,7 @@ def test_hit_check_accepts_what_the_embedder_check_accepts(catalog, sweep_patter
     ) as refute:
         cache_file = Path(tmp) / "cache.json"
         cache_file.write_text(refutation_line("planted", stored) + "\n")
-        decided = _decide(host, g, h, ResultCache(cache_file).get("planted"))
+        decided = _decide(host, g.adj, h.adj, ResultCache(cache_file).get("planted"))
     assert (decided is None) == (found is None)
     accepted = not refute.called
     expected = False
@@ -789,7 +789,7 @@ def test_a_second_cached_sweep_replays_on_bitsets(tmp_path, monkeypatch, catalog
     assert calls == []
     assert cache_file.read_bytes() == data
     assert arrowing._host.cache_info().currsize > 0
-    assert g in copy_lists and h in copy_lists
+    assert g.adj in copy_lists and h.adj in copy_lists
     assert not hasattr(search, "verify_witness") and not hasattr(search, "EdgeColoring")
 
 
@@ -1125,10 +1125,13 @@ def test_ir_result_holds_the_callers_graphs(catalog):
 
 
 def test_a_repeated_sweep_finds_its_records_by_identity(catalog, fresh_hosts, monkeypatch):
-    # ir_exact resolves its patterns to one shared equal instance, so a second
-    # call with freshly parsed patterns finds every host record, side record
-    # and holder mask by identity: no side is built and no Graph.__eq__ runs.
-    # A catalog of its own, so no earlier test's pattern keys its holder masks
+    # Host records key by the catalog's own host instances, and side records
+    # and holder masks by the patterns' rows, which compare in C, so a second
+    # call with freshly parsed patterns finds every entry: no side is built
+    # and no Graph.__eq__ runs. strongly_arrows on a host the sweep decided,
+    # with freshly parsed patterns, finds that host's side records the same
+    # way. A catalog of its own, so no earlier test's pattern keys its holder
+    # masks
     catalog = Catalog(catalog.directory)
     built, compared = [], []
     real_side, real_eq = arrowing._copy_side, Graph.__eq__
@@ -1149,6 +1152,10 @@ def test_a_repeated_sweep_finds_its_records_by_identity(catalog, fresh_hosts, mo
     compared.clear()
     # the same NotFoundBelow value, too
     assert ir_exact(parse_graph6("Ck"), parse_graph6("Bw"), catalog, n_max=6) is first
+    assert built == [] and compared == []
+    both = catalog.holders(6, parse_graph6("Ck")) & catalog.holders(6, parse_graph6("Bw"))
+    f = catalog.scan(6)[both.bit_length() - 1][0]
+    assert not strongly_arrows(f, parse_graph6("Ck"), parse_graph6("Bw")).arrows
     assert built == [] and compared == []
 
 
@@ -1200,7 +1207,7 @@ def test_cacheless_verdict_matches_strongly_arrows(catalog):
     panel = [complete(2), path(3), complete(3), path(4), cycle(4), matching(2)]
     for host in [f for order in range(1, 7) for f in catalog.graphs(order)]:
         for g, h in product(panel, repeat=2):
-            assert (_decide(host, g, h, None) is None) == strongly_arrows(host, g, h).arrows, (host, g, h)
+            assert (_decide(host, g.adj, h.adj, None) is None) == strongly_arrows(host, g, h).arrows, (host, g, h)
 
 
 def test_ir_sweep_matches_the_benchmark_reference(catalog):

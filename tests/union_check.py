@@ -35,13 +35,13 @@ def check_union_refutations(orders) -> tuple[int, int]:
             host = _host(f)
             for g, h in pairs:
                 calls += 1
-                found = _union_refutation(host, g, h, True)
+                found = _union_refutation(host, g.adj, h.adj, True)
                 if found is None:
                     continue
                 offered += 1
-                fault = _fault(host, g, h, True, *found)
+                fault = _fault(host, g.adj, h.adj, True, *found)
                 assert fault is None, (f, g, h, fault)
-                assert _refute(host, g, h, True)[0] is not None, (f, g, h)
+                assert _refute(host, g.adj, h.adj, True)[0] is not None, (f, g, h)
     return calls, offered
 
 
