@@ -158,12 +158,16 @@ def _flock(handle) -> None:
     fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
 
 
-# The bytes of the last newline-terminated cache log loaded in this process
-# and the refutations folded from them. Folding stops at line ends, so any
-# file whose bytes start with these folds to these entries updated by its
-# remaining lines, whichever path it was read from. Re-parsing the whole log
-# on every load made warm in-process CLI passes 2.7x slower.
+# The bytes of the last newline-terminated cache log loaded or appended to in
+# this process and the refutations folded from them. Folding stops at line
+# ends, so any file whose bytes start with these folds to these entries
+# updated by its remaining lines, whichever path it was read from. Re-parsing
+# the whole log on every load made warm in-process CLI passes 2.7x slower.
 _last_log: tuple[bytes, dict[str, tuple[int, int]]] = (b"", {})
+
+# One log line: for int red and blue, the bytes of json.dumps({key: verdict},
+# sort_keys=True), whose keyword argument would build a fresh encoder per line.
+_LINE = '{%s: {"arrows": false, "witness": {"blue": %d, "red": %d}}}\n'
 
 
 class ResultCache:
@@ -186,13 +190,16 @@ class ResultCache:
     keep their entries in memory only, so an unwritable cache never stops a
     sweep or changes its answer.
 
-    A process remembers the last newline-terminated log it loaded. When a
-    file's bytes start with that log's bytes, only the lines after them are
-    parsed; otherwise the whole file is. Either way the entries are a
+    A process remembers the last newline-terminated log it loaded or
+    appended to: a put to a file as long as the remembered log was before
+    the append remembers that log followed by the bytes it wrote. When a
+    file's bytes start with the remembered bytes, only the lines after them
+    are parsed; otherwise the whole file is. Either way the entries are a
     function of the file's current bytes alone, so a rewritten, truncated
-    or re-created file loads exactly as a first read would. Each instance
-    folds into its own dict, so a put reaches later loads only through the
-    file.
+    or re-created file, or one another writer appended to, loads exactly as
+    a first read would. Each instance folds into its own dict, and the
+    remembered bytes count only once matched against the file's own, so a
+    put still reaches later loads only through the file.
     """
 
     def __init__(self, path):
@@ -213,7 +220,8 @@ class ResultCache:
         known, folded = _last_log
         if not data.startswith(known):
             known, folded = b"", {}
-        folded = _fold(data[len(known):], folded)
+        if len(data) > len(known):
+            folded = _fold(data[len(known):], folded)
         if data.endswith(b"\n"):
             _last_log = (data, folded)
         self._data = dict(folded)
@@ -222,25 +230,28 @@ class ResultCache:
         return self._data.get(key)
 
     def put(self, entries: dict[str, tuple[int, int]]) -> None:
+        global _last_log
         self._data.update(entries)
         if not self._writable:
             return
-        text = "".join(
-            json.dumps({key: {"arrows": False, "witness": {"red": red, "blue": blue}}}, sort_keys=True)
-            + "\n"
-            for key, (red, blue) in entries.items()
-        )
+        text = "".join(_LINE % (json.dumps(key), blue, red) for key, (red, blue) in entries.items())
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as log:
                 _flock(log)
-                log.seek(max(log.seek(0, 2) - 1, 0))
+                size = log.seek(0, 2)
+                log.seek(max(size - 1, 0))
                 if log.read(1) not in (b"", b"\n"):
                     text = "\n" + text
-                log.write(text.encode())
+                written = text.encode()
+                log.write(written)
         except OSError as exc:
             warnings.warn(f"not writing result cache {self.path}: {exc}")
             self._writable = False
+            return
+        known, folded = _last_log
+        if size == len(known):  # likely the remembered log; _load checks its bytes
+            _last_log = (known + written, {**folded, **entries})
 
 
 def _fold(data: bytes, folded: dict[str, tuple[int, int]]) -> dict[str, tuple[int, int]]:

@@ -386,7 +386,8 @@ def test_a_put_appends_its_entries_in_order_in_one_locked_write(tmp_path, monkey
     locks = []
     real_flock = search._flock
     monkeypatch.setattr(search, "_flock", lambda handle: locks.append(handle) or real_flock(handle))
-    entries = {"C~|A_|A_": (0, 7), "A_|A_|A_": (1, 0), "Bw|A_|A_": (2, 5)}
+    # graph6's "\" escapes to "\\" in a key; a witness int may pass 2^64
+    entries = {"C~|A_|A_": (0, 7), "A_|A_|A_": (1, 0), "Bw|A_|A_": (2, 5), "C\\|A_|A_": (2**64 + 1, 3)}
     ResultCache(cache_file).put(entries)
     assert len(locks) == 1
     lines = cache_file.read_text().split("\n")
@@ -515,6 +516,85 @@ def test_incremental_log_load_matches_a_full_parse(tmp_path, monkeypatch, seed):
         if warned:
             assert current._data == {}
     assert reused > 0
+
+
+def _full_parse(path, monkeypatch) -> dict:
+    """The entries of a load of path with the remembered log cleared; the
+    remembered log is left as it was, and must fold to its own entries."""
+    kept = search._last_log
+    assert search._fold(kept[0], {}) == kept[1]
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    full = ResultCache(path)._data
+    monkeypatch.setattr(search, "_last_log", kept)
+    return full
+
+
+def _spy_loads(monkeypatch) -> list:
+    """The strings json.loads decodes from here on."""
+    decoded, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    return decoded
+
+
+def test_a_load_after_an_own_put_decodes_no_json(tmp_path, monkeypatch):
+    # Each call's put appends to the log the process remembers, so it
+    # remembers the lines it wrote, and the next call's load parses none.
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    cache_file = tmp_path / "cache.json"
+    decoded = _spy_loads(monkeypatch)
+    ResultCache(cache_file).put({"A_|A_|A_": (1, 0), "Bw|A_|A_": (0, 7)})
+    cache = ResultCache(cache_file)
+    cache.put({"C\\|A_|A_": (2**64, 3), "A_|A_|A_": (0, 1)})
+    assert search._last_log[0] == cache_file.read_bytes()
+    cache = ResultCache(cache_file)
+    assert decoded == []
+    expected = {"A_|A_|A_": (0, 1), "Bw|A_|A_": (0, 7), "C\\|A_|A_": (2**64, 3)}
+    assert cache._data == _full_parse(cache_file, monkeypatch) == expected
+
+
+def test_a_put_after_another_writers_append_remembers_nothing_new(tmp_path, monkeypatch):
+    # Another writer appends a line between this process's load and its put:
+    # the put does not move the remembered log past bytes it never read, and
+    # the next load parses that line and the put's.
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}) + "\n")
+    cache = ResultCache(cache_file)
+    seen = cache_file.read_bytes()
+    foreign = refutation_line("Bw|A_|A_", {"red": 0, "blue": 7})
+    with open(cache_file, "a") as log:
+        log.write(foreign + "\n")
+    cache.put({"C~|A_|A_": (3, 3)})
+    assert search._last_log[0] == seen
+    decoded = _spy_loads(monkeypatch)
+    reloaded = ResultCache(cache_file)
+    assert decoded[:2] == [foreign, refutation_line("C~|A_|A_", {"red": 3, "blue": 3})]
+    expected = {"A_|A_|A_": (1, 0), "Bw|A_|A_": (0, 7), "C~|A_|A_": (3, 3)}
+    assert reloaded._data == _full_parse(cache_file, monkeypatch) == expected
+
+
+def test_a_put_to_another_file_of_the_remembered_length_misleads_no_load(tmp_path, monkeypatch):
+    # Two files of one length, the second's instance made first: its put finds
+    # its file as long as the remembered log, the first file's, and appends
+    # to the remembered bytes. Neither file starts with the result, so a load
+    # of either parses it whole.
+    monkeypatch.setattr(search, "_last_log", (b"", {}))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(refutation_line("A_|A_|A_", {"red": 1, "blue": 0}) + "\n")
+    second.write_text(refutation_line("A_|A_|A_", {"red": 2, "blue": 0}) + "\n")
+    other = ResultCache(second)
+    ResultCache(first)
+    assert search._last_log[0] == first.read_bytes()
+    assert second.stat().st_size == len(search._last_log[0])
+    other.put({"Bw|A_|A_": (0, 7)})
+    assert not first.read_bytes().startswith(search._last_log[0])
+    assert not second.read_bytes().startswith(search._last_log[0])
+    for path, expected in (
+        (first, {"A_|A_|A_": (1, 0)}),
+        (second, {"A_|A_|A_": (2, 0), "Bw|A_|A_": (0, 7)}),
+        (first, {"A_|A_|A_": (1, 0)}),
+    ):
+        assert ResultCache(path)._data == _full_parse(path, monkeypatch) == expected
 
 
 def test_cached_verdicts_replay(tmp_path, catalog):
